@@ -11,7 +11,6 @@ simulation module measures everything against scenarios with known truth.
 from .data import (
     ColumnSchema,
     Dataset,
-    Row,
     ValidationReport,
     load_dataset,
     save_dataset,
@@ -93,7 +92,6 @@ __all__ = [
     "ParseError",
     "PositivityError",
     "RestrictionResult",
-    "Row",
     "ScenarioConfig",
     "SchemaError",
     "SeparationError",

@@ -44,6 +44,27 @@ def _require(raw: Mapping, key: str, where: str) -> Any:
     return raw[key]
 
 
+def _is_integer(value: Any) -> bool:
+    # JSON true and false load as Python bools, which are ints too.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(raw: Mapping, key: str, default: Any, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
+    value = raw.get(key, default)
+    if not _is_integer(value):
+        raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(raw: Mapping, key: str, default: bool, where: str) -> bool:
+    """A JSON boolean; strings such as "false" are rejected, not coerced."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _schema_from(raw: Any, where: str) -> ColumnSchema:
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{where}: 'schema' must be an object")
@@ -83,10 +104,9 @@ def _check_estimators(value: Any, where: str) -> tuple[str, ...]:
 def _check_arms(value: Any, where: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{where}: 'arms' must be a non-empty list")
-    try:
-        arms = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: 'arms' must contain integers") from None
+    if not all(_is_integer(v) for v in value):
+        raise ConfigError(f"{where}: 'arms' must contain integers")
+    arms = tuple(value)
     if any(a not in (0, 1) for a in arms) or len(set(arms)) != len(arms):
         raise ConfigError(f"{where}: 'arms' must be a subset of [0, 1] without repeats")
     return arms
@@ -146,14 +166,14 @@ class AnalysisConfig:
             estimators=_check_estimators(raw.get("estimators", list(ESTIMATOR_NAMES)), where),
             arms=_check_arms(raw.get("arms", [0, 1]), where),
             level=_check_level(raw.get("level", 0.95), where),
-            bootstrap=int(raw.get("bootstrap", 0)),
-            seed=int(raw.get("seed", 0)),
-            hajek=bool(raw.get("hajek", False)),
+            bootstrap=_integer(raw, "bootstrap", 0, where),
+            seed=_integer(raw, "seed", 0, where),
+            hajek=_flag(raw, "hajek", False, where),
             ridge=float(raw.get("ridge", 0.0)),
-            restriction=bool(raw.get("restriction", True)),
+            restriction=_flag(raw, "restriction", True, where),
             restriction_threshold=_check_level(raw.get("restriction_threshold", 0.05), where),
-            include_interactions=bool(raw.get("include_interactions", False)),
-            overlap=bool(raw.get("overlap", True)),
+            include_interactions=_flag(raw, "include_interactions", False, where),
+            overlap=_flag(raw, "overlap", True, where),
             weight_threshold=float(raw.get("weight_threshold", 10.0)),
             output=str(raw.get("output", "report.json")),
         )
@@ -241,11 +261,14 @@ class SimulationConfig:
         n_raw = _require(raw, "n", where)
         if not isinstance(n_raw, (list, tuple)) or len(n_raw) != 2:
             raise ConfigError(f"{where}: 'n' must be [trial size, emulation size]")
-        n = (int(n_raw[0]), int(n_raw[1]))
+        if not all(_is_integer(v) for v in n_raw):
+            raise ConfigError(f"{where}: 'n' must hold two integers")
+        n = (n_raw[0], n_raw[1])
         if n[0] < 1 or n[1] < 1:
             raise ConfigError(f"{where}: study sizes must be positive")
 
-        reps = int(_require(raw, "reps", where))
+        _require(raw, "reps", where)
+        reps = _integer(raw, "reps", None, where)
         if reps < 2:
             raise ConfigError(f"{where}: reps must be at least 2")
 
@@ -254,15 +277,15 @@ class SimulationConfig:
             scenario_name=scenario_name,
             reps=reps,
             n=n,
-            seed=int(raw.get("seed", 0)),
+            seed=_integer(raw, "seed", 0, where),
             misspec=_check_misspec(raw.get("misspec"), where),
             estimators=_check_estimators(raw.get("estimators", list(ESTIMATOR_NAMES)), where),
             arms=_check_arms(raw.get("arms", [0, 1]), where),
             level=_check_level(raw.get("level", 0.95), where),
-            restriction=bool(raw.get("restriction", True)),
+            restriction=_flag(raw, "restriction", True, where),
             restriction_threshold=_check_level(raw.get("restriction_threshold", 0.05), where),
             ridge=float(raw.get("ridge", 0.0)),
-            truth_draws=int(raw.get("truth_draws", 10_000_000)),
+            truth_draws=_integer(raw, "truth_draws", 10_000_000, where),
             output=str(raw.get("output", "simulation.json")),
         )
         if cfg.ridge < 0.0:

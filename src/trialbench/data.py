@@ -10,21 +10,12 @@ trial fraction n1 / n is a design quantity, not an estimate of anything.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ParseError, SchemaError
-
-
-@dataclass(frozen=True)
-class Row:
-    """One subject: covariates, study indicator, treatment, outcome."""
-
-    x: tuple[float, ...]
-    s: int
-    a: int
-    y: float
 
 
 @dataclass(frozen=True)
@@ -114,17 +105,6 @@ class Dataset:
     def n_emulation(self) -> int:
         return int(np.sum(self.s == 0))
 
-    def row(self, i: int) -> Row:
-        return Row(
-            x=tuple(float(v) for v in self.x[i]),
-            s=int(self.s[i]),
-            a=int(self.a[i]),
-            y=float(self.y[i]),
-        )
-
-    def rows(self) -> list[Row]:
-        return [self.row(i) for i in range(self.n)]
-
     def subset(self, idx: np.ndarray) -> "Dataset":
         """New dataset from a row-index array (order preserved, repeats allowed)."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -135,6 +115,117 @@ class Dataset:
             y=self.y[idx],
             covariate_names=self.covariate_names,
         )
+
+    def cells(self, split_outcome: bool) -> "CellTable":
+        """The rows grouped into cells (see CellTable), built once per dataset.
+
+        ``split_outcome`` adds the outcome to the cell key, as logistic
+        outcome fits need; otherwise a cell keeps the sum and spread of its
+        rows' outcomes.
+        """
+        cache = self.__dict__.setdefault("_cells", {})
+        if split_outcome not in cache:
+            keys = [*self.x.T, self.s, self.a] + ([self.y] if split_outcome else [])
+            groups = _group_rows(keys, int(self.n * _MAX_CELL_SHARE))
+            first, inverse = groups if groups else (slice(None), np.arange(self.n))
+            cache[split_outcome] = CellTable(
+                x=self.x[first],
+                s=self.s[first],
+                a=self.a[first],
+                covariate_names=self.covariate_names,
+                inverse=inverse,
+                y_rows=self.y,
+            )
+        return cache[split_outcome]
+
+
+# Rows are grouped into cells only when the cells number at most this share
+# of the rows; otherwise a fit on the cells saves too little to pay for them.
+_MAX_CELL_SHARE = 0.25
+
+
+def _group_rows(columns: list[np.ndarray], limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(first row of each group, group of each row) over the distinct value
+    combinations of ``columns``, or None as soon as they number more than ``limit``.
+
+    Columns are added one at a time, so a column with many distinct values
+    ends the search after one ``np.unique`` of that column alone.
+    """
+    codes = np.zeros(columns[0].shape[0], dtype=np.int64)
+    for col in columns:
+        values, col_codes = np.unique(col, return_inverse=True)
+        if values.size > limit:
+            return None
+        _, first, codes = np.unique(
+            codes * values.size + col_codes, return_index=True, return_inverse=True
+        )
+        if first.size > limit:
+            return None
+    return first, codes
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """Rows of a dataset grouped by covariate pattern, study and treatment.
+
+    Cell ``j`` holds the rows ``i`` with ``inverse[i] == j``; they share
+    ``x[j]``, ``s[j]`` and ``a[j]`` (and, when the outcome is part of the
+    key, their outcome). Per cell the table keeps the total weight of its
+    rows (``count``), the weighted sum of their outcomes (``y_sum``) and
+    their weighted sum of squares about the cell mean (``y_ss``). Each row
+    weighs 1 unless ``reweight`` gave it a frequency weight, such as the
+    number of times a bootstrap resample drew it. When rows take too many
+    distinct patterns, every row is a cell of its own.
+    """
+
+    x: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    covariate_names: tuple[str, ...]
+    inverse: np.ndarray
+    y_rows: np.ndarray
+    row_weights: np.ndarray | None = None
+    count: np.ndarray = field(init=False)
+    y_sum: np.ndarray = field(init=False)
+    y_ss: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        m = self.s.shape[0]
+        w = np.ones(self.inverse.shape[0]) if self.row_weights is None else self.row_weights
+        count = np.bincount(self.inverse, weights=w, minlength=m)
+        y_sum = np.bincount(self.inverse, weights=w * self.y_rows, minlength=m)
+        mean = np.divide(y_sum, count, out=np.zeros(m), where=count > 0)
+        # Centred on the cell mean, not sum(y^2) - sum(y)^2 / count, which loses digits.
+        dev = self.y_rows - mean[self.inverse]
+        y_ss = np.bincount(self.inverse, weights=w * dev * dev, minlength=m)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "y_sum", y_sum)
+        object.__setattr__(self, "y_ss", y_ss)
+
+    @property
+    def k(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def y_mean(self) -> np.ndarray:
+        """Mean outcome of each cell; 0 for a cell of zero weight."""
+        occupied = self.count > 0
+        return np.divide(self.y_sum, self.count, out=np.zeros_like(self.y_sum), where=occupied)
+
+    @property
+    def n_emulation(self) -> float:
+        return float(np.sum(self.count[self.s == 0]))
+
+    def reweight(self, row_weights: np.ndarray) -> "CellTable":
+        """The same cells with the rows carrying frequency weights."""
+        return dataclasses.replace(self, row_weights=np.asarray(row_weights, dtype=float))
+
+    def rows_of(self, cells: np.ndarray) -> np.ndarray:
+        """Indices of the dataset rows of positive weight in the given cells."""
+        rows = np.isin(self.inverse, cells)
+        if self.row_weights is not None:
+            rows &= self.row_weights > 0
+        return np.flatnonzero(rows)
 
 
 @dataclass(frozen=True)
@@ -207,6 +298,9 @@ def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise SchemaError(f"{path}: duplicate column name(s) {repeated} in header")
         positions: dict[str, int] = {}
         for name in (schema.s, schema.a, schema.y, *schema.x):
             if name not in header:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import Dataset
 from .errors import DegenerateFitError
@@ -114,7 +114,7 @@ def restriction_test(
     except np.linalg.LinAlgError:
         statistic = float("nan")
     df = idx.size
-    p_value = float(stats.chi2.sf(statistic, df)) if np.isfinite(statistic) else float("nan")
+    p_value = float(special.chdtrc(df, statistic)) if np.isfinite(statistic) else float("nan")
 
     if not converged or not np.isfinite(p_value):
         status = STATUS_INDETERMINATE

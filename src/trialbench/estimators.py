@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import CellTable, Dataset
 from .errors import IncompatibleEstimatesError, PositivityError
 from .nuisance import NuisanceSet, fit_nuisances
 
@@ -74,9 +74,10 @@ class EstimateWithIF:
         return int(self.if_values.size)
 
 
-def _positivity_check(prob: np.ndarray, mask: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(mask & (prob < PROPENSITY_FLOOR))
-    if bad.size:
+def _positivity_check(t: CellTable, prob: np.ndarray, mask: np.ndarray, what: str) -> None:
+    bad_cells = np.flatnonzero(mask & (prob < PROPENSITY_FLOOR))
+    if bad_cells.size:
+        bad = t.rows_of(bad_cells)
         shown = ", ".join(str(int(i)) for i in bad[:20])
         suffix = "" if bad.size <= 20 else f" (and {bad.size - 20} more)"
         raise PositivityError(
@@ -85,103 +86,83 @@ def _positivity_check(prob: np.ndarray, mask: np.ndarray, what: str) -> None:
         )
 
 
-def _hajek_scale(weights: np.ndarray, mask: np.ndarray, n0: int) -> float:
-    total = float(np.sum(weights[mask]))
-    if total <= 0.0:
-        raise PositivityError("renormalization impossible: weighted rows have zero total weight")
-    return n0 / total
+# Per estimator: the stratum of its outcome and propensity models (its
+# weighted rows are that stratum's rows at the arm), the propensity's name in
+# error messages, and the weight from the propensity e and participation p.
+_AIPW = {
+    "phi": ("s0", "emulation propensity", lambda e, p: 1.0 / e),
+    "chi": ("s1", "trial propensity", lambda e, p: (1.0 - p) / p / e),
+    "psi": ("pooled", "pooled propensity", lambda e, p: (1.0 - p) / e),
+}
+
+
+def _aipw(
+    t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One AIPW estimate on a cell table: (value, g, w), g and w per cell.
+
+    value = (sum over s=0 rows of g + sum over weighted rows of w (y - g)) / n0,
+    each row counted with its weight; w is 0 off the weighted rows. phi, chi
+    and psi differ only in the entries of _AIPW.
+    """
+    stratum, what, weight = _AIPW[name]
+    s0 = t.s == 0
+    n0 = t.n_emulation
+    g = nu.outcome_mean(t.x, a, stratum)
+    e = nu.treatment_prob(t.x, a, stratum)
+    p = nu.participation_prob(t.x)
+    in_stratum = {"s0": s0, "s1": ~s0, "pooled": True}[stratum]
+    live = in_stratum & (t.a == a) & (t.count > 0)
+    if name == "chi":
+        _positivity_check(t, p, live, f"chi({a}): participation probability")
+    _positivity_check(t, e, live, f"{name}({a}): {what} for arm {a}")
+    w = np.zeros(t.count.size)
+    w[live] = weight(e[live], p[live])
+    if hajek:
+        total = float(t.count @ w)
+        if total <= 0.0:
+            raise PositivityError(
+                "renormalization impossible: weighted rows have zero total weight"
+            )
+        w *= n0 / total
+
+    value = float((t.count[s0] @ g[s0] + w @ (t.y_sum - t.count * g)) / n0)
+    if not np.isfinite(value):
+        raise ValueError(f"{name}({a}): estimate is not finite")
+    return value, g, w
+
+
+def _estimate(d: Dataset, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
+    """Value and per-row influence values, (n/n0) [w (y - g) + (g - value) 1{s=0}]."""
+    t = d.cells(nu.outcome_kind == "binary")
+    value, g, w = _aipw(t, nu, name, a, hajek)
+    g_rows = g[t.inverse]
+    n0 = d.n_emulation
+    if_values = (d.n / n0) * (
+        w[t.inverse] * (d.y - g_rows) + np.where(d.s == 0, g_rows - value, 0.0)
+    )
+    return EstimateWithIF(label=f"{name}({a})", value=value, if_values=if_values, n_effective=n0)
 
 
 def estimate_phi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Emulation-only doubly robust mean of the potential outcome under ``a``."""
-    s0 = d.s == 0
-    n0 = d.n_emulation
-    at_a = d.a == a
-    g = nu.outcome_mean(d.x, a, "s0")
-    e = nu.treatment_prob(d.x, a, "s0")
-
-    weighted = s0 & at_a
-    _positivity_check(e, weighted, f"phi({a}): emulation propensity for arm {a}")
-
-    weights = np.zeros(d.n)
-    weights[weighted] = 1.0 / e[weighted]
-    if hajek:
-        weights *= _hajek_scale(weights, weighted, n0)
-
-    contrib = np.where(s0, g, 0.0)
-    contrib[weighted] += weights[weighted] * (d.y[weighted] - g[weighted])
-    value = float(np.sum(contrib[s0]) / n0)
-    if_values = np.where(s0, (d.n / n0) * (contrib - value), 0.0)
-    return EstimateWithIF(
-        label=f"phi({a})", value=value, if_values=if_values, n_effective=n0
-    )
+    return _estimate(d, nu, "phi", a, hajek)
 
 
 def estimate_chi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Trial-transported doubly robust mean of the potential outcome under ``a``."""
-    s0 = d.s == 0
-    n0 = d.n_emulation
-    g = nu.outcome_mean(d.x, a, "s1")
-    e = nu.treatment_prob(d.x, a, "s1")
-    p = nu.participation_prob(d.x)
-
-    weighted = (d.s == 1) & (d.a == a)
-    _positivity_check(p, weighted, f"chi({a}): participation probability")
-    _positivity_check(e, weighted, f"chi({a}): trial propensity for arm {a}")
-
-    weights = np.zeros(d.n)
-    weights[weighted] = (1.0 - p[weighted]) / p[weighted] / e[weighted]
-    if hajek:
-        weights *= _hajek_scale(weights, weighted, n0)
-
-    contrib = np.where(s0, g, 0.0)
-    contrib[weighted] = weights[weighted] * (d.y[weighted] - g[weighted])
-    value = float(np.sum(contrib) / n0)
-    if_values = (d.n / n0) * (
-        np.where(weighted, contrib, 0.0) + np.where(s0, g - value, 0.0)
-    )
-    return EstimateWithIF(
-        label=f"chi({a})", value=value, if_values=if_values, n_effective=n0
-    )
+    return _estimate(d, nu, "chi", a, hajek)
 
 
 def estimate_psi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Pooled-data doubly robust mean of the potential outcome under ``a``."""
-    s0 = d.s == 0
-    n0 = d.n_emulation
-    g = nu.outcome_mean(d.x, a, "pooled")
-    e = nu.treatment_prob(d.x, a, "pooled")
-    p = nu.participation_prob(d.x)
-
-    weighted = d.a == a
-    _positivity_check(e, weighted, f"psi({a}): pooled propensity for arm {a}")
-
-    weights = np.zeros(d.n)
-    weights[weighted] = (1.0 - p[weighted]) / e[weighted]
-    if hajek:
-        weights *= _hajek_scale(weights, weighted, n0)
-
-    residual_term = np.zeros(d.n)
-    residual_term[weighted] = weights[weighted] * (d.y[weighted] - g[weighted])
-    contrib = residual_term + np.where(s0, g, 0.0)
-    value = float(np.sum(contrib) / n0)
-    if_values = (d.n / n0) * (residual_term + np.where(s0, g - value, 0.0))
-    return EstimateWithIF(
-        label=f"psi({a})", value=value, if_values=if_values, n_effective=n0
-    )
-
-
-_ESTIMATE_FUNCS = {
-    "phi": estimate_phi,
-    "chi": estimate_chi,
-    "psi": estimate_psi,
-}
+    return _estimate(d, nu, "psi", a, hajek)
 
 
 def contrast(
@@ -251,24 +232,36 @@ def run_plan(d: Dataset, plan: AnalysisPlan) -> dict[str, EstimateWithIF]:
     return run_plan_with(d, nu, plan)
 
 
+def _contrasts(plan: AnalysisPlan) -> list[tuple[str, str, str]]:
+    """(label, first, second) of each contrast the plan asks for."""
+    out = []
+    if 0 in plan.arms and 1 in plan.arms:
+        out += [(f"ate_{name}", f"{name}(1)", f"{name}(0)") for name in plan.estimators]
+    if "phi" in plan.estimators and "chi" in plan.estimators:
+        out += [(f"delta({arm})", f"phi({arm})", f"chi({arm})") for arm in plan.arms]
+    return out
+
+
 def run_plan_with(
     d: Dataset, nu: NuisanceSet, plan: AnalysisPlan
 ) -> dict[str, EstimateWithIF]:
     """Same as run_plan but on an already fitted nuisance bundle."""
     out: dict[str, EstimateWithIF] = {}
     for name in plan.estimators:
-        func = _ESTIMATE_FUNCS[name]
         for arm in plan.arms:
-            est = func(d, nu, arm, hajek=plan.hajek)
-            out[est.label] = est
-    if 0 in plan.arms and 1 in plan.arms:
-        for name in plan.estimators:
-            out[f"ate_{name}"] = contrast(
-                out[f"{name}(1)"], out[f"{name}(0)"], label=f"ate_{name}"
-            )
-    if "phi" in plan.estimators and "chi" in plan.estimators:
-        for arm in plan.arms:
-            out[f"delta({arm})"] = contrast(
-                out[f"phi({arm})"], out[f"chi({arm})"], label=f"delta({arm})"
-            )
+            out[f"{name}({arm})"] = _estimate(d, nu, name, arm, plan.hajek)
+    for label, first, second in _contrasts(plan):
+        out[label] = contrast(out[first], out[second], label=label)
+    return out
+
+
+def plan_values(t: CellTable, nu: NuisanceSet, plan: AnalysisPlan) -> dict[str, float]:
+    """The values run_plan_with would give, on a (possibly reweighted) cell table."""
+    out = {
+        f"{name}({arm})": _aipw(t, nu, name, arm, plan.hajek)[0]
+        for name in plan.estimators
+        for arm in plan.arms
+    }
+    for label, first, second in _contrasts(plan):
+        out[label] = out[first] - out[second]
     return out

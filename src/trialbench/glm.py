@@ -42,13 +42,11 @@ def _first_dependent_column(design: np.ndarray) -> int:
     return design.shape[1] - 1
 
 
-def _check_design(design: np.ndarray, what: str) -> np.ndarray:
-    design = np.ascontiguousarray(design, dtype=float)
-    if design.ndim != 2:
-        raise ValueError(f"{what}: design must be 2-d, got shape {design.shape}")
-    n, p = design.shape
+def _check_design(design: np.ndarray, n: float, what: str) -> np.ndarray:
+    """Validate a design; ``n`` is its row count, or its total weight."""
+    p = design.shape[1]
     if n < p:
-        raise ValueError(f"{what}: {n} rows cannot identify {p} coefficients")
+        raise ValueError(f"{what}: {n:g} rows cannot identify {p} coefficients")
     if not np.all(np.isfinite(design)):
         raise ValueError(f"{what}: design contains non-finite values")
     if np.linalg.matrix_rank(design) < p:
@@ -57,6 +55,37 @@ def _check_design(design: np.ndarray, what: str) -> np.ndarray:
             f"{what}: design column {j} is linearly dependent on earlier columns"
         )
     return design
+
+
+def _weighted_rows(
+    design: np.ndarray, response: np.ndarray, weights: np.ndarray | None, what: str, name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Checked (design, response, weights, total weight) over the rows of positive weight.
+
+    Frequency weights: a row of weight w counts as w copies of itself, and a
+    row of weight 0 takes no part in the fit or in any of its checks. Without
+    weights every row has weight 1.
+    """
+    design = np.ascontiguousarray(design, dtype=float)
+    if design.ndim != 2:
+        raise ValueError(f"{what}: design must be 2-d, got shape {design.shape}")
+    y = np.asarray(response, dtype=float)
+    n = design.shape[0]
+    if y.shape != (n,):
+        raise ValueError(f"{what}: {name} shape {y.shape} does not match {n} rows")
+    if weights is None:
+        w = np.ones(n)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"{what}: weights shape {w.shape} does not match {n} rows")
+        if not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise ValueError(f"{what}: weights must be finite and non-negative")
+        occupied = w > 0.0
+        if not np.all(occupied):
+            design, y, w = design[occupied], y[occupied], w[occupied]
+    total = float(n) if weights is None else float(np.sum(w))
+    return _check_design(design, total, what), y, w, total
 
 
 @dataclass(frozen=True)
@@ -121,9 +150,13 @@ class LinearModel:
 Model = LogisticModel | LinearModel
 
 
-def _penalized_loglik(eta: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
-    # log L = sum[y*eta - log(1 + exp(eta))], computed stably.
-    ll = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+def _penalized_loglik(
+    eta: np.ndarray, wy: np.ndarray, w: np.ndarray, beta: np.ndarray, ridge: float
+) -> float:
+    # log L = sum w*[y*eta - log(1 + exp(eta))], with the softplus
+    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)) computed stably.
+    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    ll = float(wy @ eta - w @ softplus)
     if ridge > 0.0:
         ll -= 0.5 * ridge * float(beta[1:] @ beta[1:])
     return ll
@@ -141,21 +174,20 @@ def fit_logistic(
     max_iter: int = 100,
     tol: float = 1e-8,
     ridge: float = 0.0,
+    weights: np.ndarray | None = None,
 ) -> LogisticModel:
     """Maximum-likelihood logistic fit by Newton steps with step halving.
 
     ``design`` is (n, p) with the intercept in column 0; ``labels`` in {0, 1}
-    and must contain both classes. ``ridge`` > 0 penalizes slopes only and
-    disables the separation check (the penalized optimum is always finite).
-    Raises SeparationError naming the iteration when the likelihood has no
-    finite maximizer, SingularDesignError for rank-deficient designs, and
-    DegenerateFitError for single-class labels.
+    and must contain both classes. ``weights`` are optional frequency
+    weights, one per row (see _weighted_rows). ``ridge`` > 0 penalizes
+    slopes only and disables the separation check (the penalized optimum is
+    always finite). Raises SeparationError naming the iteration when the
+    likelihood has no finite maximizer, SingularDesignError for
+    rank-deficient designs, and DegenerateFitError for single-class labels.
     """
-    design = _check_design(design, "logistic fit")
-    y = np.asarray(labels, dtype=float)
-    n, p = design.shape
-    if y.shape != (n,):
-        raise ValueError(f"logistic fit: labels shape {y.shape} does not match {n} rows")
+    design, y, wt, _ = _weighted_rows(design, labels, weights, "logistic fit", "labels")
+    p = design.shape[1]
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic fit: labels must be 0 or 1")
     if np.all(y == y[0]):
@@ -167,17 +199,18 @@ def fit_logistic(
 
     penalty = np.zeros(p)
     penalty[1:] = ridge  # intercept never penalized
+    wy = wt * y
 
     beta = np.zeros(p)
     eta = design @ beta
-    ll = _penalized_loglik(eta, y, beta, ridge)
+    ll = _penalized_loglik(eta, wy, wt, beta, ridge)
     trace = [ll]
     converged = False
     iterations = 0
 
     for it in range(1, max_iter + 1):
         mu = expit(eta)
-        w = mu * (1.0 - mu)
+        w = wt * (mu * (1.0 - mu))
         if not np.all(np.isfinite(w)):
             raise SeparationError(
                 f"logistic fit: non-finite working weights at iteration {it}"
@@ -186,7 +219,7 @@ def fit_logistic(
             raise SeparationError(
                 f"logistic fit: complete separation detected at iteration {it}"
             )
-        score = design.T @ (y - mu) - penalty * beta
+        score = design.T @ (wy - wt * mu) - penalty * beta
         if np.max(np.abs(score)) < tol:
             converged = True
             iterations = it - 1
@@ -206,7 +239,7 @@ def fit_logistic(
         for _ in range(40):
             candidate = beta + scale * step
             eta_new = design @ candidate
-            ll_new = _penalized_loglik(eta_new, y, candidate, ridge)
+            ll_new = _penalized_loglik(eta_new, wy, wt, candidate, ridge)
             if ll_new >= ll - slack:
                 improved = True
                 break
@@ -228,7 +261,7 @@ def fit_logistic(
             raise SeparationError(
                 f"logistic fit: complete separation detected at iteration {iterations}"
             )
-        score = design.T @ (y - mu) - penalty * beta
+        score = design.T @ (wy - wt * mu) - penalty * beta
         converged = bool(np.max(np.abs(score)) < tol)
 
     return LogisticModel(
@@ -240,25 +273,25 @@ def fit_logistic(
     )
 
 
-def fit_linear(design: np.ndarray, response: np.ndarray) -> LinearModel:
-    """Ordinary least squares on an explicit design (intercept in column 0).
+def fit_linear(
+    design: np.ndarray, response: np.ndarray, weights: np.ndarray | None = None
+) -> LinearModel:
+    """Least squares on an explicit design (intercept in column 0).
 
-    Residual variance is RSS / (n - p); defined as 0 when the fit
-    interpolates (n == p). Rank deficiency raises SingularDesignError
-    naming the first dependent column.
+    ``weights`` are optional frequency weights, one per row (see
+    _weighted_rows). Residual variance is the weighted RSS / (n - p), n the
+    total weight; defined as 0 when the fit interpolates (n == p). Rank
+    deficiency raises SingularDesignError naming the first dependent column.
     """
-    design = _check_design(design, "linear fit")
-    y = np.asarray(response, dtype=float)
-    n, p = design.shape
-    if y.shape != (n,):
-        raise ValueError(f"linear fit: response shape {y.shape} does not match {n} rows")
+    design, y, w, n = _weighted_rows(design, response, weights, "linear fit", "response")
     if not np.all(np.isfinite(y)):
         raise ValueError("linear fit: response contains non-finite values")
 
-    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    root = np.sqrt(w)
+    beta, _, _, _ = np.linalg.lstsq(design * root[:, None], y * root, rcond=None)
     residuals = y - design @ beta
-    df = n - p
-    variance = float(residuals @ residuals / df) if df > 0 else 0.0
+    df = n - design.shape[1]
+    variance = float((w * residuals) @ residuals / df) if df > 0 else 0.0
     return LinearModel(coefficients=beta, residual_variance=variance)
 
 

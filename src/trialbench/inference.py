@@ -4,7 +4,8 @@ The sandwich route treats the per-row influence values as the unit-level
 contributions: the standard error is sqrt(sampleVar(if_values) / n) with
 the usual n - 1 denominator inside the sample variance. The bootstrap
 route resamples rows within each study separately, matching how the
-composite sample was drawn, and refits every nuisance model per replicate.
+composite sample was drawn, and refits every nuisance model per replicate,
+on cell counts rather than on a copy of the resampled rows.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import Dataset
 from .errors import DegenerateTestError, FitError
-from .estimators import AnalysisPlan, EstimateWithIF, run_plan
+from .estimators import AnalysisPlan, EstimateWithIF, plan_values
+from .nuisance import fit_nuisances
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def sandwich_ci(e: EstimateWithIF, level: float = 0.95) -> Interval:
     """Symmetric normal-theory interval around the estimate."""
     _check_level(level)
     se = sandwich_se(e)
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = float(special.ndtri(0.5 + level / 2.0))
     return Interval(
         estimate=e.value,
         std_error=se,
@@ -125,7 +127,7 @@ def wald_test(e: EstimateWithIF, null_value: float = 0.0) -> TestResult:
     z = (e.value - null_value) / se
     return TestResult(
         statistic=float(z),
-        p_value=float(2.0 * stats.norm.sf(abs(z))),
+        p_value=float(2.0 * special.ndtr(-abs(z))),
         null_description=f"{e.label} = {null_value:g}",
         df=None,
     )
@@ -139,7 +141,13 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 def bootstrap_replicate(
     d: Dataset, plan: AnalysisPlan, seed: int, index: int
 ) -> dict[str, float]:
-    """One stratified resample and re-analysis; raises FitError on failure."""
+    """One stratified resample and re-analysis; raises FitError on failure.
+
+    The resample draws trial rows, then emulation rows, with replacement.
+    Its analysis runs on the dataset's cell table with each row weighted by
+    the number of times it was drawn, which equals the analysis of the
+    resampled rows themselves.
+    """
     rng = _replicate_rng(seed, index)
     trial_rows = np.flatnonzero(d.s == 1)
     emulation_rows = np.flatnonzero(d.s == 0)
@@ -147,9 +155,10 @@ def bootstrap_replicate(
     take_emulation = emulation_rows[
         rng.integers(0, emulation_rows.size, emulation_rows.size)
     ]
-    resampled = d.subset(np.concatenate([take_trial, take_emulation]))
-    estimates = run_plan(resampled, plan)
-    return {label: est.value for label, est in estimates.items()}
+    draws = np.bincount(np.concatenate([take_trial, take_emulation]), minlength=d.n)
+    table = d.cells(plan.outcome_kind == "binary").reweight(draws)
+    nu = fit_nuisances(table, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
+    return plan_values(table, nu, plan)
 
 
 def bootstrap(

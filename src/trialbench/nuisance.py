@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import CellTable, Dataset
 from .errors import ConfigError, DegenerateFitError, DomainError, FitError
 from .glm import LinearModel, LogisticModel, Model, add_intercept, fit_linear, fit_logistic
 
@@ -143,8 +143,6 @@ def normalize_drop(
             raise ConfigError(
                 f"cannot drop unknown covariate(s) {unknown} from {name}"
             )
-        if len(cols) == len(covariate_names):
-            pass  # intercept-only model is allowed
         normalized[name] = cols
     return normalized
 
@@ -176,7 +174,7 @@ def _embed(model: Model, keep: list[int], k: int) -> Model:
 
 
 def fit_nuisances(
-    d: Dataset,
+    d: Dataset | CellTable,
     outcome_kind: str,
     *,
     max_iter: int = 100,
@@ -184,8 +182,10 @@ def fit_nuisances(
     ridge: float = 0.0,
     drop: Mapping[str, Sequence[str]] | Sequence[str] | None = None,
 ) -> NuisanceSet:
-    """Fit the full nuisance bundle on one dataset.
+    """Fit the full nuisance bundle on one dataset, or on a table of its cells.
 
+    Every model is fitted on the dataset's cell table (Dataset.cells), each
+    cell weighted by its count, which gives the fit on the rows themselves.
     Raises the underlying fit error with the model's name (and treatment
     arm, for outcome models) prefixed, so callers can see exactly which
     nuisance failed. ``ridge`` > 0 enables the slope-only fallback penalty
@@ -195,60 +195,77 @@ def fit_nuisances(
         raise ConfigError(
             f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}"
         )
-    if outcome_kind == "binary" and not np.all((d.y == 0.0) | (d.y == 1.0)):
+    t = d if isinstance(d, CellTable) else d.cells(outcome_kind == "binary")
+    occupied = t.count > 0
+    y = t.y_mean
+    if outcome_kind == "binary" and not np.all((y[occupied] == 0.0) | (y[occupied] == 1.0)):
         raise DomainError("outcome_kind is 'binary' but the outcome has values outside {0,1}")
 
-    dropped = normalize_drop(drop, d.covariate_names)
-    s0 = d.s == 0
-    s1 = d.s == 1
+    dropped = normalize_drop(drop, t.covariate_names)
+    everyone = np.ones(t.count.size, dtype=bool)
+    s0 = t.s == 0
+    s1 = t.s == 1
 
     def logistic(name: str, mask: np.ndarray, labels: np.ndarray, tag: str) -> LogisticModel:
-        design, keep = _design_for(d.x[mask], d.covariate_names, dropped.get(name, ()))
+        design, keep = _design_for(t.x[mask], t.covariate_names, dropped.get(name, ()))
         try:
-            model = fit_logistic(design, labels[mask], max_iter=max_iter, tol=tol, ridge=ridge)
+            model = fit_logistic(
+                design, labels[mask], max_iter=max_iter, tol=tol, ridge=ridge,
+                weights=t.count[mask],
+            )
         except FitError as exc:
             raise type(exc)(f"{tag}: {exc}") from exc
         except ValueError as exc:
             raise DegenerateFitError(f"{tag}: {exc}") from exc
-        return _embed(model, keep, d.k)
+        return _embed(model, keep, t.k)
 
-    participation = logistic("participation", np.ones(d.n, dtype=bool), d.s.astype(float), "participation")
+    participation = logistic("participation", everyone, t.s.astype(float), "participation")
+    treated = t.a.astype(float)
     propensity = {
-        "s0": logistic("propensity_s0", s0, d.a.astype(float), "propensity_s0"),
-        "s1": logistic("propensity_s1", s1, d.a.astype(float), "propensity_s1"),
-        "pooled": logistic(
-            "propensity_pooled", np.ones(d.n, dtype=bool), d.a.astype(float), "propensity_pooled"
-        ),
+        "s0": logistic("propensity_s0", s0, treated, "propensity_s0"),
+        "s1": logistic("propensity_s1", s1, treated, "propensity_s1"),
+        "pooled": logistic("propensity_pooled", everyone, treated, "propensity_pooled"),
     }
 
     outcome: dict[tuple[str, int], Model] = {}
-    stratum_masks = {"s0": s0, "s1": s1, "pooled": np.ones(d.n, dtype=bool)}
+    stratum_masks = {"s0": s0, "s1": s1, "pooled": everyone}
     for stratum, base in stratum_masks.items():
         name = f"outcome_{stratum}"
         for arm in (0, 1):
-            mask = base & (d.a == arm)
+            mask = base & (t.a == arm)
             tag = f"{name} arm {arm}"
-            if not np.any(mask):
+            if not np.any(mask & occupied):
                 raise DegenerateFitError(f"{tag}: no rows in this stratum")
-            design, keep = _design_for(d.x[mask], d.covariate_names, dropped.get(name, ()))
+            design, keep = _design_for(t.x[mask], t.covariate_names, dropped.get(name, ()))
+            count = t.count[mask]
             try:
                 if outcome_kind == "continuous":
-                    model: Model = fit_linear(design, d.y[mask])
+                    model: Model = fit_linear(design, y[mask], weights=count)
+                    df = float(np.sum(count)) - design.shape[1]
+                    if df > 0:
+                        # The fit sees cell means; the spread of the rows
+                        # about their cell mean belongs in the RSS too.
+                        model = LinearModel(
+                            coefficients=model.coefficients,
+                            residual_variance=model.residual_variance
+                            + float(np.sum(t.y_ss[mask])) / df,
+                        )
                 else:
                     model = fit_logistic(
-                        design, d.y[mask], max_iter=max_iter, tol=tol, ridge=ridge
+                        design, y[mask], max_iter=max_iter, tol=tol, ridge=ridge,
+                        weights=count,
                     )
             except FitError as exc:
                 raise type(exc)(f"{tag}: {exc}") from exc
             except ValueError as exc:
                 raise DegenerateFitError(f"{tag}: {exc}") from exc
-            outcome[(stratum, arm)] = _embed(model, keep, d.k)
+            outcome[(stratum, arm)] = _embed(model, keep, t.k)
 
     return NuisanceSet(
         participation=participation,
         propensity=propensity,
         outcome=outcome,
         outcome_kind=outcome_kind,
-        covariate_names=d.covariate_names,
+        covariate_names=t.covariate_names,
         dropped=dropped,
     )

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .data import Dataset
 from .diagnostics import restriction_test
@@ -631,7 +630,7 @@ def run_monte_carlo(
         drop=dict(misspec) if isinstance(misspec, Mapping) else misspec,
     )
     truths = true_values(cfg, draws=truth_draws)
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     want_delta = "phi" in plan.estimators and "chi" in plan.estimators
 
     records: list[dict[str, float]] = []

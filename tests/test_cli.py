@@ -1,9 +1,13 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import trialbench
 from trialbench.cli import main
 from trialbench.report import load_report_schema, validate_report
 
@@ -163,6 +167,47 @@ def test_single_bootstrap_replicate_rejected(tmp_path, write_config, capsys):
     assert "bootstrap" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+def _config_error(capsys) -> dict:
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    return error
+
+
+def test_string_replicate_count_exits_2(tmp_path, write_config, capsys):
+    payload = analysis_payload(tmp_path, bootstrap="abc")
+    assert main(["analyze", write_config(payload), "--quiet"]) == 2
+    assert "'bootstrap' must be an integer" in _config_error(capsys)["message"]
+
+
+def test_fractional_replicate_count_exits_2(tmp_path, write_config, capsys):
+    payload = analysis_payload(tmp_path, bootstrap=2.7)
+    assert main(["analyze", write_config(payload), "--quiet"]) == 2
+    assert "'bootstrap' must be an integer" in _config_error(capsys)["message"]
+
+
+def test_string_flag_exits_2(tmp_path, write_config, capsys):
+    payload = analysis_payload(tmp_path, hajek="false")
+    assert main(["analyze", write_config(payload), "--quiet"]) == 2
+    assert "'hajek' must be true or false" in _config_error(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("reps", 10.0),
+        ("seed", True),
+        ("truth_draws", "5000"),
+        ("restriction", 1),
+        ("n", [300.5, 300]),
+    ],
+)
+def test_simulate_config_rejects_wrong_json_types(tmp_path, write_config, capsys, key, value):
+    payload = {"scenario": "D1", "reps": 10, "n": [300, 300], "output": str(tmp_path / "s.json")}
+    payload[key] = value
+    assert main(["simulate", write_config(payload), "--quiet"]) == 2
+    assert repr(key) in _config_error(capsys)["message"]
+
+
 def test_missing_input_csv_exits_3(tmp_path, write_config, capsys):
     payload = analysis_payload(tmp_path, input=str(tmp_path / "absent.csv"))
     assert main(["analyze", write_config(payload), "--quiet"]) == 3
@@ -219,3 +264,15 @@ def test_console_script_is_installed(tmp_path, write_config):
     )
     assert proc.returncode == 0
     assert "dataset is usable" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import and nothing here needs it.
+    code = "import sys, trialbench.cli; print('scipy.stats' in sys.modules)"
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "False"

@@ -39,6 +39,13 @@ def test_missing_column_is_schema_error(tmp_path):
         load_dataset(str(path), ColumnSchema(s="S", a="A", y="Y", x=("X1",)))
 
 
+def test_duplicate_header_is_schema_error(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("S,A,Y,X1,X1\n1,1,2.0,0,5\n0,1,1.0,1,6\n")
+    with pytest.raises(SchemaError, match="duplicate column.*'X1'"):
+        load_dataset(str(path), ColumnSchema(s="S", a="A", y="Y", x=("X1",)))
+
+
 def test_bad_cell_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("S,A,Y,X1\n1,1,2.0,0\n0,1,oops,1\n")

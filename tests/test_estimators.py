@@ -181,12 +181,13 @@ def test_hajek_is_noop_when_weights_self_normalize(small_dataset):
 
 
 def test_hajek_changes_value_when_weights_drift(small_dataset):
-    nu = fit_nuisances(
-        small_dataset, "continuous", drop={"propensity_s0": ["X1"], "outcome_s0": ["X1"]}
-    )
+    # A ridge-shrunk propensity is not the saturated MLE, so its inverse
+    # weights no longer sum to n0; an intercept-only propensity would (its
+    # fitted probability is the treated share), making Hajek a no-op.
+    nu = fit_nuisances(small_dataset, "continuous", ridge=50.0, drop={"outcome_s0": ["X1"]})
     plain = estimate_phi(small_dataset, nu, 1)
     scaled = estimate_phi(small_dataset, nu, 1, hajek=True)
-    assert scaled.value != plain.value
+    assert abs(scaled.value - plain.value) > 1e-4
 
 
 def test_run_plan_emits_expected_labels(fixture_dataset):
