@@ -295,19 +295,6 @@ def fit_linear(
     return LinearModel(coefficients=beta, residual_variance=variance)
 
 
-def predict(model: Model, x) -> float:
-    """Prediction for a single covariate vector (probability or mean)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1 or arr.size != model.coefficients.size - 1:
-        raise ValueError(
-            f"model has {model.coefficients.size - 1} covariates, "
-            f"input has shape {np.asarray(x).shape}"
-        )
-    return float(model.predict(arr[None, :])[0])
-
-
 def coefficient_covariance(model: Model, design: np.ndarray) -> np.ndarray:
     """Model-based covariance of the coefficients on the fitting design.
 

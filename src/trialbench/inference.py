@@ -11,6 +11,7 @@ on cell counts rather than on a copy of the resampled rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -18,6 +19,7 @@ from scipy import special
 from .data import Dataset
 from .errors import DegenerateTestError, FitError
 from .estimators import AnalysisPlan, EstimateWithIF, plan_values
+from .jsonfields import dump
 from .nuisance import fit_nuisances
 
 
@@ -31,14 +33,7 @@ class Interval:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "lower": self.lower,
-            "upper": self.upper,
-            "level": self.level,
-            "method": self.method,
-        }
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,40 @@ def wald_test(e: EstimateWithIF, null_value: float = 0.0) -> TestResult:
     )
 
 
+def keyed_seed(seed: int | np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """Child stream ``index`` of ``seed``, keyed by the index alone.
+
+    So replicate i draws the same numbers whatever order replicates run in.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, index))
+
+
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    # Index-keyed stream: replicate i's draws never depend on execution order.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return np.random.default_rng(keyed_seed(seed, index))
+
+
+def run_replicates(
+    task: Callable[[int], dict[str, float]], count: int, what: str
+) -> tuple[list[dict[str, float]], int]:
+    """Run ``task(i)`` for i < count and return (results, failure count).
+
+    A replicate whose fit fails (FitError) is dropped and counted; more than
+    count/2 failures aborts, so a run of count >= 1 that returns has at
+    least one result.
+    """
+    results: list[dict[str, float]] = []
+    failures = 0
+    for i in range(count):
+        try:
+            results.append(task(i))
+        except FitError:
+            failures += 1
+            if failures > count / 2:
+                raise FitError(
+                    f"{what} aborted: {failures} of {i + 1} replicates failed to fit"
+                ) from None
+    return results, failures
 
 
 def bootstrap_replicate(
@@ -173,29 +199,16 @@ def bootstrap(
     """
     if B < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
-    values: dict[str, list[float]] = {}
-    failures = 0
-    for i in range(B):
-        try:
-            result = bootstrap_replicate(d, plan, seed, i)
-        except FitError:
-            failures += 1
-            if failures > B / 2:
-                raise FitError(
-                    f"bootstrap aborted: {failures} of {i + 1} replicates failed to fit"
-                ) from None
-            continue
-        for label, value in result.items():
-            values.setdefault(label, []).append(value)
-    if not values:
-        raise FitError("bootstrap aborted: every replicate failed to fit")
+    results, failures = run_replicates(
+        lambda i: bootstrap_replicate(d, plan, seed, i), B, "bootstrap"
+    )
     return {
         label: BootstrapResult(
             label=label,
-            replicates=np.asarray(reps),
+            replicates=np.asarray([r[label] for r in results]),
             requested=B,
             failures=failures,
             seed=seed,
         )
-        for label, reps in values.items()
+        for label in results[0]
     }

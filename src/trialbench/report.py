@@ -294,7 +294,7 @@ def build_validation_report(config: ValidateConfig, result: ValidationReport) ->
 
 def run_simulation_config(config: SimulationConfig) -> MCReport:
     return run_monte_carlo(
-        config.scenario,
+        config.law,
         config.reps,
         config.n,
         config.seed,

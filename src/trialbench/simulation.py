@@ -22,7 +22,7 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,13 +30,14 @@ from scipy.special import expit, ndtri
 
 from .data import Dataset
 from .diagnostics import restriction_test
-from .errors import ConfigError, FitError
+from .errors import ConfigError
 from .estimators import (
     ESTIMATOR_NAMES,
     AnalysisPlan,
     run_plan_with,
 )
-from .inference import sandwich_se
+from .inference import keyed_seed, run_replicates, sandwich_se
+from .jsonfields import dump, parse
 from .nuisance import fit_nuisances, normalize_drop
 
 
@@ -57,9 +58,13 @@ class CovariateLaw:
                 raise ConfigError("binary covariate law needs at least one probability")
             if any(not (0.0 < q < 1.0) for q in self.p):
                 raise ConfigError("binary covariate probabilities must be inside (0, 1)")
+            if self.dim != 1:
+                raise ConfigError("binary covariates take their count from p, not from dim")
         else:
             if self.dim < 1:
                 raise ConfigError("gaussian covariate law needs dim >= 1")
+            if self.p != (0.5,):
+                raise ConfigError("gaussian covariates take no probabilities p")
 
     @property
     def k(self) -> int:
@@ -184,67 +189,11 @@ class ScenarioConfig:
         return lp
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "covariates": {"kind": self.covariates.kind},
-            "participation": list(self.participation),
-            "trial_arm_prob": self.trial_arm_prob,
-            "emulation_propensity": list(self.emulation_propensity),
-            "outcome_intercept": self.outcome_intercept,
-            "outcome_x": list(self.outcome_x),
-            "outcome_treatment": self.outcome_treatment,
-            "outcome_tx": list(self.outcome_tx),
-            "noise_sd": self.noise_sd,
-            "outcome_kind": self.outcome_kind,
-        }
-        if self.covariates.kind == "binary":
-            out["covariates"]["p"] = list(self.covariates.p)
-        else:
-            out["covariates"]["dim"] = self.covariates.dim
-        if self.confounding is not None:
-            out["confounding"] = {
-                "u_prob": self.confounding.u_prob,
-                "effect_on_treatment": self.confounding.effect_on_treatment,
-                "effect_on_y": self.confounding.effect_on_y,
-            }
-        if self.transport is not None:
-            out["transport"] = {
-                "u_prob": self.transport.u_prob,
-                "effect_on_participation": self.transport.effect_on_participation,
-                "effect_on_y": self.transport.effect_on_y,
-            }
-        return out
+        return dump(self)
 
     @classmethod
-    def from_dict(cls, raw: Mapping) -> "ScenarioConfig":
-        try:
-            cov_raw = dict(raw["covariates"])
-            kind = cov_raw.pop("kind")
-            if kind == "binary":
-                covariates = CovariateLaw(kind="binary", p=tuple(cov_raw.get("p", (0.5,))))
-            else:
-                covariates = CovariateLaw(kind=kind, dim=int(cov_raw.get("dim", 1)))
-            confounding = None
-            if raw.get("confounding") is not None:
-                confounding = ConfoundingViolation(**raw["confounding"])
-            transport = None
-            if raw.get("transport") is not None:
-                transport = TransportViolation(**raw["transport"])
-            return cls(
-                covariates=covariates,
-                participation=tuple(raw["participation"]),
-                trial_arm_prob=float(raw["trial_arm_prob"]),
-                emulation_propensity=tuple(raw["emulation_propensity"]),
-                outcome_intercept=float(raw["outcome_intercept"]),
-                outcome_x=tuple(raw["outcome_x"]),
-                outcome_treatment=float(raw["outcome_treatment"]),
-                outcome_tx=tuple(raw["outcome_tx"]),
-                noise_sd=float(raw.get("noise_sd", 1.0)),
-                outcome_kind=str(raw.get("outcome_kind", "continuous")),
-                confounding=confounding,
-                transport=transport,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad scenario config: {exc}") from exc
+    def from_dict(cls, raw: Mapping) -> ScenarioConfig:
+        return parse(cls, raw, "bad scenario config")
 
 
 @dataclass(frozen=True)
@@ -264,27 +213,7 @@ class Truths:
         return self.mean1 if arm == 1 else self.mean0
 
     def to_dict(self) -> dict:
-        return {
-            "mean0": self.mean0,
-            "mean1": self.mean1,
-            "ate": self.ate,
-            "condition_exchangeability": self.condition_exchangeability,
-            "condition_transport": self.condition_transport,
-            "restriction_holds": self.restriction_holds,
-            "method": self.method,
-            "mc_error": list(self.mc_error),
-        }
-
-
-def _child(seq: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
-    # Index-keyed child stream: reproducible independent of execution order.
-    return np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,))
-
-
-def _as_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(entropy=int(seed))
+        return dump(self)
 
 
 def _u_levels(violation) -> tuple[float, ...]:
@@ -317,6 +246,10 @@ def _binary_cells(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x, uc, ut, w
 
 
+# Accept-reject draws stop once the acceptance rate is surely below this.
+_MIN_ACCEPTANCE = 1e-6
+
+
 def _draw_stream(
     cfg: ScenarioConfig, s: int, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,7 +265,7 @@ def _draw_stream(
     # Gaussian covariates: accept-reject against Pr[S = s | x, u_t].
     xs: list[np.ndarray] = []
     uts: list[np.ndarray] = []
-    got = 0
+    got = drawn = 0
     batch = max(4 * size, 1024)
     while got < size:
         x = rng.standard_normal((batch, cfg.covariates.dim))
@@ -345,6 +278,16 @@ def _draw_stream(
         xs.append(x[accept])
         uts.append(ut[accept])
         got += int(np.sum(accept))
+        drawn += batch
+        # (got + 3) / drawn bounds the acceptance rate from above (the rule of
+        # three when nothing is accepted); below the floor the study would
+        # need over a million proposals per row, so stop instead of spinning.
+        if got < size and (got + 3) / drawn < _MIN_ACCEPTANCE:
+            raise ConfigError(
+                f"scenario cannot fill the {'trial' if s == 1 else 'emulation'} study: "
+                f"{got} of {drawn} proposed rows accepted (rate {got / drawn:.3g}); "
+                "its participation law gives that study almost no mass"
+            )
     x = np.vstack(xs)[:size]
     ut = np.concatenate(uts)[:size]
     if cfg.confounding is not None:
@@ -368,14 +311,12 @@ def generate(
     n1, n0 = int(n[0]), int(n[1])
     if n1 < 1 or n0 < 1:
         raise ConfigError(f"both study sizes must be positive, got {n!r}")
-    root = _as_seedseq(seed)
-
     parts_x: list[np.ndarray] = []
     parts_s: list[np.ndarray] = []
     parts_a: list[np.ndarray] = []
     parts_y: list[np.ndarray] = []
     for stream, (s, size) in enumerate(((1, n1), (0, n0))):
-        rng = np.random.default_rng(_child(root, stream))
+        rng = np.random.default_rng(keyed_seed(seed, stream))
         x, uc, ut = _draw_stream(cfg, s, size, rng)
         if s == 1:
             a = (rng.random(size) < cfg.trial_arm_prob).astype(np.int64)
@@ -439,7 +380,7 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
 
 
 def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
-    rng = np.random.default_rng(_as_seedseq(seed))
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((draws, cfg.covariates.dim))
     uc = (
         (rng.random(draws) < cfg.confounding.u_prob).astype(float)
@@ -505,17 +446,7 @@ class SeriesStats:
     reps_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "arm": self.arm,
-            "truth": self.truth,
-            "mean_estimate": self.mean_estimate,
-            "bias": self.bias,
-            "empirical_sd": self.empirical_sd,
-            "mean_std_error": self.mean_std_error,
-            "coverage": self.coverage,
-            "reps_used": self.reps_used,
-        }
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -576,7 +507,7 @@ def replicate_estimates(
     to its sandwich standard error, and optionally "restriction_p(arm)"
     entries. Raises FitError when any model cannot be fitted.
     """
-    d = generate(cfg, n, _child(_as_seedseq(seed), index))
+    d = generate(cfg, n, keyed_seed(seed, index))
     nu = fit_nuisances(d, cfg.outcome_kind, ridge=plan.ridge, drop=plan.drop)
     estimates = run_plan_with(d, nu, plan)
     out: dict[str, float] = {}
@@ -633,31 +564,20 @@ def run_monte_carlo(
     z = float(ndtri(0.5 + level / 2.0))
     want_delta = "phi" in plan.estimators and "chi" in plan.estimators
 
-    records: list[dict[str, float]] = []
-    failures = 0
-    for i in range(reps):
-        try:
-            records.append(
-                replicate_estimates(
-                    cfg,
-                    n,
-                    seed,
-                    i,
-                    plan,
-                    restriction=restriction,
-                    restriction_threshold=restriction_threshold,
-                )
-            )
-        except FitError:
-            failures += 1
-            if failures > reps / 2:
-                raise FitError(
-                    f"simulation aborted: {failures} of {i + 1} replicates failed to fit"
-                ) from None
-
+    records, failures = run_replicates(
+        lambda i: replicate_estimates(
+            cfg,
+            n,
+            seed,
+            i,
+            plan,
+            restriction=restriction,
+            restriction_threshold=restriction_threshold,
+        ),
+        reps,
+        "simulation",
+    )
     used = len(records)
-    if used == 0:
-        raise FitError("simulation aborted: every replicate failed to fit")
     series: list[SeriesStats] = []
     for name in plan.estimators:
         for arm in plan.arms:

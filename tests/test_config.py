@@ -1,0 +1,199 @@
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trialbench import ESTIMATOR_NAMES, MODEL_NAMES, ConfigError, ScenarioConfig, truth_table
+from trialbench.cli import main
+from trialbench.config import AnalysisConfig, SimulationConfig, ValidateConfig
+from trialbench.scenarios import PRESETS
+
+from conftest import FIXTURE_CSV
+
+SCHEMA = {"s": "S", "a": "A", "y": "Y", "x": ["X1"]}
+
+# No example database: the properties are cheap and the runs write no files.
+round_trip = settings(database=None, deadline=None)
+
+names = st.text(alphabet="abcdefgXYZ_019", min_size=1, max_size=6)
+numbers = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000)
+inside_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+schemas = st.lists(names, min_size=4, max_size=7, unique=True).map(
+    lambda cols: {"s": cols[0], "a": cols[1], "y": cols[2], "x": cols[3:]}
+)
+# Keys shared by the configs that run estimators.
+plan_keys = {
+    "estimators": st.lists(st.sampled_from(ESTIMATOR_NAMES), min_size=1, unique=True),
+    "arms": st.lists(st.sampled_from([0, 1]), min_size=1, unique=True),
+    "level": inside_unit,
+    "restriction": st.booleans(),
+    "restriction_threshold": inside_unit,
+    "ridge": st.floats(0.0, 1e6) | st.integers(0, 1000),
+    "seed": st.integers(0, 2**64),
+    "output": names,
+}
+
+
+def coefficients(k: int):
+    return st.lists(numbers, min_size=k, max_size=k)
+
+
+violation = st.fixed_dictionaries({}, optional={"u_prob": inside_unit, "effect_on_y": numbers})
+
+
+@st.composite
+def gaussian_laws(draw) -> dict:
+    dim = draw(st.integers(1, 4))
+    law = {
+        "covariates": {"kind": "gaussian", "dim": dim},
+        "participation": draw(coefficients(dim + 1)),
+        "trial_arm_prob": draw(inside_unit),
+        "emulation_propensity": draw(coefficients(dim + 1)),
+        "outcome_intercept": draw(numbers),
+        "outcome_x": draw(coefficients(dim)),
+        "outcome_treatment": draw(numbers),
+        "outcome_tx": draw(coefficients(dim)),
+    }
+    optional = {
+        "noise_sd": st.floats(0.0, 10.0),
+        "outcome_kind": st.sampled_from(["continuous", "binary"]),
+        "confounding": st.none() | violation,
+        "transport": st.none() | violation,
+    }
+    return law | draw(st.fixed_dictionaries({}, optional=optional))
+
+
+scenario_laws = st.sampled_from(sorted(PRESETS)).map(
+    lambda name: PRESETS[name]().to_dict()
+) | gaussian_laws()
+
+analyze_configs = st.fixed_dictionaries(
+    {"input": names, "schema": schemas},
+    optional={
+        **plan_keys,
+        "outcome_kind": st.sampled_from(["continuous", "binary"]),
+        "bootstrap": st.just(0) | st.integers(2, 10**6),
+        "hajek": st.booleans(),
+        "include_interactions": st.booleans(),
+        "overlap": st.booleans(),
+        "weight_threshold": st.floats(1e-6, 1e6),
+    },
+)
+misspecs = (
+    st.none()
+    | st.lists(st.sampled_from(MODEL_NAMES), unique=True)
+    | st.dictionaries(st.sampled_from(MODEL_NAMES), st.lists(names, max_size=3))
+)
+simulate_configs = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from(sorted(PRESETS) + ["d1", "Truth_Table_TF"]) | scenario_laws,
+        "reps": st.integers(2, 10**6),
+        "n": st.lists(st.integers(1, 10**7), min_size=2, max_size=2),
+    },
+    optional={**plan_keys, "misspec": misspecs, "truth_draws": st.integers(1000, 10**9)},
+)
+validate_configs = st.fixed_dictionaries(
+    {"input": names, "schema": schemas}, optional={"output": st.none() | names}
+)
+
+
+def assert_round_trip(cls, raw: dict) -> None:
+    config = cls.from_dict(raw)
+    echo = config.to_dict()
+    assert json.loads(json.dumps(echo)) == echo  # the echo is plain JSON
+    assert cls.from_dict(echo) == config
+    assert cls.from_dict(echo).to_dict() == echo
+
+
+@round_trip
+@given(analyze_configs)
+def test_analyze_config_round_trips(raw):
+    assert_round_trip(AnalysisConfig, raw)
+
+
+@round_trip
+@given(simulate_configs)
+def test_simulate_config_round_trips(raw):
+    assert_round_trip(SimulationConfig, raw)
+
+
+@round_trip
+@given(validate_configs)
+def test_validate_config_round_trips(raw):
+    assert_round_trip(ValidateConfig, raw)
+
+
+@round_trip
+@given(scenario_laws)
+def test_scenario_round_trips(raw):
+    assert_round_trip(ScenarioConfig, raw)
+
+
+def test_preset_echo_is_its_upper_case_name():
+    config = SimulationConfig.from_dict({"scenario": "truth_table_ft", "reps": 2, "n": [5, 5]})
+    assert config.to_dict()["scenario"] == "TRUTH_TABLE_FT"
+    assert config.law == truth_table("FT")
+
+
+def test_replace_runs_the_range_checks():
+    config = AnalysisConfig.from_dict({"input": "d.csv", "schema": SCHEMA})
+    with pytest.raises(ConfigError, match="bootstrap"):
+        dataclasses.replace(config, bootstrap=1)
+    with pytest.raises(ConfigError, match="'level'"):
+        dataclasses.replace(config, level=1.0)
+
+
+def _inline(**changes) -> dict:
+    """A simulate payload change: the FT scenario inline, keys replaced."""
+    return {"scenario": truth_table("FT").to_dict() | changes}
+
+
+def _ft_renamed(old: str, new: str) -> dict:
+    """A simulate payload change: the FT scenario inline, one key renamed."""
+    law = truth_table("FT").to_dict()
+    law[new] = law.pop(old)
+    return {"scenario": law}
+
+
+# (command, changes to a runnable payload, the key the error must name)
+WRONG = {
+    "scenario noise_SD typo": ("simulate", _ft_renamed("noise_sd", "noise_SD"), "noise_SD"),
+    "scenario noise_sd string": ("simulate", _inline(noise_sd="abc"), "noise_sd"),
+    "scenario noise_sd bool": ("simulate", _inline(noise_sd=True), "noise_sd"),
+    "scenario participation string": ("simulate", _inline(participation="ab"), "participation"),
+    "scenario fractional dim": (
+        "simulate", _inline(covariates={"kind": "gaussian", "dim": 1.7}), "dim"
+    ),
+    "scenario unknown covariates key": (
+        "simulate", _inline(covariates={"kind": "binary", "q": [0.5]}), "q"
+    ),
+    "scenario covariates string": ("simulate", _inline(covariates="binary"), "covariates"),
+    "scenario confunding typo": (
+        "simulate", _ft_renamed("confounding", "confunding"), "confunding"
+    ),
+    "analyze ridge string": ("analyze", {"ridge": "x"}, "ridge"),
+    "analyze ridge NaN": ("analyze", {"ridge": float("nan")}, "ridge"),
+    "analyze level string": ("analyze", {"level": "0.9"}, "level"),
+    "analyze weight_threshold bool": ("analyze", {"weight_threshold": True}, "weight_threshold"),
+    "analyze output null": ("analyze", {"output": None}, "output"),
+    "analyze schema x ints": ("analyze", {"schema": {**SCHEMA, "x": [1]}}, "x"),
+    "validate output int": ("validate", {"output": 3}, "output"),
+}
+
+
+@pytest.mark.parametrize("command, changes, key", WRONG.values(), ids=list(WRONG))
+def test_wrong_json_type_exits_2_naming_the_key(
+    tmp_path, write_config, capsys, command, changes, key
+):
+    if command == "simulate":
+        payload = {"scenario": "D1", "reps": 2, "n": [50, 50], "truth_draws": 1000}
+    else:
+        payload = {"input": str(FIXTURE_CSV), "schema": SCHEMA}
+    payload = {**payload, "output": str(tmp_path / "out.json"), **changes}
+    assert main([command, write_config(payload), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert repr(key) in error["message"]
+    assert not (tmp_path / "out.json").exists()

@@ -9,7 +9,6 @@ from trialbench.glm import (
     coefficient_covariance,
     fit_linear,
     fit_logistic,
-    predict,
 )
 
 
@@ -40,7 +39,7 @@ def test_predict_known_probability():
         iterations=0,
         log_likelihood=0.0,
     )
-    assert predict(model, [1.0]) == pytest.approx(0.401312339887548, abs=1e-12)
+    assert model.predict(np.array([[1.0]]))[0] == pytest.approx(0.401312339887548, abs=1e-12)
     probs = model.predict(np.array([[0.0], [1.0]]))
     assert probs[0] == pytest.approx(expit(-1.2), abs=1e-12)
 

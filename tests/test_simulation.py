@@ -1,11 +1,19 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import expit
 
+import trialbench
 from trialbench import (
     AnalysisPlan,
     ConfigError,
+    DegenerateFitError,
+    FitError,
     ConfoundingViolation,
     CovariateLaw,
     ScenarioConfig,
@@ -19,6 +27,7 @@ from trialbench import (
     truth_table,
 )
 from trialbench.scenarios import PRESETS
+from trialbench import simulation
 from trialbench.simulation import replicate_estimates
 
 D1_MEAN1 = 3.8026246797750964
@@ -167,6 +176,27 @@ def test_run_monte_carlo_smoke_fields():
     assert report.scenario == d1().to_dict()
 
 
+def test_run_monte_carlo_counts_failures_and_aborts_past_half(monkeypatch):
+    real = simulation.replicate_estimates
+
+    def flaky(cfg, n, seed, index, plan, **kwargs):
+        if index % 3 == 0:
+            raise DegenerateFitError("forced failure")
+        return real(cfg, n, seed, index, plan, **kwargs)
+
+    def broken(*args, **kwargs):
+        raise DegenerateFitError("forced failure")
+
+    kwargs = dict(reps=6, n=(300, 300), seed=4, estimators=("phi",), arms=(1,), restriction=False)
+    monkeypatch.setattr(simulation, "replicate_estimates", flaky)
+    report = run_monte_carlo(d1(), **kwargs)
+    assert report.failures == 2
+    assert report.series_for("phi", 1).reps_used == 4
+    monkeypatch.setattr(simulation, "replicate_estimates", broken)
+    with pytest.raises(FitError, match="simulation aborted: 4 of 4 replicates"):
+        run_monte_carlo(d1(), **kwargs)
+
+
 def test_run_monte_carlo_echoes_normalized_misspec():
     report = run_monte_carlo(
         d1(),
@@ -273,6 +303,50 @@ def test_scenario_config_validation():
         CovariateLaw(kind="uniform")
     with pytest.raises(ConfigError, match="bad scenario config"):
         ScenarioConfig.from_dict({"covariates": {"kind": "binary"}})
+
+
+def test_covariate_law_rejects_fields_of_the_other_kind():
+    with pytest.raises(ConfigError, match="dim"):
+        CovariateLaw(kind="binary", p=(0.5, 0.5), dim=2)
+    with pytest.raises(ConfigError, match="p"):
+        CovariateLaw(kind="gaussian", p=(0.3,), dim=1)
+
+
+INFEASIBLE_DRAW = """
+from trialbench import ConfigError, ScenarioConfig, generate
+law = ScenarioConfig.from_dict({
+    "covariates": {"kind": "gaussian", "dim": 1},
+    "participation": [-40.0, 0.0],
+    "trial_arm_prob": 0.5,
+    "emulation_propensity": [0.0, 0.0],
+    "outcome_intercept": 0.0,
+    "outcome_x": [0.0],
+    "outcome_treatment": 0.0,
+    "outcome_tx": [0.0],
+})
+try:
+    generate(law, (10, 10), 1)
+except ConfigError as exc:
+    print(exc)
+"""
+
+
+def test_infeasible_participation_law_stops_with_config_error():
+    # Participation log-odds -40 leaves the trial no mass, so accept-reject
+    # would spin forever; a subprocess with a timeout keeps a hang from
+    # stalling the suite.
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", INFEASIBLE_DRAW],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert "cannot fill the trial study" in proc.stdout
+    assert "rate 0" in proc.stdout
 
 
 def test_row_name_normalization():
