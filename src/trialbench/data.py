@@ -240,10 +240,10 @@ class ValidationReport:
     """Outcome of the structural checks; ``ok`` means no hard failure."""
 
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ok", all(c.status != "fail" for c in self.checks))
 
     @property
     def warnings(self) -> tuple[CheckResult, ...]:
@@ -252,15 +252,6 @@ class ValidationReport:
     @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if c.status == "fail")
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "status": c.status, "message": c.message}
-                for c in self.checks
-            ],
-        }
 
 
 def _parse_cell(raw: str, column: str, row_number: int) -> float:

@@ -21,13 +21,8 @@ from scipy import special
 
 from .data import Dataset
 from .errors import DegenerateFitError
-from .glm import (
-    LogisticModel,
-    add_intercept,
-    coefficient_covariance,
-    fit_linear,
-    fit_logistic,
-)
+from .estimators import ESTIMATOR_NAMES, aipw_weighting
+from .glm import add_intercept, coefficient_covariance, fit_linear, fit_logistic
 from .inference import TestResult
 from .nuisance import NuisanceSet
 
@@ -46,16 +41,6 @@ class RestrictionResult:
     status: str
     threshold: float
     include_interactions: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "arm": self.arm,
-            "test": self.test.to_dict(),
-            "s_terms": dict(self.s_terms),
-            "status": self.status,
-            "threshold": self.threshold,
-            "include_interactions": self.include_interactions,
-        }
 
 
 def restriction_test(
@@ -126,7 +111,7 @@ def restriction_test(
     test = TestResult(
         statistic=statistic,
         p_value=p_value,
-        null_description=f"study adds no mean shift in arm {a} given covariates",
+        null=f"study adds no mean shift in arm {a} given covariates",
         df=df,
     )
     return RestrictionResult(
@@ -154,17 +139,6 @@ class QuantileSummary:
         qs = np.quantile(values, [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0])
         return cls(*[float(v) for v in qs])
 
-    def to_dict(self) -> dict:
-        return {
-            "min": self.min,
-            "p1": self.p1,
-            "p5": self.p5,
-            "median": self.median,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
-        }
-
 
 _ROWS_SHOWN = 50
 
@@ -176,14 +150,6 @@ class WeightDiagnostic:
     max_weight: float
     rows_above: tuple[int, ...]  # capped at _ROWS_SHOWN row indices
 
-    def to_dict(self) -> dict:
-        return {
-            "n_weighted": self.n_weighted,
-            "count_above": self.count_above,
-            "max_weight": self.max_weight,
-            "rows_above": list(self.rows_above),
-        }
-
 
 @dataclass(frozen=True)
 class OverlapReport:
@@ -191,14 +157,6 @@ class OverlapReport:
     weights: dict[str, WeightDiagnostic]
     weight_threshold: float
     max_weight: float
-
-    def to_dict(self) -> dict:
-        return {
-            "probabilities": {k: v.to_dict() for k, v in self.probabilities.items()},
-            "weights": {k: v.to_dict() for k, v in self.weights.items()},
-            "weight_threshold": self.weight_threshold,
-            "max_weight": self.max_weight,
-        }
 
 
 def _weight_diagnostic(
@@ -238,19 +196,11 @@ def overlap_summary(
 
     weights: dict[str, WeightDiagnostic] = {}
     for arm in (0, 1):
-        at_a = d.a == arm
-        rows_phi = np.flatnonzero(s0 & at_a)
-        w_phi = 1.0 / nu.treatment_prob(d.x[rows_phi], arm, "s0")
-        weights[f"phi({arm})"] = _weight_diagnostic(w_phi, rows_phi, weight_threshold)
-
-        rows_chi = np.flatnonzero(s1 & at_a)
-        p_chi = p[rows_chi]
-        w_chi = (1.0 - p_chi) / p_chi / nu.treatment_prob(d.x[rows_chi], arm, "s1")
-        weights[f"chi({arm})"] = _weight_diagnostic(w_chi, rows_chi, weight_threshold)
-
-        rows_psi = np.flatnonzero(at_a)
-        w_psi = (1.0 - p[rows_psi]) / nu.treatment_prob(d.x[rows_psi], arm, "pooled")
-        weights[f"psi({arm})"] = _weight_diagnostic(w_psi, rows_psi, weight_threshold)
+        for name in ESTIMATOR_NAMES:
+            stratum, weighted, weight = aipw_weighting(name, arm, d.s, d.a)
+            rows = np.flatnonzero(weighted)
+            w = weight(nu.treatment_prob(d.x[rows], arm, stratum), p[rows])
+            weights[f"{name}({arm})"] = _weight_diagnostic(w, rows, weight_threshold)
 
     return OverlapReport(
         probabilities=probabilities,

@@ -28,7 +28,7 @@ treat fitted nuisances as fixed, the usual first-order approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,6 +96,16 @@ _AIPW = {
 }
 
 
+def aipw_weighting(
+    name: str, a: int, s: np.ndarray, treatment: np.ndarray
+) -> tuple[str, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """Estimator ``name`` at arm ``a``: the stratum of its propensity, the mask
+    of its weighted rows among rows (s, treatment), and its weight w(e, p)."""
+    stratum, _, weight = _AIPW[name]
+    in_stratum = {"s0": s == 0, "s1": s == 1, "pooled": True}[stratum]
+    return stratum, in_stratum & (treatment == a), weight
+
+
 def _aipw(
     t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -105,17 +115,16 @@ def _aipw(
     each row counted with its weight; w is 0 off the weighted rows. phi, chi
     and psi differ only in the entries of _AIPW.
     """
-    stratum, what, weight = _AIPW[name]
+    stratum, weighted, weight = aipw_weighting(name, a, t.s, t.a)
     s0 = t.s == 0
     n0 = t.n_emulation
     g = nu.outcome_mean(t.x, a, stratum)
     e = nu.treatment_prob(t.x, a, stratum)
     p = nu.participation_prob(t.x)
-    in_stratum = {"s0": s0, "s1": ~s0, "pooled": True}[stratum]
-    live = in_stratum & (t.a == a) & (t.count > 0)
+    live = weighted & (t.count > 0)
     if name == "chi":
         _positivity_check(t, p, live, f"chi({a}): participation probability")
-    _positivity_check(t, e, live, f"{name}({a}): {what} for arm {a}")
+    _positivity_check(t, e, live, f"{name}({a}): {_AIPW[name][1]} for arm {a}")
     w = np.zeros(t.count.size)
     w[live] = weight(e[live], p[live])
     if hajek:

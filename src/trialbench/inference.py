@@ -19,7 +19,6 @@ from scipy import special
 from .data import Dataset
 from .errors import DegenerateTestError, FitError
 from .estimators import AnalysisPlan, EstimateWithIF, plan_values
-from .jsonfields import dump
 from .nuisance import fit_nuisances
 
 
@@ -32,24 +31,13 @@ class Interval:
     level: float
     method: str
 
-    def to_dict(self) -> dict:
-        return dump(self)
-
 
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
     p_value: float
-    null_description: str
+    null: str  # the null hypothesis, in words
     df: int | None = None  # None marks a z statistic
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "null": self.null_description,
-            "df": self.df,
-        }
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,7 @@ def wald_test(e: EstimateWithIF, null_value: float = 0.0) -> TestResult:
     return TestResult(
         statistic=float(z),
         p_value=float(2.0 * special.ndtr(-abs(z))),
-        null_description=f"{e.label} = {null_value:g}",
+        null=f"{e.label} = {null_value:g}",
         df=None,
     )
 

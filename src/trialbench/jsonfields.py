@@ -2,9 +2,14 @@
 
 ``parse`` walks a dataclass's fields and their type hints, so a config
 accepts exactly the keys its fields name, each with the JSON type its
-annotation gives; ``dump`` writes every field back out. Range and membership
-checks live in each class's ``__post_init__``, so they also hold for
-programmatic construction and ``dataclasses.replace``.
+annotation gives. Range and membership checks live in each class's
+``__post_init__``, so they also hold for programmatic construction and
+``dataclasses.replace``.
+
+``dump`` is the one way a value becomes JSON: configs, report records and
+whole reports. It writes every field of a dataclass, turns mapping keys into
+strings, numpy scalars and arrays into Python values and lists, and
+non-finite floats into null.
 
 Type rules: ``bool`` is true or false only; ``int`` is an integer that is not
 a bool; ``float`` is a finite integer or float that is not a bool; ``str`` is
@@ -20,6 +25,8 @@ import math
 import types
 import typing
 from typing import Any, Mapping
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -115,11 +122,26 @@ def parse(cls: type, raw: Any, where: str) -> Any:
 
 
 def dump(obj: Any) -> Any:
-    """The JSON value of a dataclass record: every field, tuples as lists."""
+    """The JSON value of ``obj``, ready for ``json.dump(..., allow_nan=False)``.
+
+    A dataclass becomes an object of all its fields, a tuple or an array a
+    list, a mapping key a string, a numpy scalar its Python value, and a NaN
+    or infinite float null.
+    """
     if dataclasses.is_dataclass(obj):
         return {f.name: dump(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    # bool before int: a bool is an int too.
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else None
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [dump(v) for v in obj]
     if isinstance(obj, Mapping):
-        return {key: dump(v) for key, v in obj.items()}
+        return {str(key): dump(v) for key, v in obj.items()}
     return obj

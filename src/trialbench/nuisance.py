@@ -19,14 +19,14 @@ omitted slots so predictions stay uniform downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import CellTable, Dataset
 from .errors import ConfigError, DegenerateFitError, DomainError, FitError
-from .glm import LinearModel, LogisticModel, Model, add_intercept, fit_linear, fit_logistic
+from .glm import LogisticModel, Model, add_intercept, fit_linear, fit_logistic
 
 OUTCOME_KINDS = ("continuous", "binary")
 STRATA = ("s0", "s1", "pooled")
@@ -159,26 +159,14 @@ def _embed(model: Model, keep: list[int], k: int) -> Model:
     if len(keep) == k:
         return model
     coef = np.zeros(k + 1)
-    coef[0] = model.coefficients[0]
-    for pos, j in enumerate(keep):
-        coef[j + 1] = model.coefficients[pos + 1]
-    if isinstance(model, LogisticModel):
-        return LogisticModel(
-            coefficients=coef,
-            converged=model.converged,
-            iterations=model.iterations,
-            log_likelihood=model.log_likelihood,
-            loglik_trace=model.loglik_trace,
-        )
-    return LinearModel(coefficients=coef, residual_variance=model.residual_variance)
+    coef[[0, *(j + 1 for j in keep)]] = model.coefficients
+    return replace(model, coefficients=coef)
 
 
 def fit_nuisances(
     d: Dataset | CellTable,
     outcome_kind: str,
     *,
-    max_iter: int = 100,
-    tol: float = 1e-8,
     ridge: float = 0.0,
     drop: Mapping[str, Sequence[str]] | Sequence[str] | None = None,
 ) -> NuisanceSet:
@@ -209,10 +197,7 @@ def fit_nuisances(
     def logistic(name: str, mask: np.ndarray, labels: np.ndarray, tag: str) -> LogisticModel:
         design, keep = _design_for(t.x[mask], t.covariate_names, dropped.get(name, ()))
         try:
-            model = fit_logistic(
-                design, labels[mask], max_iter=max_iter, tol=tol, ridge=ridge,
-                weights=t.count[mask],
-            )
+            model = fit_logistic(design, labels[mask], ridge=ridge, weights=t.count[mask])
         except FitError as exc:
             raise type(exc)(f"{tag}: {exc}") from exc
         except ValueError as exc:
@@ -245,16 +230,13 @@ def fit_nuisances(
                     if df > 0:
                         # The fit sees cell means; the spread of the rows
                         # about their cell mean belongs in the RSS too.
-                        model = LinearModel(
-                            coefficients=model.coefficients,
+                        model = replace(
+                            model,
                             residual_variance=model.residual_variance
                             + float(np.sum(t.y_ss[mask])) / df,
                         )
                 else:
-                    model = fit_logistic(
-                        design, y[mask], max_iter=max_iter, tol=tol, ridge=ridge,
-                        weights=count,
-                    )
+                    model = fit_logistic(design, y[mask], ridge=ridge, weights=count)
             except FitError as exc:
                 raise type(exc)(f"{tag}: {exc}") from exc
             except ValueError as exc:

@@ -4,6 +4,11 @@ The JSON layout is versioned (``schema_version``) and pinned by the
 report_schema.json shipped inside the package; every report written by the
 command line is validated against that schema before it reaches disk.
 Timestamps are the only content that changes between identical runs.
+
+A report dict holds the result records themselves (configs, intervals,
+tests, restriction and overlap results, validation and Monte Carlo
+reports); ``jsonfields.dump`` turns the whole dict into JSON values once,
+at the end of each ``build_*_report``.
 """
 
 from __future__ import annotations
@@ -11,18 +16,17 @@ from __future__ import annotations
 import importlib.metadata
 import importlib.resources
 import json
-import math
 from datetime import datetime, timezone
 
 import jsonschema
-import numpy as np
 
 from .config import AnalysisConfig, SimulationConfig, ValidateConfig
 from .data import Dataset, ValidationReport, validate
 from .diagnostics import overlap_summary, restriction_test
 from .errors import ValidationFailure
 from .estimators import AnalysisPlan, EstimateWithIF, run_plan_with
-from .inference import BootstrapResult, bootstrap, sandwich_ci, wald_test
+from .inference import BootstrapResult, TestResult, bootstrap, sandwich_ci, wald_test
+from .jsonfields import dump
 from .nuisance import fit_nuisances
 from .simulation import MCReport, run_monte_carlo
 
@@ -70,30 +74,12 @@ def validate_report(report: dict) -> None:
     jsonschema.validate(report, load_report_schema())
 
 
-def jsonsafe(obj):
-    """Recursively convert numpy scalars and non-finite floats for JSON."""
-    if isinstance(obj, dict):
-        return {str(k): jsonsafe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonsafe(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, np.ndarray):
-        return [jsonsafe(v) for v in obj.tolist()]
-    return obj
-
-
-def _metadata(config_echo: dict) -> dict:
+def _metadata(config: AnalysisConfig | SimulationConfig | ValidateConfig) -> dict:
     return {
         "tool": "trialbench",
         "version": tool_version(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config_echo,
+        "config": config,
     }
 
 
@@ -128,7 +114,7 @@ def _estimate_entry(
     entry: dict = {
         "value": est.value,
         "n_effective": est.n_effective,
-        "sandwich": interval.to_dict(),
+        "sandwich": interval,
         "bootstrap": _bootstrap_entry(br, est.value, level),
     }
     if br is not None and interval.std_error > 0:
@@ -139,7 +125,7 @@ def _estimate_entry(
                 f"{100 * ratio:.0f}% ({br.std_error:.4g} vs {interval.std_error:.4g})"
             )
     if with_test:
-        entry["test"] = wald_test(est, 0.0).to_dict()
+        entry["test"] = wald_test(est, 0.0)
     return entry
 
 
@@ -204,7 +190,7 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
     has_delta = "phi" in config.estimators and "chi" in config.estimators
     benchmarking_block = None
     benchmarking_reason = None
-    delta_tests: dict[int, dict] = {}
+    delta_tests: dict[int, TestResult] = {}
     if has_delta:
         benchmarking_block = {}
         for arm in config.arms:
@@ -230,33 +216,29 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
                 outcome_kind=config.outcome_kind,
                 threshold=config.restriction_threshold,
                 ridge=config.ridge,
-            ).to_dict()
+            )
             for arm in config.arms
         ]
 
     overlap_block = None
     if config.overlap:
-        overlap_block = overlap_summary(d, nu, config.weight_threshold).to_dict()
+        overlap_block = overlap_summary(d, nu, config.weight_threshold)
 
     alpha = 1.0 - config.level
     if not has_delta:
         verdict = "not-assessed"
         narrative = _NOT_ASSESSED_TEXT
     else:
-        rejected = any(
-            t["p_value"] is not None
-            and not (isinstance(t["p_value"], float) and math.isnan(t["p_value"]))
-            and t["p_value"] < alpha
-            for t in delta_tests.values()
-        )
+        # A NaN p-value compares false, so it does not reject.
+        rejected = any(t.p_value < alpha for t in delta_tests.values())
         verdict = "incompatible" if rejected else "compatible"
         narrative = _DISAGREE_TEXT if rejected else _AGREE_TEXT
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
-        "metadata": _metadata(config.to_dict()),
-        "validation": report_validation.to_dict(),
+        "metadata": _metadata(config),
+        "validation": report_validation,
         "estimates": estimates_block,
         "contrasts": {
             "ate": ate_block,
@@ -269,27 +251,27 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
         "interpretation": {"benchmarking_verdict": verdict, "narrative": narrative},
         "warnings": warnings,
     }
-    return jsonsafe(report)
+    return dump(report)
 
 
 def build_simulation_report(config: SimulationConfig, result: MCReport) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "simulation",
-        "metadata": _metadata(config.to_dict()),
-        "result": result.to_dict(),
+        "metadata": _metadata(config),
+        "result": result,
     }
-    return jsonsafe(report)
+    return dump(report)
 
 
 def build_validation_report(config: ValidateConfig, result: ValidationReport) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "validation",
-        "metadata": _metadata(config.to_dict()),
-        "validation": result.to_dict(),
+        "metadata": _metadata(config),
+        "validation": result,
     }
-    return jsonsafe(report)
+    return dump(report)
 
 
 def run_simulation_config(config: SimulationConfig) -> MCReport:

@@ -212,9 +212,6 @@ class Truths:
     def mean(self, arm: int) -> float:
         return self.mean1 if arm == 1 else self.mean0
 
-    def to_dict(self) -> dict:
-        return dump(self)
-
 
 def _u_levels(violation) -> tuple[float, ...]:
     return (0.0, 1.0) if violation is not None else (0.0,)
@@ -246,6 +243,13 @@ def _binary_cells(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x, uc, ut, w
 
 
+def _draw_u(violation, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The violation's unmeasured binary u; all zeros when there is none."""
+    if violation is None:
+        return np.zeros(size)
+    return (rng.random(size) < violation.u_prob).astype(float)
+
+
 # Accept-reject draws stop once the acceptance rate is surely below this.
 _MIN_ACCEPTANCE = 1e-6
 
@@ -269,10 +273,7 @@ def _draw_stream(
     batch = max(4 * size, 1024)
     while got < size:
         x = rng.standard_normal((batch, cfg.covariates.dim))
-        if cfg.transport is not None:
-            ut = (rng.random(batch) < cfg.transport.u_prob).astype(float)
-        else:
-            ut = np.zeros(batch)
+        ut = _draw_u(cfg.transport, batch, rng)
         p_s1 = expit(cfg.participation_logit(x, ut))
         accept = rng.random(batch) < (p_s1 if s == 1 else 1.0 - p_s1)
         xs.append(x[accept])
@@ -290,12 +291,8 @@ def _draw_stream(
             )
     x = np.vstack(xs)[:size]
     ut = np.concatenate(uts)[:size]
-    if cfg.confounding is not None:
-        # u_c is independent of s given (x, u_t): draw after acceptance.
-        uc = (rng.random(size) < cfg.confounding.u_prob).astype(float)
-    else:
-        uc = np.zeros(size)
-    return x, uc, ut
+    # u_c is independent of s given (x, u_t): draw after acceptance.
+    return x, _draw_u(cfg.confounding, size, rng), ut
 
 
 def generate(
@@ -379,32 +376,44 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
     )
 
 
+# Importance draws are weighted this many rows at a time, so memory stays
+# flat whatever the number of draws.
+_TRUTH_CHUNK = 1 << 18
+
+
 def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
+    """Weight prior draws of (x, u_c, u_t) by Pr[S = 0 | x, u_t], chunk by chunk.
+
+    x comes from ``seed``'s stream and u_c, u_t from child streams of their
+    own. For each v in (y(0), y(1), their difference) the chunks add up
+    w v and, about a shift c (the first chunk's mean), w^2 (v - c) and
+    w^2 (v - c)^2, which give sum w^2 (v - mean)^2 for the Monte Carlo error.
+    """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((draws, cfg.covariates.dim))
-    uc = (
-        (rng.random(draws) < cfg.confounding.u_prob).astype(float)
-        if cfg.confounding is not None
-        else np.zeros(draws)
-    )
-    ut = (
-        (rng.random(draws) < cfg.transport.u_prob).astype(float)
-        if cfg.transport is not None
-        else np.zeros(draws)
-    )
-    w = 1.0 - expit(cfg.participation_logit(x, ut))
-    total = float(np.sum(w))
-    m1 = cfg.outcome_mean_given(x, 1.0, uc, ut)
-    m0 = cfg.outcome_mean_given(x, 0.0, uc, ut)
-
-    def weighted(values: np.ndarray) -> tuple[float, float]:
-        mean = float(w @ values / total)
-        err = float(np.sqrt(np.sum((w * (values - mean)) ** 2)) / total)
-        return mean, err
-
-    mean1, err1 = weighted(m1)
-    mean0, err0 = weighted(m0)
-    ate, err_ate = weighted(m1 - m0)
+    rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
+    total = total_sq = 0.0
+    sums = np.zeros((3, 3))  # rows: w v, w^2 (v - c), w^2 (v - c)^2
+    shift = None
+    for start in range(0, draws, _TRUTH_CHUNK):
+        size = min(_TRUTH_CHUNK, draws - start)
+        x = rng.standard_normal((size, cfg.covariates.dim))
+        uc = _draw_u(cfg.confounding, size, rng_c)
+        ut = _draw_u(cfg.transport, size, rng_t)
+        w = 1.0 - expit(cfg.participation_logit(x, ut))
+        m1 = cfg.outcome_mean_given(x, 1.0, uc, ut)
+        m0 = cfg.outcome_mean_given(x, 0.0, uc, ut)
+        values = np.stack([m0, m1, m1 - m0])
+        if shift is None:
+            shift = values @ w / np.sum(w)
+        centred, w2 = values - shift[:, None], w * w
+        total += float(np.sum(w))
+        total_sq += float(np.sum(w2))
+        sums += np.stack([values @ w, centred @ w2, centred**2 @ w2])
+    means = sums[0] / total
+    gap = means - shift
+    spread = sums[2] - 2.0 * gap * sums[1] + gap**2 * total_sq
+    errors = np.sqrt(np.maximum(spread, 0.0)) / total
+    (mean0, mean1, ate), (err0, err1, err_ate) = means.tolist(), errors.tolist()
     return Truths(
         mean0=mean0,
         mean1=mean1,
@@ -445,13 +454,10 @@ class SeriesStats:
     coverage: float
     reps_used: int
 
-    def to_dict(self) -> dict:
-        return dump(self)
-
 
 @dataclass(frozen=True)
 class MCReport:
-    """Everything run_monte_carlo measured, JSON-ready via to_dict."""
+    """Everything run_monte_carlo measured; jsonfields.dump gives its JSON."""
 
     scenario: dict
     truths: Truths
@@ -470,25 +476,6 @@ class MCReport:
             if s.estimator == estimator and s.arm == arm:
                 return s
         raise KeyError(f"no series for {estimator}({arm})")
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "truths": self.truths.to_dict(),
-            "reps": self.reps,
-            "n": list(self.n),
-            "seed": self.seed,
-            "level": self.level,
-            "misspec": self.misspec,
-            "series": [s.to_dict() for s in self.series],
-            "delta_rejection": {str(k): v for k, v in self.delta_rejection.items()},
-            "restriction_rejection": (
-                None
-                if self.restriction_rejection is None
-                else {str(k): v for k, v in self.restriction_rejection.items()}
-            ),
-            "failures": self.failures,
-        }
 
 
 def replicate_estimates(
@@ -553,6 +540,11 @@ def run_monte_carlo(
     """
     if reps < 2:
         raise ConfigError("need at least 2 replicates")
+    # Check the misspecified model and covariate names before any work.
+    misspec_echo = {
+        name: list(cols)
+        for name, cols in normalize_drop(misspec, cfg.covariate_names()).items()
+    }
     plan = AnalysisPlan(
         outcome_kind=cfg.outcome_kind,
         estimators=tuple(estimators),
@@ -616,10 +608,6 @@ def run_monte_carlo(
             ps = np.asarray([r[f"restriction_p({arm})"] for r in records])
             restriction_rejection[arm] = float(np.mean(ps < restriction_threshold))
 
-    misspec_echo = {
-        name: list(cols)
-        for name, cols in normalize_drop(misspec, cfg.covariate_names()).items()
-    }
     return MCReport(
         scenario=cfg.to_dict(),
         truths=truths,

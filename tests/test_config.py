@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from trialbench import ESTIMATOR_NAMES, MODEL_NAMES, ConfigError, ScenarioConfig, truth_table
 from trialbench.cli import main
 from trialbench.config import AnalysisConfig, SimulationConfig, ValidateConfig
+from trialbench.jsonfields import dump
 from trialbench.scenarios import PRESETS
 
 from conftest import FIXTURE_CSV
@@ -197,3 +199,34 @@ def test_wrong_json_type_exits_2_naming_the_key(
     assert error["type"] == "ConfigError"
     assert repr(key) in error["message"]
     assert not (tmp_path / "out.json").exists()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    flag: object
+    values: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    by_arm: dict
+    pair: tuple
+
+
+def test_dump_gives_strict_json_values():
+    record = _Outer(
+        inner=_Inner(flag=np.bool_(True), values=np.array([1.5, np.nan, 3.0])),
+        by_arm={0: np.float64(np.inf), 1: np.int64(7)},
+        pair=(np.float32(0.5), float("-inf")),
+    )
+    out = dump(record)
+    assert out == {
+        "inner": {"flag": True, "values": [1.5, None, 3.0]},
+        "by_arm": {"0": None, "1": 7},
+        "pair": [0.5, None],
+    }
+    assert type(out["inner"]["flag"]) is bool
+    assert type(out["by_arm"]["1"]) is int
+    assert type(out["pair"][0]) is float
+    json.dumps(out, allow_nan=False)

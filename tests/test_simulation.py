@@ -213,6 +213,51 @@ def test_run_monte_carlo_echoes_normalized_misspec():
     assert report.delta_rejection == {}
 
 
+def test_run_monte_carlo_checks_misspec_before_the_truths(monkeypatch):
+    def no_truths(*args, **kwargs):
+        pytest.fail("true_values ran before the misspec names were checked")
+
+    monkeypatch.setattr(simulation, "true_values", no_truths)
+    with pytest.raises(ConfigError, match="outcome_sX"):
+        run_monte_carlo(gaussian_scenario(), reps=2, n=(50, 50), seed=1, misspec=["outcome_sX"])
+
+
+TRUTHS_MEMORY = """
+import resource
+from trialbench import CovariateLaw, ScenarioConfig, true_values
+
+law = ScenarioConfig(
+    covariates=CovariateLaw(kind="gaussian", dim=3),
+    participation=(-0.3, 0.5, -0.4, 0.2),
+    trial_arm_prob=0.5,
+    emulation_propensity=(0.1, 0.3, 0.3, -0.2),
+    outcome_intercept=-0.2,
+    outcome_x=(0.5, -0.3, 0.4),
+    outcome_treatment=0.7,
+    outcome_tx=(0.2, 0.0, -0.3),
+    outcome_kind="binary",
+)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+true_values(law)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_importance_truths_run_in_bounded_memory():
+    # A fresh process, so the peak resident size is this call's alone.
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", TRUTHS_MEMORY],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert float(proc.stdout) < 200.0  # megabytes of peak growth
+
+
 def test_confounded_row_biases_phi_not_chi():
     report = run_monte_carlo(
         truth_table("FT"),

@@ -1,0 +1,52 @@
+"""Source hygiene checks that need no linter: stdlib ``ast`` only."""
+
+import ast
+import pathlib
+
+import trialbench
+
+PACKAGE = pathlib.Path(trialbench.__file__).parent
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\nimport numpy as np\nfrom typing import Mapping, Sequence\n"
+        "from .glm import Model\n"
+        "__all__ = ['Model']\n"
+        "def f(x: Mapping[str, int]) -> None:\n    np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 4: Sequence"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
