@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -275,14 +277,33 @@ def _parse_indicator(raw: str, column: str, row_number: int) -> int:
     return int(value)
 
 
+def _locate_error(
+    records: list[list[str]], width: int, names: tuple[str, ...], positions: list[int]
+) -> NoReturn:
+    """Raise the error that a parse of one row at a time meets first.
+
+    Called once the bulk parse has failed, so that the message and row
+    number name the first bad record and, within it, the first bad column
+    (study, treatment, outcome, then the covariates).
+    """
+    for row_number, record in enumerate(records, start=1):
+        if len(record) != width:
+            raise ParseError(f"row {row_number}: expected {width} fields, got {len(record)}")
+        for j, (name, position) in enumerate(zip(names, positions)):
+            parse = _parse_indicator if j < 2 else _parse_cell
+            parse(record[position], name, row_number)
+    raise AssertionError("the bulk parse failed on records that parse one by one")
+
+
 def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
     """Read a headered CSV into a Dataset, preserving file row order.
 
     Row numbers in error messages count data rows from 1 (the header is
     row 0). Cells must be decimal numerals; categorical covariates have to
-    be encoded to numeric columns before loading.
+    be encoded to numeric columns before loading. A UTF-8 byte-order mark
+    is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -292,35 +313,36 @@ def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
         repeated = sorted({h for h in header if header.count(h) > 1})
         if repeated:
             raise SchemaError(f"{path}: duplicate column name(s) {repeated} in header")
-        positions: dict[str, int] = {}
-        for name in (schema.s, schema.a, schema.y, *schema.x):
+        names = (schema.s, schema.a, schema.y, *schema.x)
+        for name in names:
             if name not in header:
                 raise SchemaError(f"{path}: missing column {name!r}")
-            positions[name] = header.index(name)
+        records = list(reader)
 
-        s_list: list[int] = []
-        a_list: list[int] = []
-        y_list: list[float] = []
-        x_list: list[list[float]] = []
-        for row_number, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise ParseError(
-                    f"row {row_number}: expected {len(header)} fields, got {len(record)}"
-                )
-            s_list.append(_parse_indicator(record[positions[schema.s]], schema.s, row_number))
-            a_list.append(_parse_indicator(record[positions[schema.a]], schema.a, row_number))
-            y_list.append(_parse_cell(record[positions[schema.y]], schema.y, row_number))
-            x_list.append(
-                [_parse_cell(record[positions[c]], c, row_number) for c in schema.x]
-            )
-
-    if not s_list:
+    if not records:
         raise SchemaError(f"{path}: no data rows")
+    # Each column in one pass at C level: float() strips the padding that
+    # _parse_cell strips. A record of the wrong width, a non-numeral or an
+    # indicator outside {0, 1} sends the parse to _locate_error. (Transposing
+    # with zip(*records) would allocate an iterator per record and set off
+    # the cyclic garbage collector.)
+    n, width = len(records), len(header)
+    positions = [header.index(name) for name in names]
+    values = None
+    if set(map(len, records)) == {width}:
+        try:
+            values = np.array(
+                [np.fromiter(map(float, map(itemgetter(p), records)), float, n) for p in positions]
+            )
+        except ValueError:
+            pass
+    if values is None or not np.all((values[:2] == 0.0) | (values[:2] == 1.0)):
+        _locate_error(records, width, names, positions)
     return Dataset(
-        x=np.asarray(x_list, dtype=float),
-        s=np.asarray(s_list, dtype=np.int64),
-        a=np.asarray(a_list, dtype=np.int64),
-        y=np.asarray(y_list, dtype=float),
+        x=np.ascontiguousarray(values[3:].T),
+        s=values[0].astype(np.int64),
+        a=values[1].astype(np.int64),
+        y=values[2],
         covariate_names=schema.x,
     )
 

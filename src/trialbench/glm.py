@@ -16,13 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateFitError, SeparationError, SingularDesignError
 
 # Probabilities are kept strictly inside (0, 1) so weights stay finite.
 _PROB_LO = 1e-300
 _PROB_HI = float(np.nextafter(1.0, 0.0))
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)), elementwise.
+
+    exp only ever sees -|x|, so it cannot overflow (not even at +-inf) and
+    no floating-point error state has to be silenced. With e = exp(-|x|) in
+    [0, 1], the result is 1 / (1 + e) for x >= 0 and e / (1 + e) below 0.
+    """
+    e = np.exp(np.copysign(x, -1.0))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def add_intercept(x: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .data import Dataset
 from .diagnostics import restriction_test
@@ -36,6 +36,7 @@ from .estimators import (
     AnalysisPlan,
     run_plan_with,
 )
+from .glm import expit
 from .inference import keyed_seed, run_replicates, sandwich_se
 from .jsonfields import dump, parse
 from .nuisance import fit_nuisances, normalize_drop
@@ -553,7 +554,7 @@ def run_monte_carlo(
         drop=dict(misspec) if isinstance(misspec, Mapping) else misspec,
     )
     truths = true_values(cfg, draws=truth_draws)
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     want_delta = "phi" in plan.estimators and "chi" in plan.estimators
 
     records, failures = run_replicates(

@@ -267,12 +267,31 @@ def test_console_script_is_installed(tmp_path, write_config):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of a second to import and nothing here needs it.
-    code = "import sys, trialbench.cli; print('scipy.stats' in sys.modules)"
+    # scipy.special alone takes about 0.3 s to import; the numerics need none of scipy.
+    code = (
+        "import sys, trialbench.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
     path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_csv_with_byte_order_mark_reads_as_without(tmp_path, write_config, command):
+    # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + FIXTURE_CSV.read_bytes())
+    reports = []
+    for name, source in (("plain", FIXTURE_CSV), ("marked", marked)):
+        out = tmp_path / f"{name}.json"
+        payload = {"input": str(source), "schema": SCHEMA, "output": str(out)}
+        assert main([command, write_config(payload, f"{name}-config.json"), "--quiet"]) == 0
+        report = written_report(out)
+        del report["metadata"]["created_utc"], report["metadata"]["config"]
+        reports.append(report)
+    assert reports[0] == reports[1]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialbench import (
     ColumnSchema,
@@ -129,3 +131,67 @@ def test_validate_warns_on_constant_covariate():
     report = validate(d)
     assert report.ok
     assert any(c.name == "constant_covariate" for c in report.warnings)
+
+
+HEADER = "S,A,Y,X1\n"
+LAST_ROW = "0,1,1.0,0\n"
+
+
+@pytest.mark.parametrize(
+    "first_row, expected",
+    [
+        (" 1 , 0 , 2.5 , 1 \n", (1, 0, 2.5, 1.0)),
+        ('"1","0","2.5","1"\n', (1, 0, 2.5, 1.0)),
+        ("1.0,1.0,2.5,1\n", (1, 1, 2.5, 1.0)),
+        ("1,0,1e3,1e3\n", (1, 0, 1000.0, 1000.0)),
+        ("1,0,2.5,1\n\n", (ParseError, "row 2: expected 4 fields, got 0")),
+        ("1,0,2.5,1,9\n", (ParseError, "row 1: expected 4 fields, got 5")),
+        ("1,0,nan,1\n", (DomainError, "outcome contains non-finite values")),
+        ("1,0,2.5,inf\n", (DomainError, "covariates contain non-finite values")),
+        ("1,0,1e400,1\n", (DomainError, "outcome contains non-finite values")),
+    ],
+    ids=["padded", "quoted", "indicator-1.0", "exponent", "blank-line", "extra-field",
+         "nan", "inf", "overflow"],
+)
+def test_loader_accepts_numerals_and_rejects_bad_rows(tmp_path, first_row, expected):
+    path = tmp_path / "cells.csv"
+    path.write_text(HEADER + first_row + LAST_ROW)
+    schema = ColumnSchema(s="S", a="A", y="Y", x=("X1",))
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error, match=f"^{message}$"):
+            load_dataset(str(path), schema)
+        return
+    d = load_dataset(str(path), schema)
+    s, a, y, x = expected
+    assert (d.s[0], d.a[0], d.y[0], d.x[0, 0]) == (s, a, y, x)
+    assert (d.s[1], d.a[1], d.y[1], d.x[1, 0]) == (0, 1, 1.0, 0.0)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(2, 200))
+    k = draw(st.integers(1, 3))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    indicator = st.integers(0, 1)
+    s = draw(st.lists(indicator, min_size=n, max_size=n))
+    s[:2] = [1, 0]  # both studies present
+    return Dataset(
+        x=np.array(draw(st.lists(value, min_size=n * k, max_size=n * k))).reshape(n, k),
+        s=np.array(s),
+        a=np.array(draw(st.lists(indicator, min_size=n, max_size=n))),
+        y=np.array(draw(st.lists(value, min_size=n, max_size=n))),
+        covariate_names=tuple(f"X{j + 1}" for j in range(k)),
+    )
+
+
+@settings(max_examples=25, database=None, deadline=None)
+@given(datasets())
+def test_save_then_load_gives_the_same_bits(tmp_path_factory, d):
+    path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
+    save_dataset(d, str(path))
+    back = load_dataset(str(path), ColumnSchema(s="S", a="A", y="Y", x=d.covariate_names))
+    for name in ("x", "s", "a", "y"):
+        ours, theirs = getattr(back, name), getattr(d, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes(), name

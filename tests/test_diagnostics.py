@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialbench import (
     Dataset,
@@ -21,6 +23,33 @@ def test_restriction_invariant_to_study_relabel(small_dataset):
     flipped = restriction_test(swap_studies(small_dataset), 1, outcome_kind="continuous")
     assert flipped.test.statistic == pytest.approx(base.test.statistic, abs=1e-8)
     assert flipped.s_terms["S"] == pytest.approx(-base.s_terms["S"], abs=1e-8)
+
+
+@settings(max_examples=40, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 400),
+    k=st.integers(1, 3),
+    shift=st.floats(-1.0, 1.0),
+    arm=st.sampled_from([0, 1]),
+    include_interactions=st.booleans(),
+)
+def test_restriction_p_value_invariant_to_study_labels(
+    seed, n, k, shift, arm, include_interactions
+):
+    # Chi-square on df = 1 without interactions and on df = 1 + k with them.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    s = np.arange(n) % 2
+    a = (np.arange(n) // 2) % 2  # each study-by-arm cell holds about n / 4 rows
+    y = x @ rng.normal(size=k) + shift * s + rng.normal(size=n) * rng.uniform(0.1, 3.0)
+    d = Dataset(x=x, s=s, a=a, y=y, covariate_names=tuple(f"X{j}" for j in range(k)))
+    base, flipped = (
+        restriction_test(data, arm, include_interactions, outcome_kind="continuous")
+        for data in (d, swap_studies(d))
+    )
+    assert base.test.df == flipped.test.df == (1 + k if include_interactions else 1)
+    assert flipped.test.p_value == pytest.approx(base.test.p_value, rel=1e-9)
 
 
 def test_restriction_on_fixture_both_arms(fixture_dataset):

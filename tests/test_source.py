@@ -50,3 +50,36 @@ def test_no_module_imports_a_name_it_never_uses():
         if (found := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every import of scipy in the source, at module level or in any function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import os, scipy.special as sp\n"
+        "from .scipy import x\n"
+        "def f():\n    from scipy import stats\n    import scipyx\n"
+    )
+    assert scipy_imports(source) == ["line 1: scipy.special", "line 4: scipy"]
+
+
+def test_no_module_imports_scipy():
+    # A lazy import inside a function still costs its import time when it runs.
+    found = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (hits := scipy_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
