@@ -121,9 +121,7 @@ class Dataset:
     def cells(self, split_outcome: bool) -> "CellTable":
         """The rows grouped into cells (see CellTable), built once per dataset.
 
-        ``split_outcome`` adds the outcome to the cell key, as logistic
-        outcome fits need; otherwise a cell keeps the sum and spread of its
-        rows' outcomes.
+        ``split_outcome`` adds the outcome to the cell key (see cell_table).
         """
         cache = self.__dict__.setdefault("_cells", {})
         if split_outcome not in cache:
@@ -173,11 +171,12 @@ class CellTable:
     Cell ``j`` holds the rows ``i`` with ``inverse[i] == j``; they share
     ``x[j]``, ``s[j]`` and ``a[j]`` (and, when the outcome is part of the
     key, their outcome). Per cell the table keeps the total weight of its
-    rows (``count``), the weighted sum of their outcomes (``y_sum``) and
-    their weighted sum of squares about the cell mean (``y_ss``). Each row
-    weighs 1 unless ``reweight`` gave it a frequency weight, such as the
-    number of times a bootstrap resample drew it. When rows take too many
-    distinct patterns, every row is a cell of its own.
+    rows (``count``), the weighted sum of their outcomes (``y_sum``), their
+    mean (``y_mean``, 0 in a cell of zero weight) and their weighted sum of
+    squares about that mean (``y_ss``). Each row weighs 1 unless
+    ``reweight`` gave it a frequency weight, such as the number of times a
+    bootstrap resample drew it. When rows take too many distinct patterns,
+    every row is a cell of its own.
     """
 
     x: np.ndarray
@@ -189,6 +188,7 @@ class CellTable:
     row_weights: np.ndarray | None = None
     count: np.ndarray = field(init=False)
     y_sum: np.ndarray = field(init=False)
+    y_mean: np.ndarray = field(init=False)
     y_ss: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -202,17 +202,12 @@ class CellTable:
         y_ss = np.bincount(self.inverse, weights=w * dev * dev, minlength=m)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "y_sum", y_sum)
+        object.__setattr__(self, "y_mean", mean)
         object.__setattr__(self, "y_ss", y_ss)
 
     @property
     def k(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def y_mean(self) -> np.ndarray:
-        """Mean outcome of each cell; 0 for a cell of zero weight."""
-        occupied = self.count > 0
-        return np.divide(self.y_sum, self.count, out=np.zeros_like(self.y_sum), where=occupied)
 
     @property
     def n_emulation(self) -> float:
@@ -228,6 +223,15 @@ class CellTable:
         if self.row_weights is not None:
             rows &= self.row_weights > 0
         return np.flatnonzero(rows)
+
+
+def cell_table(d: Dataset | CellTable, outcome_kind: str) -> CellTable:
+    """The cells an analysis runs on: a binary outcome is part of the key, as
+    its logistic fits need one 0/1 label per cell. A table, such as a
+    reweighted bootstrap replicate, is returned as it is."""
+    if isinstance(d, CellTable):
+        return d
+    return d.cells(outcome_kind == "binary")
 
 
 @dataclass(frozen=True)
@@ -414,8 +418,7 @@ def validate(d: Dataset) -> ValidationReport:
                     )
                 )
 
-    outcome_values = np.unique(d.y)
-    if outcome_values.size == 1:
+    if np.all(d.y == d.y[0]):
         checks.append(
             CheckResult("outcome_variation", "warn", "outcome is constant across all rows")
         )

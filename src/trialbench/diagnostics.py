@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, cell_table
 from .errors import DegenerateFitError
 from .estimators import ESTIMATOR_NAMES, aipw_weighting
-from .glm import add_intercept, coefficient_covariance, fit_linear, fit_logistic
+from .glm import LogisticModel, add_intercept, coefficient_covariance
 from .inference import TestResult
-from .nuisance import NuisanceSet
+from .nuisance import NuisanceSet, fit_cells
 
 STATUS_CONSISTENT = "consistent"
 STATUS_INCONSISTENT = "inconsistent"
@@ -76,9 +76,10 @@ def restriction_test(
     """Fit the pooled arm-``a`` outcome model augmented with study terms.
 
     The augmentation is an S main effect, plus S-by-covariate products when
-    ``include_interactions`` is set. The result's status is "inconsistent"
-    when the Wald p-value falls below ``threshold``, "indeterminate" when
-    the augmented fit did not converge or the statistic is not finite.
+    ``include_interactions`` is set, fitted on the dataset's cell table. The
+    result's status is "inconsistent" when the Wald p-value falls below
+    ``threshold``, "indeterminate" when the augmented fit did not converge
+    or the statistic is not finite.
     The test is invariant to swapping the study labels: the S coefficients
     change sign, the p-value does not move.
     """
@@ -86,32 +87,28 @@ def restriction_test(
         raise ValueError(f"treatment arm must be 0 or 1, got {a!r}")
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be inside (0, 1), got {threshold!r}")
-    mask = d.a == a
+    t = cell_table(d, outcome_kind)
+    mask = t.a == a
     for s in (0, 1):
-        if not np.any(mask & (d.s == s)):
+        if not np.any(mask & (t.s == s)):
             raise DegenerateFitError(
                 f"restriction test: no rows with treatment {a} in study s={s}"
             )
 
-    x = d.x[mask]
-    s_col = d.s[mask].astype(float)[:, None]
+    x = t.x[mask]
+    s_col = t.s[mask].astype(float)[:, None]
     blocks = [add_intercept(x), s_col]
     names = ["S"]
     if include_interactions:
         blocks.append(x * s_col)
-        names += [f"S:{c}" for c in d.covariate_names]
+        names += [f"S:{c}" for c in t.covariate_names]
     design = np.hstack(blocks)
-    n_base = 1 + d.k
+    n_base = 1 + t.k
 
-    converged = True
-    if outcome_kind == "continuous":
-        model = fit_linear(design, d.y[mask])
-    else:
-        logit = fit_logistic(design, d.y[mask], ridge=ridge)
-        converged = logit.converged
-        model = logit
-
-    cov = coefficient_covariance(model, design)
+    labels = None if outcome_kind == "continuous" else t.y_mean
+    model = fit_cells(t, mask, design, labels, f"restriction test arm {a}", ridge)
+    converged = not isinstance(model, LogisticModel) or model.converged
+    cov = coefficient_covariance(model, design, t.count[mask])
     idx = np.arange(n_base, design.shape[1])
     b = model.coefficients[idx]
     sub = cov[np.ix_(idx, idx)]

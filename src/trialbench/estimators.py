@@ -19,10 +19,12 @@ which data carry the outcome information:
   influence function has no larger variance than either single-source
   estimator.
 
-Each estimator returns its value along with per-row influence values whose
+Each estimator returns its value along with its influence values, whose
 mean over all n rows is zero by construction; the plug-in variance of the
-value is the sample variance of those values divided by n. Influence values
-treat fitted nuisances as fixed, the usual first-order approximation.
+value is the sample variance of those values divided by n. They are held
+per cell, as a linear function of the outcome, and expanded to rows only
+on demand. Influence values treat fitted nuisances as fixed, the usual
+first-order approximation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import CellTable, Dataset
+from .data import CellTable, Dataset, cell_table
 from .errors import IncompatibleEstimatesError, PositivityError
 from .nuisance import NuisanceSet, fit_nuisances
 
@@ -42,36 +44,39 @@ ESTIMATOR_NAMES = ("phi", "chi", "psi")
 
 @dataclass(frozen=True)
 class EstimateWithIF:
-    """A point estimate bundled with its per-row influence values.
+    """A point estimate bundled with its influence values, held per cell.
 
-    ``if_values`` has one entry per dataset row (zeros where a row cannot
-    contribute). ``n_effective`` is the emulation-sample count the
-    functional standardizes over; contrasts carry the smaller of their
-    parents'. Construction enforces that the influence values average to
-    zero up to float tolerance.
+    Within cell j of ``table`` every row's influence value is
+    ``alpha[j] * y + beta[j]``, y the row's outcome; ``if_values`` expands
+    them to one per dataset row. ``n_effective`` is the emulation-sample
+    count the functional standardizes over; contrasts carry the smaller of
+    their parents'. Construction enforces that the influence values average
+    to zero up to float tolerance.
     """
 
     label: str
     value: float
-    if_values: np.ndarray
+    table: CellTable
+    alpha: np.ndarray
+    beta: np.ndarray
     n_effective: int
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.if_values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "if_values", values)
         if not np.isfinite(self.value):
             raise ValueError(f"{self.label}: estimate is not finite")
+        t = self.table
         tolerance = 1e-8 * (1.0 + abs(self.value))
-        center = abs(float(np.mean(values)))
+        center = abs(float(self.alpha @ t.y_sum + self.beta @ t.count) / float(np.sum(t.count)))
         if center > tolerance:
             raise ValueError(
                 f"{self.label}: influence values are off-center by {center:.3e}"
             )
 
     @property
-    def n(self) -> int:
-        return int(self.if_values.size)
+    def if_values(self) -> np.ndarray:
+        """Influence value of each dataset row (0 where a row cannot contribute)."""
+        inverse = self.table.inverse
+        return self.alpha[inverse] * self.table.y_rows + self.beta[inverse]
 
 
 def _positivity_check(t: CellTable, prob: np.ndarray, mask: np.ndarray, what: str) -> None:
@@ -106,14 +111,13 @@ def aipw_weighting(
     return stratum, in_stratum & (treatment == a), weight
 
 
-def _aipw(
-    t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One AIPW estimate on a cell table: (value, g, w), g and w per cell.
+def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
+    """One AIPW estimate on a cell table, with its influence values.
 
     value = (sum over s=0 rows of g + sum over weighted rows of w (y - g)) / n0,
-    each row counted with its weight; w is 0 off the weighted rows. phi, chi
-    and psi differ only in the entries of _AIPW.
+    each row counted with its weight, g and w per cell; w is 0 off the
+    weighted rows. phi, chi and psi differ only in the entries of _AIPW. A
+    row's influence value is (n/n0) [w (y - g) + (g - value) 1{s=0}].
     """
     stratum, weighted, weight = aipw_weighting(name, a, t.s, t.a)
     s0 = t.s == 0
@@ -136,42 +140,36 @@ def _aipw(
         w *= n0 / total
 
     value = float((t.count[s0] @ g[s0] + w @ (t.y_sum - t.count * g)) / n0)
-    if not np.isfinite(value):
-        raise ValueError(f"{name}({a}): estimate is not finite")
-    return value, g, w
-
-
-def _estimate(d: Dataset, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
-    """Value and per-row influence values, (n/n0) [w (y - g) + (g - value) 1{s=0}]."""
-    t = d.cells(nu.outcome_kind == "binary")
-    value, g, w = _aipw(t, nu, name, a, hajek)
-    g_rows = g[t.inverse]
-    n0 = d.n_emulation
-    if_values = (d.n / n0) * (
-        w[t.inverse] * (d.y - g_rows) + np.where(d.s == 0, g_rows - value, 0.0)
+    scale = float(np.sum(t.count)) / n0
+    return EstimateWithIF(
+        label=f"{name}({a})",
+        value=value,
+        table=t,
+        alpha=scale * w,
+        beta=scale * (np.where(s0, g - value, 0.0) - w * g),
+        n_effective=int(n0),
     )
-    return EstimateWithIF(label=f"{name}({a})", value=value, if_values=if_values, n_effective=n0)
 
 
 def estimate_phi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Emulation-only doubly robust mean of the potential outcome under ``a``."""
-    return _estimate(d, nu, "phi", a, hajek)
+    return _estimate(cell_table(d, nu.outcome_kind), nu, "phi", a, hajek)
 
 
 def estimate_chi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Trial-transported doubly robust mean of the potential outcome under ``a``."""
-    return _estimate(d, nu, "chi", a, hajek)
+    return _estimate(cell_table(d, nu.outcome_kind), nu, "chi", a, hajek)
 
 
 def estimate_psi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Pooled-data doubly robust mean of the potential outcome under ``a``."""
-    return _estimate(d, nu, "psi", a, hajek)
+    return _estimate(cell_table(d, nu.outcome_kind), nu, "psi", a, hajek)
 
 
 def contrast(
@@ -179,18 +177,19 @@ def contrast(
 ) -> EstimateWithIF:
     """Difference e1 - e2 with the differenced influence values.
 
-    Both estimates must come from the same dataset (same row count and
-    order); that cannot be fully verified, so the length check is the
-    guard and the caller owns the rest.
+    Both estimates must come from the same cell table, and so from the
+    same dataset.
     """
-    if e1.n != e2.n:
+    if e1.table is not e2.table:
         raise IncompatibleEstimatesError(
-            f"cannot contrast {e1.label} (n={e1.n}) with {e2.label} (n={e2.n})"
+            f"cannot contrast {e1.label} with {e2.label}: they come from different datasets"
         )
     return EstimateWithIF(
         label=label or f"{e1.label} - {e2.label}",
         value=e1.value - e2.value,
-        if_values=e1.if_values - e2.if_values,
+        table=e1.table,
+        alpha=e1.alpha - e2.alpha,
+        beta=e1.beta - e2.beta,
         n_effective=min(e1.n_effective, e2.n_effective),
     )
 
@@ -252,25 +251,18 @@ def _contrasts(plan: AnalysisPlan) -> list[tuple[str, str, str]]:
 
 
 def run_plan_with(
-    d: Dataset, nu: NuisanceSet, plan: AnalysisPlan
+    d: Dataset | CellTable, nu: NuisanceSet, plan: AnalysisPlan
 ) -> dict[str, EstimateWithIF]:
-    """Same as run_plan but on an already fitted nuisance bundle."""
+    """Same as run_plan but on an already fitted nuisance bundle.
+
+    ``d`` may also be a cell table, such as a bootstrap replicate's
+    reweighted one; every estimate then comes from that table.
+    """
+    t = cell_table(d, nu.outcome_kind)
     out: dict[str, EstimateWithIF] = {}
     for name in plan.estimators:
         for arm in plan.arms:
-            out[f"{name}({arm})"] = _estimate(d, nu, name, arm, plan.hajek)
+            out[f"{name}({arm})"] = _estimate(t, nu, name, arm, plan.hajek)
     for label, first, second in _contrasts(plan):
         out[label] = contrast(out[first], out[second], label=label)
-    return out
-
-
-def plan_values(t: CellTable, nu: NuisanceSet, plan: AnalysisPlan) -> dict[str, float]:
-    """The values run_plan_with would give, on a (possibly reweighted) cell table."""
-    out = {
-        f"{name}({arm})": _aipw(t, nu, name, arm, plan.hajek)[0]
-        for name in plan.estimators
-        for arm in plan.arms
-    }
-    for label, first, second in _contrasts(plan):
-        out[label] = out[first] - out[second]
     return out

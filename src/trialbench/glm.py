@@ -305,18 +305,20 @@ def fit_linear(
     return LinearModel(coefficients=beta, residual_variance=variance)
 
 
-def coefficient_covariance(model: Model, design: np.ndarray) -> np.ndarray:
+def coefficient_covariance(
+    model: Model, design: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Model-based covariance of the coefficients on the fitting design.
 
-    Logistic: inverse observed information at the fit. Linear: residual
-    variance times (X'X)^{-1}.
+    ``weights`` are the fit's frequency weights, one per row (see
+    _weighted_rows). Logistic: inverse observed information at the fit.
+    Linear: residual variance times (X'WX)^{-1}.
     """
     design = np.asarray(design, dtype=float)
+    w = np.ones(design.shape[0]) if weights is None else np.asarray(weights, dtype=float)
     if isinstance(model, LogisticModel):
-        eta = design @ model.coefficients
-        mu = expit(eta)
-        w = np.clip(mu * (1.0 - mu), 1e-300, None)
-        info = (design * w[:, None]).T @ design
-        return np.linalg.inv(info)
-    info = design.T @ design
+        mu = expit(design @ model.coefficients)
+        w = w * np.clip(mu * (1.0 - mu), 1e-300, None)
+        return np.linalg.inv((design * w[:, None]).T @ design)
+    info = (design * w[:, None]).T @ design
     return model.residual_variance * np.linalg.inv(info)

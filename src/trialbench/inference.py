@@ -2,10 +2,12 @@
 
 The sandwich route treats the per-row influence values as the unit-level
 contributions: the standard error is sqrt(sampleVar(if_values) / n) with
-the usual n - 1 denominator inside the sample variance. The bootstrap
-route resamples rows within each study separately, matching how the
-composite sample was drawn, and refits every nuisance model per replicate,
-on cell counts rather than on a copy of the resampled rows.
+the usual n - 1 denominator inside the sample variance. The influence
+values are held per cell, so that variance comes from cell sums without
+expanding them to rows. The bootstrap route resamples rows within each
+study separately, matching how the composite sample was drawn, and refits
+every nuisance model per replicate, on cell counts rather than on a copy
+of the resampled rows.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, cell_table
 from .errors import DegenerateTestError, FitError
-from .estimators import AnalysisPlan, EstimateWithIF, plan_values
+from .estimators import AnalysisPlan, EstimateWithIF, run_plan_with
 from .nuisance import fit_nuisances
 
 
@@ -80,10 +82,19 @@ def _check_level(level: float) -> None:
 
 
 def sandwich_se(e: EstimateWithIF) -> float:
-    """Plug-in standard error from the influence values."""
-    if e.n < 2:
+    """Plug-in standard error from the influence values, summed per cell: in a
+    cell, alpha * y + beta averages alpha * ybar + beta, and its squared
+    deviations from that average sum to alpha^2 * y_ss."""
+    t = e.table
+    n = float(np.sum(t.count))
+    if n < 2:
         raise DegenerateTestError(f"{e.label}: need at least 2 rows for a variance")
-    return float(np.sqrt(np.var(e.if_values, ddof=1) / e.n))
+    cell_mean = e.alpha * t.y_mean + e.beta
+    dev = cell_mean - float(t.count @ cell_mean) / n
+    squares = float((e.alpha * e.alpha) @ t.y_ss + t.count @ (dev * dev))
+    if not math.isfinite(squares):
+        raise DegenerateTestError(f"{e.label}: sum of squared influence values is not finite")
+    return math.sqrt(squares / (n - 1) / n)
 
 
 def sandwich_ci(e: EstimateWithIF, level: float = 0.95) -> Interval:
@@ -171,9 +182,9 @@ def bootstrap_replicate(
         rng.integers(0, emulation_rows.size, emulation_rows.size)
     ]
     draws = np.bincount(np.concatenate([take_trial, take_emulation]), minlength=d.n)
-    table = d.cells(plan.outcome_kind == "binary").reweight(draws)
+    table = cell_table(d, plan.outcome_kind).reweight(draws)
     nu = fit_nuisances(table, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
-    return plan_values(table, nu, plan)
+    return {label: e.value for label, e in run_plan_with(table, nu, plan).items()}
 
 
 def bootstrap(

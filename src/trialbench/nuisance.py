@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CellTable, Dataset
+from .data import CellTable, Dataset, cell_table
 from .errors import ConfigError, DegenerateFitError, DomainError, FitError
 from .glm import LogisticModel, Model, add_intercept, fit_linear, fit_logistic
 
@@ -147,20 +147,39 @@ def normalize_drop(
     return normalized
 
 
-def _design_for(
-    x: np.ndarray, covariate_names: tuple[str, ...], dropped: tuple[str, ...]
-) -> tuple[np.ndarray, list[int]]:
-    keep = [j for j, name in enumerate(covariate_names) if name not in dropped]
-    return add_intercept(x[:, keep]), keep
+def fit_cells(
+    t: CellTable,
+    mask: np.ndarray,
+    design: np.ndarray,
+    labels: np.ndarray | None,
+    tag: str,
+    ridge: float = 0.0,
+) -> Model:
+    """Fit one model on the cells ``mask`` of ``t``, each weighted by its count.
 
-
-def _embed(model: Model, keep: list[int], k: int) -> Model:
-    """Re-express a reduced-design fit with full covariate arity (zero slopes)."""
-    if len(keep) == k:
-        return model
-    coef = np.zeros(k + 1)
-    coef[[0, *(j + 1 for j in keep)]] = model.coefficients
-    return replace(model, coefficients=coef)
+    Given ``labels`` (0/1, one per cell of ``t``) the fit is logistic; without
+    them it is the linear fit of the cell means, whose RSS also takes in the
+    spread of the rows about their cell mean. Either way it is the fit on the
+    rows. A fit error is raised again with ``tag``, the model's name, prefixed.
+    """
+    count = t.count[mask]
+    try:
+        if labels is not None:
+            return fit_logistic(design, labels[mask], ridge=ridge, weights=count)
+        model = fit_linear(design, t.y_mean[mask], weights=count)
+    except FitError as exc:
+        raise type(exc)(f"{tag}: {exc}") from exc
+    except ValueError as exc:
+        raise DegenerateFitError(f"{tag}: {exc}") from exc
+    df = float(np.sum(count)) - design.shape[1]
+    if df > 0:
+        model = replace(
+            model,
+            residual_variance=model.residual_variance + float(np.sum(t.y_ss[mask])) / df,
+        )
+    if not np.isfinite(model.residual_variance):
+        raise FitError(f"{tag}: residual variance is not finite")
+    return model
 
 
 def fit_nuisances(
@@ -172,76 +191,49 @@ def fit_nuisances(
 ) -> NuisanceSet:
     """Fit the full nuisance bundle on one dataset, or on a table of its cells.
 
-    Every model is fitted on the dataset's cell table (Dataset.cells), each
-    cell weighted by its count, which gives the fit on the rows themselves.
-    Raises the underlying fit error with the model's name (and treatment
-    arm, for outcome models) prefixed, so callers can see exactly which
-    nuisance failed. ``ridge`` > 0 enables the slope-only fallback penalty
-    for every logistic fit.
+    Every model is fitted on the dataset's cell table by fit_cells, which
+    gives the fit on the rows themselves and prefixes any fit error with the
+    model's name (and treatment arm, for outcome models), so callers can see
+    exactly which nuisance failed. ``ridge`` > 0 enables the slope-only
+    fallback penalty for every logistic fit.
     """
     if outcome_kind not in OUTCOME_KINDS:
         raise ConfigError(
             f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}"
         )
-    t = d if isinstance(d, CellTable) else d.cells(outcome_kind == "binary")
+    t = cell_table(d, outcome_kind)
     occupied = t.count > 0
     y = t.y_mean
     if outcome_kind == "binary" and not np.all((y[occupied] == 0.0) | (y[occupied] == 1.0)):
         raise DomainError("outcome_kind is 'binary' but the outcome has values outside {0,1}")
 
     dropped = normalize_drop(drop, t.covariate_names)
-    everyone = np.ones(t.count.size, dtype=bool)
-    s0 = t.s == 0
-    s1 = t.s == 1
+    masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.count.size, dtype=bool)}
 
-    def logistic(name: str, mask: np.ndarray, labels: np.ndarray, tag: str) -> LogisticModel:
-        design, keep = _design_for(t.x[mask], t.covariate_names, dropped.get(name, ()))
-        try:
-            model = fit_logistic(design, labels[mask], ridge=ridge, weights=t.count[mask])
-        except FitError as exc:
-            raise type(exc)(f"{tag}: {exc}") from exc
-        except ValueError as exc:
-            raise DegenerateFitError(f"{tag}: {exc}") from exc
-        return _embed(model, keep, t.k)
+    def fit(name: str, mask: np.ndarray, labels: np.ndarray | None, tag: str) -> Model:
+        keep = [j for j, c in enumerate(t.covariate_names) if c not in dropped.get(name, ())]
+        model = fit_cells(t, mask, add_intercept(t.x[mask][:, keep]), labels, tag, ridge)
+        if len(keep) == t.k:
+            return model
+        coef = np.zeros(t.k + 1)
+        coef[[0, *(j + 1 for j in keep)]] = model.coefficients
+        return replace(model, coefficients=coef)
 
-    participation = logistic("participation", everyone, t.s.astype(float), "participation")
-    treated = t.a.astype(float)
+    participation = fit("participation", masks["pooled"], t.s.astype(float), "participation")
     propensity = {
-        "s0": logistic("propensity_s0", s0, treated, "propensity_s0"),
-        "s1": logistic("propensity_s1", s1, treated, "propensity_s1"),
-        "pooled": logistic("propensity_pooled", everyone, treated, "propensity_pooled"),
+        stratum: fit(f"propensity_{stratum}", mask, t.a.astype(float), f"propensity_{stratum}")
+        for stratum, mask in masks.items()
     }
 
     outcome: dict[tuple[str, int], Model] = {}
-    stratum_masks = {"s0": s0, "s1": s1, "pooled": everyone}
-    for stratum, base in stratum_masks.items():
-        name = f"outcome_{stratum}"
+    labels = y if outcome_kind == "binary" else None
+    for stratum, base in masks.items():
         for arm in (0, 1):
             mask = base & (t.a == arm)
-            tag = f"{name} arm {arm}"
+            tag = f"outcome_{stratum} arm {arm}"
             if not np.any(mask & occupied):
                 raise DegenerateFitError(f"{tag}: no rows in this stratum")
-            design, keep = _design_for(t.x[mask], t.covariate_names, dropped.get(name, ()))
-            count = t.count[mask]
-            try:
-                if outcome_kind == "continuous":
-                    model: Model = fit_linear(design, y[mask], weights=count)
-                    df = float(np.sum(count)) - design.shape[1]
-                    if df > 0:
-                        # The fit sees cell means; the spread of the rows
-                        # about their cell mean belongs in the RSS too.
-                        model = replace(
-                            model,
-                            residual_variance=model.residual_variance
-                            + float(np.sum(t.y_ss[mask])) / df,
-                        )
-                else:
-                    model = fit_logistic(design, y[mask], ridge=ridge, weights=count)
-            except FitError as exc:
-                raise type(exc)(f"{tag}: {exc}") from exc
-            except ValueError as exc:
-                raise DegenerateFitError(f"{tag}: {exc}") from exc
-            outcome[(stratum, arm)] = _embed(model, keep, t.k)
+            outcome[(stratum, arm)] = fit(f"outcome_{stratum}", mask, labels, tag)
 
     return NuisanceSet(
         participation=participation,

@@ -4,11 +4,32 @@ import pathlib
 import numpy as np
 import pytest
 
-from trialbench import ColumnSchema, Dataset, d1, generate, load_dataset
+from trialbench import ColumnSchema, Dataset, EstimateWithIF, d1, generate, load_dataset
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO_ROOT / "data" / "d1_fixture.csv"
 FIXTURE_SCHEMA = ColumnSchema(s="S", a="A", y="Y", x=("X1",))
+
+
+def estimate_with_if_values(
+    label: str, value: float, if_values, n_effective: int
+) -> EstimateWithIF:
+    """An estimate whose influence values are ``if_values``: the outcome of a
+    dataset whose rows are all cells of their own, with alpha 1 and beta 0."""
+    y = np.asarray(if_values, dtype=float)
+    n = y.size
+    d = Dataset(
+        x=np.arange(n, dtype=float)[:, None],
+        s=np.arange(n) % 2,
+        a=np.zeros(n, dtype=int),
+        y=y,
+        covariate_names=("X1",),
+    )
+    t = d.cells(False)
+    assert t.count.size == n
+    return EstimateWithIF(
+        label=label, value=value, table=t, alpha=np.ones(n), beta=np.zeros(n), n_effective=n_effective
+    )
 
 
 @pytest.fixture(scope="session")

@@ -239,6 +239,25 @@ def test_separated_propensity_exits_4(tmp_path, write_config, capsys):
     assert "propensity_s1" in error["message"]
 
 
+def test_overflowing_outcome_exits_4_with_one_line_error(tmp_path, write_config, capsys):
+    # Squares of a 1e300 outcome overflow; no inf may reach the report as null.
+    lines = FIXTURE_CSV.read_text(encoding="utf-8").splitlines()
+    y_column = lines[0].split(",").index("Y")
+    first = lines[1].split(",")
+    first[y_column] = "1e300"
+    lines[1] = ",".join(first)
+    csv = tmp_path / "huge_outcome.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    payload = analysis_payload(tmp_path, input=str(csv))
+    assert main(["analyze", write_config(payload), "--quiet"]) == 4
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["exit_code"] == 4
+    assert error["message"].startswith("outcome_")
+    assert "not finite" in error["message"]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -4,7 +4,6 @@ import pytest
 from trialbench import (
     AnalysisPlan,
     Dataset,
-    EstimateWithIF,
     IncompatibleEstimatesError,
     PositivityError,
     contrast,
@@ -16,6 +15,8 @@ from trialbench import (
 )
 from trialbench.glm import LinearModel, LogisticModel
 from trialbench.nuisance import NuisanceSet
+
+from conftest import estimate_with_if_values
 
 
 def nonparametric_standardization(d: Dataset, a: int) -> float:
@@ -122,7 +123,7 @@ def test_influence_values_are_centered_with_positive_variance(fixture_dataset):
 
 def test_off_center_influence_values_are_rejected():
     with pytest.raises(ValueError, match="off-center"):
-        EstimateWithIF(
+        estimate_with_if_values(
             label="bad", value=1.0, if_values=np.ones(10), n_effective=10
         )
 

@@ -15,10 +15,12 @@ from trialbench import (
 from trialbench import inference
 from trialbench.errors import DegenerateFitError
 
+from conftest import estimate_with_if_values
+
 
 def alternating_estimate(n: int = 10_000) -> EstimateWithIF:
     if_values = np.tile([1.0, -1.0], n // 2)
-    return EstimateWithIF(label="unit", value=0.5, if_values=if_values, n_effective=n)
+    return estimate_with_if_values(label="unit", value=0.5, if_values=if_values, n_effective=n)
 
 
 def test_sandwich_se_known_value():
@@ -52,9 +54,15 @@ def test_wald_test_statistic_and_pvalue():
 
 
 def test_wald_test_zero_se_is_degenerate():
-    e = EstimateWithIF(label="flat", value=0.0, if_values=np.zeros(10), n_effective=10)
+    e = estimate_with_if_values(label="flat", value=0.0, if_values=np.zeros(10), n_effective=10)
     with pytest.raises(DegenerateTestError, match="zero standard error"):
         wald_test(e)
+
+
+def test_sandwich_se_that_overflows_is_degenerate():
+    e = estimate_with_if_values(label="huge", value=0.0, if_values=[1e200, -1e200], n_effective=2)
+    with np.errstate(over="ignore"), pytest.raises(DegenerateTestError, match="huge: sum"):
+        sandwich_se(e)
 
 
 def test_bootstrap_is_deterministic(small_dataset):

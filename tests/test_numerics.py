@@ -15,10 +15,12 @@ from trialbench import EstimateWithIF, sandwich_ci, wald_test
 from trialbench.diagnostics import chi2_sf
 from trialbench.glm import expit
 
+from conftest import estimate_with_if_values
+
 
 def unit_se_estimate(value: float) -> EstimateWithIF:
     # Influence values (1, -1): variance 2 with ddof 1, over n = 2, so se is exactly 1.
-    return EstimateWithIF(label="z", value=value, if_values=[1.0, -1.0], n_effective=2)
+    return estimate_with_if_values(label="z", value=value, if_values=[1.0, -1.0], n_effective=2)
 
 
 def relative_error(ours, reference):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: stdlib ``ast`` only."""
 
 import ast
+import collections
 import pathlib
 
 import trialbench
@@ -83,3 +84,62 @@ def test_no_module_imports_scipy():
         if (hits := scipy_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def unreferenced_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Functions, classes and methods defined in ``defining`` (file name to
+    source) that no source names outside their own definition.
+
+    A use is a name or an attribute, so an import or an ``__all__`` entry
+    does not count; dunder methods, which Python calls itself, are left out.
+    """
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+
+    def uses(tree: ast.AST) -> collections.Counter:
+        return collections.Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    used = sum((uses(tree) for tree in trees.values()), collections.Counter())
+    used += sum((uses(ast.parse(source)) for source in others), collections.Counter())
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if used[node.name] == uses(node)[node.name]:
+                found.append(f"{name} line {node.lineno}: {node.name}")
+    return found
+
+
+def test_unreferenced_definitions_are_found():
+    defining = {
+        "m.py": (
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Box:\n"
+            "    def __init__(self): self.used()\n"
+            "    def used(self): pass\n"
+            "    def unused(self): pass\n"
+            "def called(): pass\n"
+        )
+    }
+    others = ["from m import Box, called, exported\ncalled()\nBox()\n"]
+    assert unreferenced_definitions(defining, others) == [
+        "m.py line 2: exported",
+        "m.py line 3: recursive",
+        "m.py line 8: unused",
+    ]
+
+
+def test_every_definition_is_named_outside_itself():
+    # A function left without a caller, such as a replaced twin of another, fails here.
+    defining = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    tests = pathlib.Path(__file__).resolve().parent
+    others = [path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))]
+    assert unreferenced_definitions(defining, others) == []
