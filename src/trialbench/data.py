@@ -13,7 +13,7 @@ import csv
 import dataclasses
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NoReturn
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -173,10 +173,13 @@ class CellTable:
     key, their outcome). Per cell the table keeps the total weight of its
     rows (``count``), the weighted sum of their outcomes (``y_sum``), their
     mean (``y_mean``, 0 in a cell of zero weight) and their weighted sum of
-    squares about that mean (``y_ss``). Each row weighs 1 unless
-    ``reweight`` gave it a frequency weight, such as the number of times a
-    bootstrap resample drew it. When rows take too many distinct patterns,
-    every row is a cell of its own.
+    squares about that mean (``y_ss``). When rows take too many distinct
+    patterns, every row is a cell of its own.
+
+    Each row weighs 1, unless ``reweight`` gave the table a sequence of
+    row-weight vectors, such as the number of times each bootstrap replicate
+    drew each row: the four per-cell arrays then gain a leading axis, one
+    entry per weight vector.
     """
 
     x: np.ndarray
@@ -185,7 +188,7 @@ class CellTable:
     covariate_names: tuple[str, ...]
     inverse: np.ndarray
     y_rows: np.ndarray
-    row_weights: np.ndarray | None = None
+    row_weights: Sequence[np.ndarray] | None = None
     count: np.ndarray = field(init=False)
     y_sum: np.ndarray = field(init=False)
     y_mean: np.ndarray = field(init=False)
@@ -193,42 +196,52 @@ class CellTable:
 
     def __post_init__(self) -> None:
         m = self.s.shape[0]
-        w = np.ones(self.inverse.shape[0]) if self.row_weights is None else self.row_weights
-        count = np.bincount(self.inverse, weights=w, minlength=m)
-        y_sum = np.bincount(self.inverse, weights=w * self.y_rows, minlength=m)
-        mean = np.divide(y_sum, count, out=np.zeros(m), where=count > 0)
-        # Centred on the cell mean, not sum(y^2) - sum(y)^2 / count, which loses digits.
-        dev = self.y_rows - mean[self.inverse]
-        y_ss = np.bincount(self.inverse, weights=w * dev * dev, minlength=m)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "y_sum", y_sum)
-        object.__setattr__(self, "y_mean", mean)
-        object.__setattr__(self, "y_ss", y_ss)
+        if self.row_weights is None:
+            sums = _cell_sums(self.inverse, self.y_rows, np.ones(self.y_rows.size), m)
+        else:
+            stack = [_cell_sums(self.inverse, self.y_rows, w, m) for w in self.row_weights]
+            sums = tuple(np.array(column) for column in zip(*stack))
+        for name, value in zip(("count", "y_sum", "y_mean", "y_ss"), sums):
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def n_emulation(self) -> float:
-        return float(np.sum(self.count[self.s == 0]))
+    def reweight(self, row_weights: Sequence[np.ndarray]) -> "CellTable":
+        """The same cells, once per vector of row frequency weights."""
+        return dataclasses.replace(self, row_weights=row_weights)
 
-    def reweight(self, row_weights: np.ndarray) -> "CellTable":
-        """The same cells with the rows carrying frequency weights."""
-        return dataclasses.replace(self, row_weights=np.asarray(row_weights, dtype=float))
-
-    def rows_of(self, cells: np.ndarray) -> np.ndarray:
-        """Indices of the dataset rows of positive weight in the given cells."""
+    def rows_of(self, cells: np.ndarray, r: int = 0) -> np.ndarray:
+        """Indices of the dataset rows in the given cells that have positive
+        weight (in weight vector ``r``, when the table is reweighted)."""
         rows = np.isin(self.inverse, cells)
         if self.row_weights is not None:
-            rows &= self.row_weights > 0
+            rows &= self.row_weights[r] > 0
         return np.flatnonzero(rows)
+
+
+def _cell_sums(
+    inverse: np.ndarray, y: np.ndarray, w: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """count, y_sum, y_mean and y_ss over ``m`` cells of rows with cells
+    ``inverse``, outcomes ``y`` and weights ``w``."""
+    count = np.bincount(inverse, weights=w, minlength=m)
+    y_sum = np.bincount(inverse, weights=w * y, minlength=m)
+    mean = np.divide(y_sum, count, out=np.zeros(m), where=count > 0)
+    # Centred on the cell mean, not sum(y^2) - sum(y)^2 / count, which loses
+    # digits. Squares that overflow leave y_ss infinite; nuisance.fit_cells
+    # rejects the residual variance that takes it in.
+    dev = y - mean[inverse]
+    with np.errstate(over="ignore"):
+        y_ss = np.bincount(inverse, weights=w * dev * dev, minlength=m)
+    return count, y_sum, mean, y_ss
 
 
 def cell_table(d: Dataset | CellTable, outcome_kind: str) -> CellTable:
     """The cells an analysis runs on: a binary outcome is part of the key, as
     its logistic fits need one 0/1 label per cell. A table, such as a
-    reweighted bootstrap replicate, is returned as it is."""
+    table reweighted for a chunk of bootstrap replicates, is returned as it is."""
     if isinstance(d, CellTable):
         return d
     return d.cells(outcome_kind == "binary")

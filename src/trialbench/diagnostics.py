@@ -106,7 +106,7 @@ def restriction_test(
     n_base = 1 + t.k
 
     labels = None if outcome_kind == "continuous" else t.y_mean
-    model = fit_cells(t, mask, design, labels, f"restriction test arm {a}", ridge)
+    model, _ = fit_cells(t, mask, design, labels, f"restriction test arm {a}", ridge)
     converged = not isinstance(model, LogisticModel) or model.converged
     cov = coefficient_covariance(model, design, t.count[mask])
     idx = np.arange(n_base, design.shape[1])

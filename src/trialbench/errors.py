@@ -61,3 +61,15 @@ class IncompatibleEstimatesError(TrialbenchError):
 
 class DegenerateTestError(TrialbenchError):
     """A test statistic cannot be formed (zero standard error)."""
+
+
+def record(errors: list, rows, make) -> None:
+    """Give each of ``rows`` whose slot in ``errors`` is still empty the error ``make(row)``.
+
+    A stack of fits or estimates keeps one error slot per row. The first
+    error a row meets is the one its analysis alone would raise, so a later
+    check never overwrites it.
+    """
+    for r in rows:
+        if errors[r] is None:
+            errors[r] = make(r)

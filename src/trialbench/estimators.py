@@ -30,12 +30,13 @@ first-order approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .data import CellTable, Dataset, cell_table
-from .errors import IncompatibleEstimatesError, PositivityError
+from .errors import IncompatibleEstimatesError, PositivityError, record
 from .nuisance import NuisanceSet, fit_nuisances
 
 PROPENSITY_FLOOR = 1e-10
@@ -50,8 +51,12 @@ class EstimateWithIF:
     ``alpha[j] * y + beta[j]``, y the row's outcome; ``if_values`` expands
     them to one per dataset row. ``n_effective`` is the emulation-sample
     count the functional standardizes over; contrasts carry the smaller of
-    their parents'. Construction enforces that the influence values average
-    to zero up to float tolerance.
+    their parents'. Construction enforces that the estimate is finite and
+    that the influence values average to zero up to float tolerance.
+
+    On a reweighted table (see CellTable.reweight) the fields carry a
+    leading axis, one entry per weight vector, and an entry that fails a
+    check does not raise: ``errors`` keeps the first error it met, or None.
     """
 
     label: str
@@ -60,17 +65,44 @@ class EstimateWithIF:
     alpha: np.ndarray
     beta: np.ndarray
     n_effective: int
+    errors: tuple[Exception | None, ...] = ()
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
-            raise ValueError(f"{self.label}: estimate is not finite")
         t = self.table
-        tolerance = 1e-8 * (1.0 + abs(self.value))
-        center = abs(float(self.alpha @ t.y_sum + self.beta @ t.count) / float(np.sum(t.count)))
-        if center > tolerance:
-            raise ValueError(
-                f"{self.label}: influence values are off-center by {center:.3e}"
+        value = np.atleast_1d(self.value)
+        errors = list(self.errors) or [None]
+        alpha, beta, count, y_sum = self.alpha, self.beta, t.count, t.y_sum
+        rows = None  # every row is checked
+        if any(errors) or not np.isfinite(value).all():
+            record(
+                errors,
+                np.flatnonzero(~np.isfinite(value)),
+                lambda r: ValueError(f"{self.label}: estimate is not finite"),
             )
+            rows = np.flatnonzero([e is None for e in errors])
+            alpha, beta = np.atleast_2d(alpha)[rows], np.atleast_2d(beta)[rows]
+            count, y_sum, value = np.atleast_2d(count)[rows], np.atleast_2d(y_sum)[rows], value[rows]
+        center = np.abs(np.vecdot(alpha, y_sum) + np.vecdot(beta, count)) / count.sum(axis=-1)
+        off = np.atleast_1d(center > 1e-8 * (1.0 + np.abs(value)))
+        if off.any():
+            center = np.atleast_1d(center)
+            rows = np.arange(off.size) if rows is None else rows
+            record(
+                errors,
+                rows[off],
+                lambda r: ValueError(
+                    f"{self.label}: influence values are off-center by "
+                    f"{center[np.searchsorted(rows, r)]:.3e}"
+                ),
+            )
+        if np.ndim(self.value) == 0:
+            if errors[0] is not None:
+                raise errors[0]
+            object.__setattr__(self, "value", float(self.value))
+            object.__setattr__(self, "n_effective", int(self.n_effective))
+            object.__setattr__(self, "errors", ())
+        else:
+            object.__setattr__(self, "errors", tuple(errors))
 
     @property
     def if_values(self) -> np.ndarray:
@@ -79,16 +111,24 @@ class EstimateWithIF:
         return self.alpha[inverse] * self.table.y_rows + self.beta[inverse]
 
 
-def _positivity_check(t: CellTable, prob: np.ndarray, mask: np.ndarray, what: str) -> None:
-    bad_cells = np.flatnonzero(mask & (prob < PROPENSITY_FLOOR))
-    if bad_cells.size:
-        bad = t.rows_of(bad_cells)
+def _positivity_check(
+    t: CellTable, prob: np.ndarray, mask: np.ndarray, what: str, errors: list
+) -> None:
+    bad_cells = mask & (prob < PROPENSITY_FLOOR)
+    if not bad_cells.any():
+        return
+    bad_cells = np.atleast_2d(bad_cells)
+
+    def error(r: int) -> PositivityError:
+        bad = t.rows_of(np.flatnonzero(bad_cells[r]), r)
         shown = ", ".join(str(int(i)) for i in bad[:20])
         suffix = "" if bad.size <= 20 else f" (and {bad.size - 20} more)"
-        raise PositivityError(
+        return PositivityError(
             f"{what} below {PROPENSITY_FLOOR:g} on {bad.size} weighted row(s): "
             f"rows [{shown}]{suffix}"
         )
+
+    record(errors, np.flatnonzero(np.any(bad_cells, axis=1)), error)
 
 
 # Per estimator: the stratum of its outcome and propensity models (its
@@ -118,36 +158,48 @@ def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> 
     each row counted with its weight, g and w per cell; w is 0 off the
     weighted rows. phi, chi and psi differ only in the entries of _AIPW. A
     row's influence value is (n/n0) [w (y - g) + (g - value) 1{s=0}].
+    On a reweighted table every weight vector gets its own estimate, row by
+    row; those whose nuisance fits failed are carried along as failed.
     """
     stratum, weighted, weight = aipw_weighting(name, a, t.s, t.a)
     s0 = t.s == 0
-    n0 = t.n_emulation
+    count, y_sum = t.count, t.y_sum
     g = nu.outcome_mean(t.x, a, stratum)
     e = nu.treatment_prob(t.x, a, stratum)
     p = nu.participation_prob(t.x)
-    live = weighted & (t.count > 0)
+    in_s0 = s0.astype(float)
+    n0 = np.vecdot(count, in_s0)
+    errors = list(nu.errors) or [None]
+    live = weighted & (count > 0)
     if name == "chi":
-        _positivity_check(t, p, live, f"chi({a}): participation probability")
-    _positivity_check(t, e, live, f"{name}({a}): {_AIPW[name][1]} for arm {a}")
-    w = np.zeros(t.count.size)
+        _positivity_check(t, p, live, f"chi({a}): participation probability", errors)
+    _positivity_check(t, e, live, f"{name}({a}): {_AIPW[name][1]} for arm {a}", errors)
+    if any(errors):
+        live &= np.array([err is None for err in errors]).reshape(*count.shape[:-1], 1)
+    w = np.zeros(count.shape)
     w[live] = weight(e[live], p[live])
     if hajek:
-        total = float(t.count @ w)
-        if total <= 0.0:
-            raise PositivityError(
+        total = np.vecdot(count, w)
+        record(
+            errors,
+            np.flatnonzero(np.atleast_1d(total <= 0.0)),
+            lambda r: PositivityError(
                 "renormalization impossible: weighted rows have zero total weight"
-            )
-        w *= n0 / total
+            ),
+        )
+        w *= (n0 / np.where(total > 0.0, total, n0))[..., None]
 
-    value = float((t.count[s0] @ g[s0] + w @ (t.y_sum - t.count * g)) / n0)
-    scale = float(np.sum(t.count)) / n0
+    fitted = count * g
+    value = (np.vecdot(fitted, in_s0) + np.vecdot(w, y_sum - fitted)) / n0
+    scale = (count.sum(axis=-1) / n0)[..., None]
     return EstimateWithIF(
         label=f"{name}({a})",
         value=value,
         table=t,
         alpha=scale * w,
-        beta=scale * (np.where(s0, g - value, 0.0) - w * g),
-        n_effective=int(n0),
+        beta=scale * (np.where(s0, g - value[..., None], 0.0) - w * g),
+        n_effective=n0,
+        errors=tuple(errors),
     )
 
 
@@ -190,7 +242,8 @@ def contrast(
         table=e1.table,
         alpha=e1.alpha - e2.alpha,
         beta=e1.beta - e2.beta,
-        n_effective=min(e1.n_effective, e2.n_effective),
+        n_effective=np.minimum(e1.n_effective, e2.n_effective),
+        errors=tuple(f or g for f, g in zip_longest(e1.errors, e2.errors)),
     )
 
 

@@ -1,10 +1,26 @@
 """Generalized linear model fits used for every nuisance function.
 
 Both fits take an explicit design matrix whose first column is the
-intercept. The logistic fit is Newton / iteratively reweighted least
-squares with step halving, so the (penalized) log-likelihood never
-decreases across accepted iterations. Convergence is declared on the
-score: every component of the gradient below ``tol`` in absolute value.
+intercept, and frequency weights. They fit a stack of weight vectors at
+once: ``fit_logistic_stack`` and ``fit_linear_stack`` take a (B, m) weight
+matrix, one row per fit of the shared (m, p) design, and return one model
+whose fields carry a leading axis of length B, together with the error each
+row's fit raised (None where it succeeded). ``fit_logistic`` and
+``fit_linear`` are the stack of one, and raise its error. Every reduction
+runs row by row (a stacked matmul, np.vecdot, a batched solve, or an
+elementwise product summed over the last axis) on row-contiguous arrays,
+so a row's fit has the same bits whatever other rows share its stack.
+
+Before the rank decision and the solve, each non-intercept column whose
+largest magnitude lies outside [1/16, 16] is scaled by the power of two that
+brings it into [1, 2), and the coefficients are scaled back afterwards.
+Powers of two are exact, so a covariate multiplied by 1e200 or 1e-200 fits
+as the original does, and a {0, 1} or standard normal column is not touched.
+
+The logistic fit is Newton / iteratively reweighted least squares with step
+halving, so the (penalized) log-likelihood never decreases across accepted
+iterations. Convergence is declared on the score of the scaled problem:
+every component of the gradient below ``tol`` in absolute value.
 
 The optional ridge penalty applies to slopes only, never the intercept,
 and exists as an explicit fallback for near-separated resamples; by
@@ -17,11 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, SeparationError, SingularDesignError
+from .errors import DegenerateFitError, SeparationError, SingularDesignError, record
 
 # Probabilities are kept strictly inside (0, 1) so weights stay finite.
 _PROB_LO = 1e-300
 _PROB_HI = float(np.nextafter(1.0, 0.0))
+# Fitted probabilities this close to their labels count as separated.
+_SEPARATION_EPS = 1e-7
+# Halvings of a Newton step before the fit counts as stagnated.
+_HALVINGS = 40
+_EPS = float(np.finfo(float).eps)
 
 
 def expit(x: np.ndarray) -> np.ndarray:
@@ -31,8 +52,14 @@ def expit(x: np.ndarray) -> np.ndarray:
     no floating-point error state has to be silenced. With e = exp(-|x|) in
     [0, 1], the result is 1 / (1 + e) for x >= 0 and e / (1 + e) below 0.
     """
-    e = np.exp(np.copysign(x, -1.0))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return _expit(x, np.exp(np.copysign(x, -1.0)))
+
+
+def _expit(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """expit(x), given e = exp(-|x|)."""
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
+    return out
 
 
 def add_intercept(x: np.ndarray) -> np.ndarray:
@@ -52,50 +79,183 @@ def _first_dependent_column(design: np.ndarray) -> int:
     return design.shape[1] - 1
 
 
-def _check_design(design: np.ndarray, n: float, what: str) -> np.ndarray:
-    """Validate a design; ``n`` is its row count, or its total weight."""
-    p = design.shape[1]
-    if n < p:
-        raise ValueError(f"{what}: {n:g} rows cannot identify {p} coefficients")
-    if not np.all(np.isfinite(design)):
-        raise ValueError(f"{what}: design contains non-finite values")
-    if np.linalg.matrix_rank(design) < p:
-        j = _first_dependent_column(design)
-        raise SingularDesignError(
-            f"{what}: design column {j} is linearly dependent on earlier columns"
+# Columns whose largest magnitude lies in this band are fitted as they are:
+# their scale already suits the rank decision and the normal equations, and
+# leaving them alone spares a copy of the design.
+_UNSCALED_BAND = (2.0**-4, 2.0**4)
+
+
+def _column_scales(design: np.ndarray) -> np.ndarray | None:
+    """Per column, 1 for the intercept, for a column of zeros and for one
+    whose largest magnitude lies in _UNSCALED_BAND; otherwise the power of
+    two that brings that magnitude into [1, 2). None when every column is
+    left as it is. The design must be finite."""
+    lo, hi = _UNSCALED_BAND
+    m, p = design.shape
+    # A reduction down the columns is quick on few cells; on many, one column
+    # at a time is. The maximum is exact either way.
+    if m <= 1024:
+        top = np.abs(design).max(axis=0, initial=0.0).tolist()
+    else:
+        top = [float(np.abs(design[:, j]).max()) for j in range(p)]
+    kept = [j == 0 or v == 0.0 or lo <= v <= hi for j, v in enumerate(top)]
+    if all(kept):
+        return None
+    scales = np.ldexp(1.0, np.clip(1 - np.frexp(top)[1], -1022, 1023))
+    scales[kept] = 1.0
+    return scales
+
+
+def _linear(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(B, m) linear predictors of the (B, p) coefficient rows."""
+    return np.matmul(design, beta[:, :, None])[:, :, 0]
+
+
+def _score(design: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """(B, p) design' residual of each (B, m) residual row."""
+    return np.matmul(residual[:, None, :], design)[:, 0, :]
+
+
+# From this many cells on, the Gram matrices of a design come from its
+# column-pair products, formed once; on fewer, forming them costs more than
+# it saves.
+_PAIR_PRODUCTS_FROM = 256
+
+
+class _Gram:
+    """design' diag(w) design for (B, m) weight rows w. On many cells it
+    uses the products of the design's column pairs j <= k, formed once per
+    design, so that each row's matrix is one matrix-vector product over the
+    cells. Which way is fixed by the design alone, so a row gets the same
+    bits in any stack."""
+
+    def __init__(self, design: np.ndarray) -> None:
+        self.design, self.p = design, design.shape[1]
+        if design.shape[0] < _PAIR_PRODUCTS_FROM:
+            self.products = None
+            return
+        pairs = [(j, k) for j in range(self.p) for k in range(j, self.p)]
+        position = {pair: n for n, pair in enumerate(pairs)}
+        self.entries = np.array(
+            [position[min(j, k), max(j, k)] for j in range(self.p) for k in range(self.p)]
         )
-    return design
+        self.products = np.array([design[:, j] * design[:, k] for j, k in pairs])
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        if self.products is None:
+            return np.matmul(self.design.T, w[:, :, None] * self.design)
+        sums = np.matmul(self.products, w[:, :, None])[:, :, 0]
+        return sums[:, self.entries].reshape(w.shape[0], self.p, self.p)
 
 
-def _weighted_rows(
-    design: np.ndarray, response: np.ndarray, weights: np.ndarray | None, what: str, name: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Checked (design, response, weights, total weight) over the rows of positive weight.
+def _solve(hessian: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """hessian^-1 score per stack row, and which rows have a singular hessian
+    (their step is 0), or None when none has. One singular row makes the
+    batched solve raise, so the rows are then solved one at a time, which
+    gives each the same bits."""
+    try:
+        return np.linalg.solve(hessian, score[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(score)
+    singular = np.zeros(len(score), dtype=bool)
+    for r in range(len(score)):
+        try:
+            step[r] = np.linalg.solve(hessian[r : r + 1], score[r : r + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[r] = True
+    return step, singular
+
+
+def _check_rank(design: np.ndarray, occupied: np.ndarray, errors: list, what: str) -> None:
+    """Fail each row whose occupied design rows have rank below p, by the
+    np.linalg.matrix_rank rule on those rows (singular values above
+    max(singular value) * max(rows, p) * eps)."""
+    rows = np.flatnonzero([e is None for e in errors])
+    if rows.size == 0:
+        return
+    occ = occupied if rows.size == len(errors) else occupied[rows]
+    m, p = design.shape
+    # Cells of weight 0 are zeroed, which leaves the singular values of the
+    # occupied rows; a fully occupied row passes the design itself.
+    if occ.all():
+        zeroed = np.broadcast_to(design, (rows.size, m, p)) if rows.size > 1 else design[None]
+        size = max(m, p)
+    else:
+        zeroed = design * occ[:, :, None]
+        size = np.maximum(occ.sum(axis=1), p)
+    values = np.linalg.svd(zeroed, compute_uv=False)  # descending
+    tol = values[:, 0] * size * _EPS
+    deficient = rows[(values > tol[:, None]).sum(axis=1) < p]
+    if deficient.size:
+        record(errors, deficient, lambda r: _singular(design[occupied[r]], what))
+
+
+def _singular(design: np.ndarray, what: str) -> SingularDesignError:
+    j = _first_dependent_column(design)
+    return SingularDesignError(
+        f"{what}: design column {j} is linearly dependent on earlier columns"
+    )
+
+
+def _prepare(
+    design: np.ndarray, response: np.ndarray, weights: np.ndarray, what: str, name: str
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """Checked stack: (scaled design, column scales or None, response and
+    weights as (B, m), which cells have weight, total weight per row, error
+    per row).
 
     Frequency weights: a row of weight w counts as w copies of itself, and a
-    row of weight 0 takes no part in the fit or in any of its checks. Without
-    weights every row has weight 1.
+    row of weight 0 takes no part in the fit or in any of its checks. Each
+    check fails only the stack rows it concerns.
     """
     design = np.ascontiguousarray(design, dtype=float)
     if design.ndim != 2:
         raise ValueError(f"{what}: design must be 2-d, got shape {design.shape}")
-    y = np.asarray(response, dtype=float)
-    n = design.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"{what}: {name} shape {y.shape} does not match {n} rows")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"{what}: weights shape {w.shape} does not match {n} rows")
-        if not np.all(np.isfinite(w) & (w >= 0.0)):
-            raise ValueError(f"{what}: weights must be finite and non-negative")
-        occupied = w > 0.0
-        if not np.all(occupied):
-            design, y, w = design[occupied], y[occupied], w[occupied]
-    total = float(n) if weights is None else float(np.sum(w))
-    return _check_design(design, total, what), y, w, total
+    m, p = design.shape
+    # Row-contiguous stacks: a matrix product picks its kernel by memory
+    # layout, and each row must meet the same kernel in any stack.
+    w = np.ascontiguousarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != m:
+        raise ValueError(f"{what}: weights shape {w.shape} does not match {m} rows")
+    y = np.ascontiguousarray(response, dtype=float)
+    if y.shape not in ((m,), w.shape):
+        raise ValueError(f"{what}: {name} shape {y.shape} does not match {m} rows")
+    y = y[None] if y.shape == (m,) and len(w) == 1 else np.broadcast_to(y, w.shape)
+
+    errors: list = [None] * w.shape[0]
+    total = w.sum(axis=1)
+    # NaN fails w >= 0 and an infinite weight makes the total infinite.
+    if not (w.min(initial=0.0) >= 0.0 and np.isfinite(total).all()):
+        valid = np.all(w >= 0.0, axis=1) & np.isfinite(total)
+        record(
+            errors,
+            np.flatnonzero(~valid),
+            lambda r: ValueError(f"{what}: weights must be finite and non-negative"),
+        )
+        w = np.where(valid[:, None], w, 0.0)
+        total = w.sum(axis=1)
+    occupied = w > 0.0
+    small = total < p
+    if small.any():
+        record(
+            errors,
+            np.flatnonzero(small),
+            lambda r: ValueError(f"{what}: {total[r]:g} rows cannot identify {p} coefficients"),
+        )
+    if not np.isfinite(design).all():
+        finite = np.all(np.isfinite(design), axis=1)
+        record(
+            errors,
+            np.flatnonzero(np.any(occupied & ~finite, axis=1)),
+            lambda r: ValueError(f"{what}: design contains non-finite values"),
+        )
+        design = np.where(finite[:, None], design, 0.0)
+    scales = _column_scales(design)
+    if scales is not None:
+        design = design * scales
+    _check_rank(design, occupied, errors, what)
+    return design, scales, y, w, occupied, total, errors
 
 
 @dataclass(frozen=True)
@@ -106,7 +266,9 @@ class LogisticModel:
     the covariate columns the model was fitted on (zeros where a column was
     deliberately omitted, see nuisance.fit_nuisances). ``loglik_trace``
     records the penalized log-likelihood at the start and after each
-    accepted update; it is non-decreasing by construction.
+    accepted update; it is non-decreasing by construction. A stack of fits
+    holds arrays with a leading axis, one entry per fit (the trace padded
+    with NaN); ``row`` takes one fit out.
     """
 
     coefficients: np.ndarray
@@ -120,13 +282,19 @@ class LogisticModel:
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
 
+    def row(self, r: int) -> "LogisticModel":
+        """Fit ``r`` of a stack of fits."""
+        iterations = int(self.iterations[r])
+        return LogisticModel(
+            coefficients=self.coefficients[r],
+            converged=bool(self.converged[r]),
+            iterations=iterations,
+            log_likelihood=float(self.log_likelihood[r]),
+            loglik_trace=tuple(self.loglik_trace[r, : iterations + 1].tolist()),
+        )
+
     def linear_predictor(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.coefficients.size - 1:
-            raise ValueError(
-                f"model has {self.coefficients.size - 1} covariates, input has {x.shape[1]}"
-            )
-        return self.coefficients[0] + x @ self.coefficients[1:]
+        return _predictor(self.coefficients, x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Event probabilities for (m, k) covariates, strictly inside (0, 1)."""
@@ -135,7 +303,10 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Fitted linear regression with homoskedastic residual variance."""
+    """Fitted linear regression with homoskedastic residual variance.
+
+    A stack of fits holds arrays with a leading axis, one entry per fit.
+    """
 
     coefficients: np.ndarray
     residual_variance: float
@@ -145,13 +316,12 @@ class LinearModel:
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
 
+    def row(self, r: int) -> "LinearModel":
+        """Fit ``r`` of a stack of fits."""
+        return LinearModel(self.coefficients[r], float(self.residual_variance[r]))
+
     def linear_predictor(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.coefficients.size - 1:
-            raise ValueError(
-                f"model has {self.coefficients.size - 1} covariates, input has {x.shape[1]}"
-            )
-        return self.coefficients[0] + x @ self.coefficients[1:]
+        return _predictor(self.coefficients, x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.linear_predictor(x)
@@ -160,22 +330,57 @@ class LinearModel:
 Model = LogisticModel | LinearModel
 
 
+def _predictor(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Linear predictor of (m, k) covariates: (m,) for one fit, (B, m) for a stack."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != coefficients.shape[-1] - 1:
+        raise ValueError(
+            f"model has {coefficients.shape[-1] - 1} covariates, input has {x.shape[1]}"
+        )
+    return np.matmul(x, coefficients[..., 1:, None])[..., 0] + coefficients[..., :1]
+
+
+def _only(model: Model, errors: list) -> Model:
+    """The single fit of a stack of one, or the error it raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return model.row(0)
+
+
+def _stack_of_one(design: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    if weights is None:
+        return np.ones((1, len(design)))
+    return np.asarray(weights, dtype=float)[None]
+
+
 def _penalized_loglik(
-    eta: np.ndarray, wy: np.ndarray, w: np.ndarray, beta: np.ndarray, ridge: float
-) -> float:
+    eta: np.ndarray, wy: np.ndarray, w: np.ndarray, beta: np.ndarray, penalty: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the log-likelihood at ``eta``, less the ridge penalty when
+    ``penalty`` is given; and exp(-|eta|), which expit of the same eta reuses."""
     # log L = sum w*[y*eta - log(1 + exp(eta))], with the softplus
     # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)) computed stably.
-    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-    ll = float(wy @ eta - w @ softplus)
-    if ridge > 0.0:
-        ll -= 0.5 * ridge * float(beta[1:] @ beta[1:])
-    return ll
+    e = np.exp(np.copysign(eta, -1.0))
+    softplus = np.log1p(e)
+    softplus += np.maximum(eta, 0.0)
+    ll = np.vecdot(wy, eta) - np.vecdot(w, softplus)
+    if penalty is not None:
+        ll -= 0.5 * (penalty * beta * beta).sum(axis=-1)
+    return ll, e
 
 
-def _numerically_separated(y: np.ndarray, mu: np.ndarray, eps: float = 1e-7) -> bool:
-    # Every fitted probability pinned to its label means the current
-    # coefficient direction classifies perfectly, so the MLE is at infinity.
-    return bool(np.all(np.where(y == 1.0, mu > 1.0 - eps, mu < eps)))
+def _separated(one: np.ndarray, mu: np.ndarray, free: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which of the candidate ``rows`` have every fitted probability pinned
+    to its label (``one`` marks label 1, ``free`` the cells of weight 0,
+    which take no part): the current coefficient direction then classifies
+    perfectly, so the MLE is at infinity."""
+    out = np.zeros(rows.shape, dtype=bool)
+    if rows.any():
+        pick = slice(None) if rows.all() else rows
+        pinned = np.where(one[pick], mu[pick] > 1.0 - _SEPARATION_EPS, mu[pick] < _SEPARATION_EPS)
+        pinned |= free[pick]
+        out[pick] = pinned.all(axis=-1)
+    return out
 
 
 def fit_logistic(
@@ -190,97 +395,211 @@ def fit_logistic(
 
     ``design`` is (n, p) with the intercept in column 0; ``labels`` in {0, 1}
     and must contain both classes. ``weights`` are optional frequency
-    weights, one per row (see _weighted_rows). ``ridge`` > 0 penalizes
-    slopes only and disables the separation check (the penalized optimum is
-    always finite). Raises SeparationError naming the iteration when the
-    likelihood has no finite maximizer, SingularDesignError for
-    rank-deficient designs, and DegenerateFitError for single-class labels.
+    weights, one per row. ``ridge`` > 0 penalizes slopes only and disables
+    the separation check (the penalized optimum is always finite). Raises
+    SeparationError naming the iteration when the likelihood has no finite
+    maximizer, SingularDesignError for rank-deficient designs, and
+    DegenerateFitError for single-class labels. The stack of one of
+    fit_logistic_stack.
     """
-    design, y, wt, _ = _weighted_rows(design, labels, weights, "logistic fit", "labels")
-    p = design.shape[1]
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("logistic fit: labels must be 0 or 1")
-    if np.all(y == y[0]):
-        raise DegenerateFitError(
-            f"logistic fit: labels are single-class (all {int(y[0])})"
-        )
+    return _only(
+        *fit_logistic_stack(design, labels, _stack_of_one(design, weights), max_iter, tol, ridge)
+    )
+
+
+def fit_logistic_stack(
+    design: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    max_iter: int = 100,
+    tol: float = 1e-8,
+    ridge: float = 0.0,
+) -> tuple[LogisticModel, list]:
+    """One logistic fit per row of the (B, m) ``weights``, on the shared design.
+
+    ``labels`` are (m,), or (B, m) with one label vector per row. Returns the
+    stack of fits and, per row, the error its fit alone would raise (None
+    where it succeeded; that row's coefficients are then 0). Each row keeps
+    its own checks, step halving and convergence test.
+    """
     if ridge < 0.0:
         raise ValueError("logistic fit: ridge penalty must be non-negative")
+    x, scales, y, w, occupied, total, errors = _prepare(
+        design, labels, weights, "logistic fit", "labels"
+    )
+    one, zero = y == 1.0, y == 0.0
+    nonbinary = ~(one | zero)
+    if nonbinary.any():
+        record(
+            errors,
+            np.flatnonzero(np.any(nonbinary & occupied, axis=1)),
+            lambda r: ValueError("logistic fit: labels must be 0 or 1"),
+        )
+    both = (zero & occupied).any(axis=1) & (one & occupied).any(axis=1)
+    if not both.all():
+        record(
+            errors,
+            np.flatnonzero(~both),
+            lambda r: DegenerateFitError(
+                f"logistic fit: labels are single-class (all {int(y[r][occupied[r]][0])})"
+            ),
+        )
 
+    count, p = w.shape[0], x.shape[1]
     penalty = np.zeros(p)
-    penalty[1:] = ridge  # intercept never penalized
-    wy = wt * y
+    if ridge > 0.0:
+        # Intercept never penalized; the slopes of scaled columns scale back.
+        penalty[1:] = ridge * (1.0 if scales is None else scales[1:] ** 2)
+    ridge_penalty = penalty if ridge > 0.0 else None
+    gram = _Gram(x)
+    wy, free = w * y, ~occupied
+    # Only a row whose log-likelihood exceeds this can be separated: a cell
+    # of weight v pinned to its label adds more than v log(1 - eps) > -1.01 v eps.
+    # The separation check is off under a ridge penalty.
+    floor = -2.0 * _SEPARATION_EPS * total if ridge == 0.0 else np.full(count, np.inf)
+    beta = np.zeros((count, p))
+    ll = -np.log(2.0) * total  # at eta = 0 every cell's softplus is log 2
+    trace = np.full((count, max_iter + 1), np.nan)
+    trace[:, 0] = ll
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.zeros(count, dtype=int)
 
-    beta = np.zeros(p)
-    eta = design @ beta
-    ll = _penalized_loglik(eta, wy, wt, beta, ridge)
-    trace = [ll]
-    converged = False
-    iterations = 0
-
+    # The rows still iterating, and their (rows, m) arrays, compacted
+    # whenever some rows stop; e is exp(-|eta|), kept for expit.
+    active = np.flatnonzero([e is None for e in errors])
+    rows = [w, wy, one, free] if active.size == count else [a[active] for a in (w, wy, one, free)]
+    eta, e = np.zeros((active.size, w.shape[1])), np.ones((active.size, w.shape[1]))
+    settle = []  # rows that stopped without converging
     for it in range(1, max_iter + 1):
-        mu = expit(eta)
-        w = wt * (mu * (1.0 - mu))
-        if not np.all(np.isfinite(w)):
-            raise SeparationError(
-                f"logistic fit: non-finite working weights at iteration {it}"
-            )
-        if ridge == 0.0 and _numerically_separated(y, mu):
-            raise SeparationError(
-                f"logistic fit: complete separation detected at iteration {it}"
-            )
-        score = design.T @ (wy - wt * mu) - penalty * beta
-        if np.max(np.abs(score)) < tol:
-            converged = True
-            iterations = it - 1
+        if active.size == 0:
             break
-        hessian = (design * w[:, None]).T @ design + np.diag(penalty)
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError:
-            raise SeparationError(
-                f"logistic fit: singular working Hessian at iteration {it}"
-            ) from None
-
-        # Step halving keeps the penalized log-likelihood non-decreasing.
-        slack = 1e-12 * (1.0 + abs(ll))
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            candidate = beta + scale * step
-            eta_new = design @ candidate
-            ll_new = _penalized_loglik(eta_new, wy, wt, candidate, ridge)
-            if ll_new >= ll - slack:
-                improved = True
+        sel = active if active.size < count else slice(None)
+        w_a, wy_a, one_a, free_a = rows
+        mu = _expit(eta, e)
+        residual = w_a * mu
+        np.subtract(wy_a, residual, out=residual)
+        score = _score(x, residual)
+        if ridge > 0.0:
+            score -= penalty * beta[sel]
+        # A NaN score component shows a non-finite mu, and with it
+        # non-finite working weights w mu (1 - mu).
+        largest = np.abs(score).max(axis=1)
+        candidates = ll[sel] > floor[sel]
+        if candidates.any() or not (largest >= tol).all():
+            if not candidates.any() and (largest < tol).all():  # every row converged
+                converged[active] = True
+                iterations[active] = it - 1
+                active = active[:0]
                 break
-            scale *= 0.5
-        if not improved:
-            iterations = it - 1  # stagnated at float resolution
-            break
-        beta = candidate
-        eta = eta_new
-        ll = ll_new
-        trace.append(ll)
-        iterations = it
-    else:
-        iterations = max_iter
-
-    if not converged:
-        mu = expit(eta)
-        if ridge == 0.0 and _numerically_separated(y, mu):
-            raise SeparationError(
-                f"logistic fit: complete separation detected at iteration {iterations}"
+            stop = np.isnan(largest)
+            record(
+                errors,
+                active[stop],
+                lambda r: SeparationError(
+                    f"logistic fit: non-finite working weights at iteration {it}"
+                ),
             )
-        score = design.T @ (wy - wt * mu) - penalty * beta
-        converged = bool(np.max(np.abs(score)) < tol)
+            separated = _separated(one_a, mu, free_a, candidates & ~stop)
+            record(
+                errors,
+                active[separated],
+                lambda r: SeparationError(
+                    f"logistic fit: complete separation detected at iteration {it}"
+                ),
+            )
+            done = (largest < tol) & ~separated
+            go = ~(stop | separated | done)
+            converged[active[done]] = True
+            iterations[active[done]] = it - 1
+            if not go.any():
+                active = active[:0]
+                break
+            active, eta, e, mu, score = active[go], eta[go], e[go], mu[go], score[go]
+            rows = [a[go] for a in rows]
+            sel = active
+        working = 1.0 - mu
+        working *= mu
+        working *= rows[0]
+        hessian = gram(working)
+        if ridge > 0.0:
+            hessian += np.diag(penalty)
+        step, singular = _solve(hessian, score)
+        if singular is not None:
+            record(
+                errors,
+                active[singular],
+                lambda r: SeparationError(
+                    f"logistic fit: singular working Hessian at iteration {it}"
+                ),
+            )
+            active, eta, e, step = active[~singular], eta[~singular], e[~singular], step[~singular]
+            rows = [a[~singular] for a in rows]
+            sel = active
 
-    return LogisticModel(
-        coefficients=beta,
+        # Step halving keeps each row's penalized log-likelihood non-decreasing.
+        # The rows still trying after h halvings all take start + 0.5^h step.
+        w_a, wy_a = rows[0], rows[1]
+        start, least = beta[sel], ll[sel] - 1e-12 * (1.0 + np.abs(ll[sel]))
+        candidate = start + step
+        eta_new = _linear(x, candidate)
+        ll_new, e_new = _penalized_loglik(eta_new, wy_a, w_a, candidate, ridge_penalty)
+        up = ll_new >= least
+        if up.all():  # every row took its whole step
+            beta[sel], ll[sel], trace[sel, it], iterations[sel] = candidate, ll_new, ll_new, it
+            eta, e = eta_new, e_new
+            continue
+        trying, fraction = np.arange(active.size), 1.0
+        for halving in range(_HALVINGS):
+            if halving:
+                eta_new = _linear(x, candidate)
+                ll_new, e_new = _penalized_loglik(
+                    eta_new, wy_a[trying], w_a[trying], candidate, ridge_penalty
+                )
+                up = ll_new >= least[trying]
+            moved = active[trying[up]]
+            beta[moved], ll[moved], trace[moved, it] = candidate[up], ll_new[up], ll_new[up]
+            iterations[moved] = it
+            eta[trying[up]], e[trying[up]] = eta_new[up], e_new[up]
+            trying = trying[~up]
+            if trying.size == 0:
+                break
+            fraction *= 0.5
+            candidate = start[trying] + fraction * step[trying]
+        else:
+            iterations[active[trying]] = it - 1  # stagnated at float resolution
+            settle.append(active[trying])
+            keep = np.ones(active.size, dtype=bool)
+            keep[trying] = False
+            active, eta, e = active[keep], eta[keep], e[keep]
+            rows = [a[keep] for a in rows]
+    settle.append(active)  # ran out of iterations
+
+    stopped = np.concatenate(settle)
+    if stopped.size:
+        mu = expit(_linear(x, beta[stopped]))
+        separated = _separated(one[stopped], mu, free[stopped], ll[stopped] > floor[stopped])
+        record(
+            errors,
+            stopped[separated],
+            lambda r: SeparationError(
+                f"logistic fit: complete separation detected at iteration {iterations[r]}"
+            ),
+        )
+        score = _score(x, wy[stopped] - w[stopped] * mu) - penalty * beta[stopped]
+        converged[stopped] = np.abs(score).max(axis=1) < tol
+
+    failed = np.array([e is not None for e in errors])
+    if failed.any():
+        beta[failed] = 0.0
+        converged[failed] = False
+    model = LogisticModel(
+        coefficients=beta if scales is None else beta * scales,
         converged=converged,
         iterations=iterations,
         log_likelihood=ll,
-        loglik_trace=tuple(trace),
+        loglik_trace=trace,
     )
+    return model, errors
 
 
 def fit_linear(
@@ -288,21 +607,62 @@ def fit_linear(
 ) -> LinearModel:
     """Least squares on an explicit design (intercept in column 0).
 
-    ``weights`` are optional frequency weights, one per row (see
-    _weighted_rows). Residual variance is the weighted RSS / (n - p), n the
-    total weight; defined as 0 when the fit interpolates (n == p). Rank
-    deficiency raises SingularDesignError naming the first dependent column.
+    ``weights`` are optional frequency weights, one per row. Residual
+    variance is the weighted RSS / (n - p), n the total weight; defined as 0
+    when the fit interpolates (n == p). Rank deficiency raises
+    SingularDesignError naming the first dependent column. The stack of one
+    of fit_linear_stack.
     """
-    design, y, w, n = _weighted_rows(design, response, weights, "linear fit", "response")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("linear fit: response contains non-finite values")
+    return _only(*fit_linear_stack(design, response, _stack_of_one(design, weights)))
 
-    root = np.sqrt(w)
-    beta, _, _, _ = np.linalg.lstsq(design * root[:, None], y * root, rcond=None)
-    residuals = y - design @ beta
-    df = n - design.shape[1]
-    variance = float((w * residuals) @ residuals / df) if df > 0 else 0.0
-    return LinearModel(coefficients=beta, residual_variance=variance)
+
+def fit_linear_stack(
+    design: np.ndarray, response: np.ndarray, weights: np.ndarray
+) -> tuple[LinearModel, list]:
+    """One weighted least-squares fit per row of the (B, m) ``weights``.
+
+    ``response`` is (m,), or (B, m) with one response vector per row. The
+    normal equations of each row are solved on the scaled design. Returns
+    the stack of fits and, per row, the error its fit alone would raise
+    (None where it succeeded; that row's coefficients are then 0).
+    """
+    x, scales, y, w, occupied, total, errors = _prepare(
+        design, response, weights, "linear fit", "response"
+    )
+    nonfinite = ~np.isfinite(y)
+    if nonfinite.any():
+        record(
+            errors,
+            np.flatnonzero(np.any(occupied & nonfinite, axis=1)),
+            lambda r: ValueError("linear fit: response contains non-finite values"),
+        )
+    rows = np.flatnonzero([e is None for e in errors])
+    every = rows.size == len(errors)
+    if not every:
+        w, y, occupied = w[rows], y[rows], occupied[rows]
+    y = np.where(occupied, y, 0.0)
+    # An overflow here leaves a non-finite residual variance, which the
+    # callers that need it finite (nuisance.fit_cells) reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, singular = _solve(_Gram(x)(w), _score(x, w * y))
+        residuals = y - _linear(x, beta)
+        rss = np.vecdot(w * residuals, residuals)
+    df = total[rows] - x.shape[1]
+    variance = np.divide(rss, df, out=np.zeros(rows.size), where=df > 0)
+    if singular is not None:
+        record(errors, rows[singular], lambda r: _singular(x[occupied[r]], "linear fit"))
+        beta[singular], variance[singular] = 0.0, 0.0
+    if not every:
+        beta, variance = _scatter(beta, rows, len(errors)), _scatter(variance, rows, len(errors))
+    coefficients = beta if scales is None else beta * scales
+    return LinearModel(coefficients=coefficients, residual_variance=variance), errors
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``values`` of ``rows`` placed in ``count`` rows of zeros."""
+    out = np.zeros((count, *values.shape[1:]))
+    out[rows] = values
+    return out
 
 
 def coefficient_covariance(
@@ -310,15 +670,25 @@ def coefficient_covariance(
 ) -> np.ndarray:
     """Model-based covariance of the coefficients on the fitting design.
 
-    ``weights`` are the fit's frequency weights, one per row (see
-    _weighted_rows). Logistic: inverse observed information at the fit.
-    Linear: residual variance times (X'WX)^{-1}.
+    ``weights`` are the fit's frequency weights, one per row. Logistic:
+    inverse observed information at the fit. Linear: residual variance times
+    (X'WX)^{-1}. The inverse is taken on the design with its columns scaled
+    as in the fits, then scaled back.
     """
     design = np.asarray(design, dtype=float)
     w = np.ones(design.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    factor = 1.0
     if isinstance(model, LogisticModel):
         mu = expit(design @ model.coefficients)
         w = w * np.clip(mu * (1.0 - mu), 1e-300, None)
-        return np.linalg.inv((design * w[:, None]).T @ design)
-    info = (design * w[:, None]).T @ design
-    return model.residual_variance * np.linalg.inv(info)
+    else:
+        factor = model.residual_variance
+    scales = _column_scales(design)
+    scaled = design if scales is None else design * scales
+    cov = factor * np.linalg.inv((scaled * w[:, None]).T @ scaled)
+    if scales is None:
+        return cov
+    # An entry whose value lies beyond the float range, such as the variance
+    # of the slope of a covariate of size 1e-200, comes out infinite.
+    with np.errstate(over="ignore"):
+        return cov * scales[:, None] * scales

@@ -7,7 +7,12 @@ values are held per cell, so that variance comes from cell sums without
 expanding them to rows. The bootstrap route resamples rows within each
 study separately, matching how the composite sample was drawn, and refits
 every nuisance model per replicate, on cell counts rather than on a copy
-of the resampled rows.
+of the resampled rows. The replicates are fitted together, a chunk at a
+time: each chunk is a (replicates, cells) matrix of counts on the
+dataset's cell table, and one Newton loop and one least-squares solve fit
+every model for all its rows. Every reduction runs row by row, so a
+replicate's values do not depend on which replicates share its chunk, or
+on the chunk size.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -164,27 +169,66 @@ def run_replicates(
     return results, failures
 
 
+class _Draws:
+    """How often each bootstrap replicate of ``indices`` draws each row, as a
+    sequence: item r is drawn anew from replicate indices[r]'s keyed stream,
+    trial rows then emulation rows, each with replacement."""
+
+    def __init__(self, d: Dataset, seed: int, indices: Sequence[int]) -> None:
+        self.strata = (np.flatnonzero(d.s == 1), np.flatnonzero(d.s == 0))
+        self.n = d.n
+        self.seed = seed
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, r: int) -> np.ndarray:
+        rng = _replicate_rng(self.seed, self.indices[r])
+        drawn = [rows[rng.integers(0, rows.size, rows.size)] for rows in self.strata]
+        return np.bincount(np.concatenate(drawn), minlength=self.n).astype(float)
+
+
+# A chunk of replicates is fitted as one stack, whose largest arrays hold
+# chunk * cells * coefficients floats; this bounds that product.
+_CHUNK_FLOATS = 2**18
+
+
+def bootstrap_chunk(
+    d: Dataset, plan: AnalysisPlan, seed: int, indices: Sequence[int]
+) -> list[dict[str, float] | Exception]:
+    """Bootstrap replicates ``indices``, fitted together: per replicate its
+    values, or the error its analysis raised.
+
+    Every replicate is a row of counts on the dataset's cell table, and
+    every nuisance fit and estimate runs on all the rows at once, row by
+    row, so a replicate's values have the same bits whichever replicates
+    share its chunk.
+    """
+    table = cell_table(d, plan.outcome_kind).reweight(_Draws(d, seed, indices))
+    nu = fit_nuisances(table, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
+    estimates = run_plan_with(table, nu, plan)
+    out: list[dict[str, float] | Exception] = []
+    for r in range(len(indices)):
+        error = next((e.errors[r] for e in estimates.values() if e.errors[r]), None)
+        out.append(error or {label: float(e.value[r]) for label, e in estimates.items()})
+    return out
+
+
 def bootstrap_replicate(
     d: Dataset, plan: AnalysisPlan, seed: int, index: int
 ) -> dict[str, float]:
     """One stratified resample and re-analysis; raises FitError on failure.
 
     The resample draws trial rows, then emulation rows, with replacement.
-    Its analysis runs on the dataset's cell table with each row weighted by
-    the number of times it was drawn, which equals the analysis of the
-    resampled rows themselves.
+    Its analysis runs on the dataset's cell table with each row counted as
+    often as it was drawn, which equals the analysis of the resampled rows
+    themselves. It is the chunk of one of bootstrap_chunk.
     """
-    rng = _replicate_rng(seed, index)
-    trial_rows = np.flatnonzero(d.s == 1)
-    emulation_rows = np.flatnonzero(d.s == 0)
-    take_trial = trial_rows[rng.integers(0, trial_rows.size, trial_rows.size)]
-    take_emulation = emulation_rows[
-        rng.integers(0, emulation_rows.size, emulation_rows.size)
-    ]
-    draws = np.bincount(np.concatenate([take_trial, take_emulation]), minlength=d.n)
-    table = cell_table(d, plan.outcome_kind).reweight(draws)
-    nu = fit_nuisances(table, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
-    return {label: e.value for label, e in run_plan_with(table, nu, plan).items()}
+    (out,) = bootstrap_chunk(d, plan, seed, [index])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def bootstrap(
@@ -192,16 +236,28 @@ def bootstrap(
 ) -> dict[str, BootstrapResult]:
     """Stratified nonparametric bootstrap of every quantity in the plan.
 
-    Replicates that fail to fit (separation, positivity, degenerate strata)
-    are dropped and counted; more than B/2 failures aborts. Results are
+    Replicates are fitted in chunks by bootstrap_chunk. A replicate that
+    fails there is rerun alone by bootstrap_replicate, which raises its
+    error: fit failures (separation, positivity, degenerate strata) are
+    dropped and counted, and more than B/2 of them aborts. Results are
     bit-identical for a given (d, plan, B, seed) regardless of execution
-    order because each replicate owns an index-keyed RNG stream.
+    order and chunking, because each replicate owns an index-keyed RNG
+    stream and is fitted row by row.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
-    results, failures = run_replicates(
-        lambda i: bootstrap_replicate(d, plan, seed, i), B, "bootstrap"
-    )
+    t = cell_table(d, plan.outcome_kind)
+    chunk = max(1, _CHUNK_FLOATS // (t.s.size * (t.k + 1)))
+    pending: dict[int, dict[str, float] | Exception] = {}
+
+    def replicate(i: int) -> dict[str, float]:
+        if i not in pending:
+            indices = range(i, min(i + chunk, B))
+            pending.update(zip(indices, bootstrap_chunk(d, plan, seed, indices)))
+        out = pending.pop(i)
+        return bootstrap_replicate(d, plan, seed, i) if isinstance(out, Exception) else out
+
+    results, failures = run_replicates(replicate, B, "bootstrap")
     return {
         label: BootstrapResult(
             label=label,

@@ -25,8 +25,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import CellTable, Dataset, cell_table
-from .errors import ConfigError, DegenerateFitError, DomainError, FitError
-from .glm import LogisticModel, Model, add_intercept, fit_linear, fit_logistic
+from .errors import ConfigError, DegenerateFitError, DomainError, FitError, record
+from .glm import (
+    LogisticModel,
+    Model,
+    add_intercept,
+    fit_linear,
+    fit_linear_stack,
+    fit_logistic,
+    fit_logistic_stack,
+)
 
 OUTCOME_KINDS = ("continuous", "binary")
 STRATA = ("s0", "s1", "pooled")
@@ -48,7 +56,9 @@ class NuisanceSet:
     ``propensity`` maps stratum name to the Pr[a = 1 | ...] model;
     ``outcome`` maps (stratum, arm) to the arm-specific outcome regression.
     Coefficient vectors all have length k + 1 against the dataset's
-    covariate order (dropped covariates appear as zero slopes).
+    covariate order (dropped covariates appear as zero slopes). Fitted on a
+    reweighted table, every model is a stack of fits, one per weight vector,
+    and ``errors`` holds for each the first error its fits raised, or None.
     """
 
     participation: LogisticModel
@@ -57,6 +67,7 @@ class NuisanceSet:
     outcome_kind: str
     covariate_names: tuple[str, ...]
     dropped: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    errors: tuple[Exception | None, ...] = ()
 
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
         return self.participation.predict(x)
@@ -154,32 +165,57 @@ def fit_cells(
     labels: np.ndarray | None,
     tag: str,
     ridge: float = 0.0,
-) -> Model:
+) -> tuple[Model, list]:
     """Fit one model on the cells ``mask`` of ``t``, each weighted by its count.
 
     Given ``labels`` (0/1, one per cell of ``t``) the fit is logistic; without
     them it is the linear fit of the cell means, whose RSS also takes in the
     spread of the rows about their cell mean. Either way it is the fit on the
-    rows. A fit error is raised again with ``tag``, the model's name, prefixed.
+    rows. A fit error carries ``tag``, the model's name, as a prefix. On a
+    table of one count vector the error is raised and the second item is
+    [None]. On a reweighted table (see CellTable.reweight) every weight
+    vector gets its own fit: the model is a stack of fits, and the second
+    item holds, per weight vector, the error its fit raised or None.
     """
-    count = t.count[mask]
-    try:
+    count = t.count[..., mask]
+    if count.ndim == 1:
+        try:
+            if labels is not None:
+                model = fit_logistic(design, labels[mask], ridge=ridge, weights=count)
+            else:
+                model = fit_linear(design, t.y_mean[mask], weights=count)
+        except (FitError, ValueError) as exc:
+            raise _tagged(exc, tag) from exc
+        errors: list = [None]
+    else:
         if labels is not None:
-            return fit_logistic(design, labels[mask], ridge=ridge, weights=count)
-        model = fit_linear(design, t.y_mean[mask], weights=count)
-    except FitError as exc:
-        raise type(exc)(f"{tag}: {exc}") from exc
-    except ValueError as exc:
-        raise DegenerateFitError(f"{tag}: {exc}") from exc
-    df = float(np.sum(count)) - design.shape[1]
-    if df > 0:
-        model = replace(
-            model,
-            residual_variance=model.residual_variance + float(np.sum(t.y_ss[mask])) / df,
-        )
-    if not np.isfinite(model.residual_variance):
-        raise FitError(f"{tag}: residual variance is not finite")
-    return model
+            model, errors = fit_logistic_stack(design, labels[..., mask], count, ridge=ridge)
+        else:
+            model, errors = fit_linear_stack(design, t.y_mean[:, mask], count)
+        errors = [e and _tagged(e, tag) for e in errors]
+    if labels is not None:
+        return model, errors
+    df = count.sum(axis=-1) - design.shape[1]
+    spread = t.y_ss[..., mask].sum(axis=-1) / np.where(df > 0, df, 1.0)
+    variance = model.residual_variance + np.where(df > 0, spread, 0.0)
+    if count.ndim == 1:
+        if not np.isfinite(variance):
+            raise FitError(f"{tag}: residual variance is not finite")
+        return replace(model, residual_variance=float(variance)), errors
+    record(
+        errors,
+        np.flatnonzero(~np.isfinite(variance)),
+        lambda r: FitError(f"{tag}: residual variance is not finite"),
+    )
+    return replace(model, residual_variance=variance), errors
+
+
+def _tagged(exc: Exception, tag: str) -> FitError:
+    """A fit error with the model's name prefixed; a ValueError of the fit's
+    input checks becomes a DegenerateFitError."""
+    if isinstance(exc, FitError):
+        return type(exc)(f"{tag}: {exc}")
+    return DegenerateFitError(f"{tag}: {exc}")
 
 
 def fit_nuisances(
@@ -195,7 +231,9 @@ def fit_nuisances(
     gives the fit on the rows themselves and prefixes any fit error with the
     model's name (and treatment arm, for outcome models), so callers can see
     exactly which nuisance failed. ``ridge`` > 0 enables the slope-only
-    fallback penalty for every logistic fit.
+    fallback penalty for every logistic fit. On a reweighted table every
+    model is a stack of fits, one per weight vector, and a weight vector
+    whose fits fail does not raise: ``errors`` keeps the first error it met.
     """
     if outcome_kind not in OUTCOME_KINDS:
         raise ConfigError(
@@ -204,19 +242,21 @@ def fit_nuisances(
     t = cell_table(d, outcome_kind)
     occupied = t.count > 0
     y = t.y_mean
-    if outcome_kind == "binary" and not np.all((y[occupied] == 0.0) | (y[occupied] == 1.0)):
+    if outcome_kind == "binary" and np.any(occupied & (y != 0.0) & (y != 1.0)):
         raise DomainError("outcome_kind is 'binary' but the outcome has values outside {0,1}")
 
     dropped = normalize_drop(drop, t.covariate_names)
-    masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.count.size, dtype=bool)}
+    masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.s.size, dtype=bool)}
+    errors = [None] * len(np.atleast_2d(t.count))
 
     def fit(name: str, mask: np.ndarray, labels: np.ndarray | None, tag: str) -> Model:
         keep = [j for j, c in enumerate(t.covariate_names) if c not in dropped.get(name, ())]
-        model = fit_cells(t, mask, add_intercept(t.x[mask][:, keep]), labels, tag, ridge)
+        model, failed = fit_cells(t, mask, add_intercept(t.x[mask][:, keep]), labels, tag, ridge)
+        errors[:] = [e or f for e, f in zip(errors, failed)]
         if len(keep) == t.k:
             return model
-        coef = np.zeros(t.k + 1)
-        coef[[0, *(j + 1 for j in keep)]] = model.coefficients
+        coef = np.zeros(model.coefficients.shape[:-1] + (t.k + 1,))
+        coef[..., [0, *(j + 1 for j in keep)]] = model.coefficients
         return replace(model, coefficients=coef)
 
     participation = fit("participation", masks["pooled"], t.s.astype(float), "participation")
@@ -231,8 +271,14 @@ def fit_nuisances(
         for arm in (0, 1):
             mask = base & (t.a == arm)
             tag = f"outcome_{stratum} arm {arm}"
-            if not np.any(mask & occupied):
-                raise DegenerateFitError(f"{tag}: no rows in this stratum")
+            empty = ~np.any(mask & occupied, axis=-1)
+            record(
+                errors,
+                np.flatnonzero(empty),
+                lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"),
+            )
+            if t.count.ndim == 1 and errors[0]:
+                raise errors[0]
             outcome[(stratum, arm)] = fit(f"outcome_{stratum}", mask, labels, tag)
 
     return NuisanceSet(
@@ -242,4 +288,5 @@ def fit_nuisances(
         outcome_kind=outcome_kind,
         covariate_names=t.covariate_names,
         dropped=dropped,
+        errors=tuple(errors) if t.count.ndim == 2 else (),
     )

@@ -314,3 +314,29 @@ def test_csv_with_byte_order_mark_reads_as_without(tmp_path, write_config, comma
         del report["metadata"]["created_utc"], report["metadata"]["config"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_rescaled_covariate_gives_the_same_estimates(tmp_path, write_config, factor):
+    # The fits scale each covariate column by a power of two before the rank
+    # decision and the solve, so X1 times 1e200 or 1e-200 fits as X1 does.
+    lines = FIXTURE_CSV.read_text(encoding="utf-8").splitlines()
+    x_column = lines[0].split(",").index("X1")
+    for i in range(1, len(lines)):
+        row = lines[i].split(",")
+        row[x_column] = repr(float(row[x_column]) * factor)
+        lines[i] = ",".join(row)
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text("\n".join(lines) + "\n")
+    reports = []
+    for name, csv in (("original", FIXTURE_CSV), ("scaled", scaled)):
+        output = tmp_path / f"{name}.json"
+        payload = analysis_payload(tmp_path, input=str(csv), output=str(output), bootstrap=20)
+        assert main(["analyze", write_config(payload, f"{name}.json"), "--quiet"]) == 0
+        reports.append(written_report(output))
+    original, rescaled = reports
+    for name in ("phi", "chi", "psi"):
+        for arm in ("0", "1"):
+            expected = original["estimates"][name][arm]["value"]
+            got = rescaled["estimates"][name][arm]["value"]
+            assert got == pytest.approx(expected, rel=1e-9, abs=0.0), (name, arm)

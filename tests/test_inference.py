@@ -98,14 +98,15 @@ def test_bootstrap_resamples_within_study(small_dataset):
 
 def test_bootstrap_counts_and_tolerates_failures(small_dataset, monkeypatch):
     plan = AnalysisPlan(outcome_kind="continuous", estimators=("phi",), arms=(1,))
-    real = inference.bootstrap_replicate
+    real = inference.bootstrap_chunk
 
-    def flaky(d, p, seed, index):
-        if index % 3 == 0:
-            raise DegenerateFitError("forced failure")
-        return real(d, p, seed, index)
+    def flaky(d, p, seed, indices):
+        return [
+            DegenerateFitError("forced failure") if index % 3 == 0 else out
+            for index, out in zip(indices, real(d, p, seed, indices))
+        ]
 
-    monkeypatch.setattr(inference, "bootstrap_replicate", flaky)
+    monkeypatch.setattr(inference, "bootstrap_chunk", flaky)
     out = bootstrap(small_dataset, plan, 9, seed=1)
     assert out["phi(1)"].failures == 3
     assert out["phi(1)"].replicates.size == 6
@@ -114,10 +115,10 @@ def test_bootstrap_counts_and_tolerates_failures(small_dataset, monkeypatch):
 def test_bootstrap_aborts_past_half_failures(small_dataset, monkeypatch):
     plan = AnalysisPlan(outcome_kind="continuous", estimators=("phi",), arms=(1,))
 
-    def broken(d, p, seed, index):
-        raise DegenerateFitError("forced failure")
+    def broken(d, p, seed, indices):
+        return [DegenerateFitError("forced failure") for _ in indices]
 
-    monkeypatch.setattr(inference, "bootstrap_replicate", broken)
+    monkeypatch.setattr(inference, "bootstrap_chunk", broken)
     with pytest.raises(FitError, match="aborted"):
         bootstrap(small_dataset, plan, 8, seed=1)
 
