@@ -9,6 +9,7 @@ trial fraction n1 / n is a design quantity, not an estimate of anything.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 from dataclasses import dataclass, field
@@ -208,15 +209,30 @@ class CellTable:
     def k(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def reweighted(self) -> bool:
+        return self.row_weights is not None
+
     def reweight(self, row_weights: Sequence[np.ndarray]) -> "CellTable":
         """The same cells, once per vector of row frequency weights."""
         return dataclasses.replace(self, row_weights=row_weights)
+
+    def stacked(self) -> "CellTable":
+        """The table with a leading axis on its four per-cell arrays: itself
+        when reweighted, else the same cells as a stack of one weight vector
+        (every row still weighing 1)."""
+        if self.reweighted:
+            return self
+        out = copy.copy(self)
+        for name in ("count", "y_sum", "y_mean", "y_ss"):
+            object.__setattr__(out, name, getattr(self, name)[None])
+        return out
 
     def rows_of(self, cells: np.ndarray, r: int = 0) -> np.ndarray:
         """Indices of the dataset rows in the given cells that have positive
         weight (in weight vector ``r``, when the table is reweighted)."""
         rows = np.isin(self.inverse, cells)
-        if self.row_weights is not None:
+        if self.reweighted:
             rows &= self.row_weights[r] > 0
         return np.flatnonzero(rows)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, cell_table
 from .errors import DegenerateFitError
 from .estimators import ESTIMATOR_NAMES, aipw_weighting
-from .glm import LogisticModel, add_intercept, coefficient_covariance
+from .glm import LogisticModel, add_intercept, coefficient_covariance, only
 from .inference import TestResult
 from .nuisance import NuisanceSet, fit_cells
 
@@ -106,7 +106,7 @@ def restriction_test(
     n_base = 1 + t.k
 
     labels = None if outcome_kind == "continuous" else t.y_mean
-    model, _ = fit_cells(t, mask, design, labels, f"restriction test arm {a}", ridge)
+    model = only(*fit_cells(t.stacked(), mask, design, labels, f"restriction test arm {a}", ridge))
     converged = not isinstance(model, LogisticModel) or model.converged
     cov = coefficient_covariance(model, design, t.count[mask])
     idx = np.arange(n_base, design.shape[1])

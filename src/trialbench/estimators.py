@@ -30,7 +30,6 @@ first-order approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -53,10 +52,6 @@ class EstimateWithIF:
     count the functional standardizes over; contrasts carry the smaller of
     their parents'. Construction enforces that the estimate is finite and
     that the influence values average to zero up to float tolerance.
-
-    On a reweighted table (see CellTable.reweight) the fields carry a
-    leading axis, one entry per weight vector, and an entry that fails a
-    check does not raise: ``errors`` keeps the first error it met, or None.
     """
 
     label: str
@@ -65,44 +60,16 @@ class EstimateWithIF:
     alpha: np.ndarray
     beta: np.ndarray
     n_effective: int
-    errors: tuple[Exception | None, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "n_effective", int(self.n_effective))
+        if not np.isfinite(self.value):
+            raise _not_finite(self.label)
         t = self.table
-        value = np.atleast_1d(self.value)
-        errors = list(self.errors) or [None]
-        alpha, beta, count, y_sum = self.alpha, self.beta, t.count, t.y_sum
-        rows = None  # every row is checked
-        if any(errors) or not np.isfinite(value).all():
-            record(
-                errors,
-                np.flatnonzero(~np.isfinite(value)),
-                lambda r: ValueError(f"{self.label}: estimate is not finite"),
-            )
-            rows = np.flatnonzero([e is None for e in errors])
-            alpha, beta = np.atleast_2d(alpha)[rows], np.atleast_2d(beta)[rows]
-            count, y_sum, value = np.atleast_2d(count)[rows], np.atleast_2d(y_sum)[rows], value[rows]
-        center = np.abs(np.vecdot(alpha, y_sum) + np.vecdot(beta, count)) / count.sum(axis=-1)
-        off = np.atleast_1d(center > 1e-8 * (1.0 + np.abs(value)))
-        if off.any():
-            center = np.atleast_1d(center)
-            rows = np.arange(off.size) if rows is None else rows
-            record(
-                errors,
-                rows[off],
-                lambda r: ValueError(
-                    f"{self.label}: influence values are off-center by "
-                    f"{center[np.searchsorted(rows, r)]:.3e}"
-                ),
-            )
-        if np.ndim(self.value) == 0:
-            if errors[0] is not None:
-                raise errors[0]
-            object.__setattr__(self, "value", float(self.value))
-            object.__setattr__(self, "n_effective", int(self.n_effective))
-            object.__setattr__(self, "errors", ())
-        else:
-            object.__setattr__(self, "errors", tuple(errors))
+        center, tolerance = _center(self.value, self.alpha, self.beta, t.count, t.y_sum)
+        if center > tolerance:
+            raise _off_center(self.label, center)
 
     @property
     def if_values(self) -> np.ndarray:
@@ -111,13 +78,93 @@ class EstimateWithIF:
         return self.alpha[inverse] * self.table.y_rows + self.beta[inverse]
 
 
+@dataclass(frozen=True)
+class EstimateStack:
+    """Estimates of one quantity on a stacked cell table (see
+    CellTable.stacked), one per weight vector: the fields of EstimateWithIF
+    with a leading axis, and per weight vector the first error its analysis
+    met, or None. ``check`` records a failure of EstimateWithIF's
+    construction checks instead of raising it.
+    """
+
+    label: str
+    value: np.ndarray
+    table: CellTable
+    alpha: np.ndarray
+    beta: np.ndarray
+    n_effective: np.ndarray
+    errors: list
+
+    def check(self) -> None:
+        t = self.table
+        _check(self.label, self.value, self.alpha, self.beta, t.count, t.y_sum, self.errors)
+
+    def only(self, table: CellTable) -> EstimateWithIF:
+        """The estimate of a stack of one, on the unstacked ``table``; raises
+        the error it met instead."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return EstimateWithIF(
+            label=self.label,
+            value=self.value[0],
+            table=table,
+            alpha=self.alpha[0],
+            beta=self.beta[0],
+            n_effective=self.n_effective[0],
+        )
+
+
+def _center(
+    value: np.ndarray, alpha: np.ndarray, beta: np.ndarray, count: np.ndarray, y_sum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|mean influence value| of an estimate, or of each row of a stack, and
+    the tolerance it must stay within."""
+    center = np.abs(np.vecdot(alpha, y_sum) + np.vecdot(beta, count)) / count.sum(axis=-1)
+    return center, 1e-8 * (1.0 + np.abs(value))
+
+
+def _not_finite(label: str) -> ValueError:
+    return ValueError(f"{label}: estimate is not finite")
+
+
+def _off_center(label: str, center: float) -> ValueError:
+    return ValueError(f"{label}: influence values are off-center by {center:.3e}")
+
+
+def _check(
+    label: str,
+    value: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    count: np.ndarray,
+    y_sum: np.ndarray,
+    errors: list,
+) -> None:
+    """EstimateWithIF's construction checks on each row of a stack of
+    estimates still without an error: a failure is recorded, not raised."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        record(errors, np.flatnonzero(~finite), lambda r: _not_finite(label))
+    rows = np.arange(len(errors))
+    if any(errors):
+        rows = np.flatnonzero([e is None for e in errors])
+        value, alpha, beta, count, y_sum = (v[rows] for v in (value, alpha, beta, count, y_sum))
+    center, tolerance = _center(value, alpha, beta, count, y_sum)
+    off = center > tolerance
+    if off.any():
+        record(
+            errors,
+            rows[off],
+            lambda r: _off_center(label, center[np.searchsorted(rows, r)]),
+        )
+
+
 def _positivity_check(
     t: CellTable, prob: np.ndarray, mask: np.ndarray, what: str, errors: list
 ) -> None:
     bad_cells = mask & (prob < PROPENSITY_FLOOR)
     if not bad_cells.any():
         return
-    bad_cells = np.atleast_2d(bad_cells)
 
     def error(r: int) -> PositivityError:
         bad = t.rows_of(np.flatnonzero(bad_cells[r]), r)
@@ -151,15 +198,16 @@ def aipw_weighting(
     return stratum, in_stratum & (treatment == a), weight
 
 
-def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
-    """One AIPW estimate on a cell table, with its influence values.
+def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateStack:
+    """One AIPW estimate per weight vector of the stacked table ``t``, with
+    its influence values.
 
     value = (sum over s=0 rows of g + sum over weighted rows of w (y - g)) / n0,
     each row counted with its weight, g and w per cell; w is 0 off the
     weighted rows. phi, chi and psi differ only in the entries of _AIPW. A
     row's influence value is (n/n0) [w (y - g) + (g - value) 1{s=0}].
-    On a reweighted table every weight vector gets its own estimate, row by
-    row; those whose nuisance fits failed are carried along as failed.
+    Every weight vector gets its own estimate, row by row; those whose
+    nuisance fits failed are carried along as failed.
     """
     stratum, weighted, weight = aipw_weighting(name, a, t.s, t.a)
     s0 = t.s == 0
@@ -169,37 +217,39 @@ def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> 
     p = nu.participation_prob(t.x)
     in_s0 = s0.astype(float)
     n0 = np.vecdot(count, in_s0)
-    errors = list(nu.errors) or [None]
+    errors = list(nu.errors)
     live = weighted & (count > 0)
     if name == "chi":
         _positivity_check(t, p, live, f"chi({a}): participation probability", errors)
     _positivity_check(t, e, live, f"{name}({a}): {_AIPW[name][1]} for arm {a}", errors)
     if any(errors):
-        live &= np.array([err is None for err in errors]).reshape(*count.shape[:-1], 1)
-    w = np.zeros(count.shape)
-    w[live] = weight(e[live], p[live])
+        live &= np.array([err is None for err in errors])[:, None]
+    # The weight can overflow off the weighted cells, where it is not used.
+    with np.errstate(over="ignore"):
+        w = np.where(live, weight(e, p), 0.0)
     if hajek:
         total = np.vecdot(count, w)
-        record(
-            errors,
-            np.flatnonzero(np.atleast_1d(total <= 0.0)),
-            lambda r: PositivityError(
-                "renormalization impossible: weighted rows have zero total weight"
-            ),
-        )
-        w *= (n0 / np.where(total > 0.0, total, n0))[..., None]
+        if (total <= 0.0).any():
+            record(
+                errors,
+                np.flatnonzero(total <= 0.0),
+                lambda r: PositivityError(
+                    "renormalization impossible: weighted rows have zero total weight"
+                ),
+            )
+        w *= (n0 / np.where(total > 0.0, total, n0))[:, None]
 
     fitted = count * g
     value = (np.vecdot(fitted, in_s0) + np.vecdot(w, y_sum - fitted)) / n0
-    scale = (count.sum(axis=-1) / n0)[..., None]
-    return EstimateWithIF(
+    scale = (count.sum(axis=1) / n0)[:, None]
+    return EstimateStack(
         label=f"{name}({a})",
         value=value,
         table=t,
         alpha=scale * w,
-        beta=scale * (np.where(s0, g - value[..., None], 0.0) - w * g),
+        beta=scale * (np.where(s0, g - value[:, None], 0.0) - w * g),
         n_effective=n0,
-        errors=tuple(errors),
+        errors=errors,
     )
 
 
@@ -207,21 +257,26 @@ def estimate_phi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Emulation-only doubly robust mean of the potential outcome under ``a``."""
-    return _estimate(cell_table(d, nu.outcome_kind), nu, "phi", a, hajek)
+    return _estimate_one(d, nu, "phi", a, hajek)
 
 
 def estimate_chi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Trial-transported doubly robust mean of the potential outcome under ``a``."""
-    return _estimate(cell_table(d, nu.outcome_kind), nu, "chi", a, hajek)
+    return _estimate_one(d, nu, "chi", a, hajek)
 
 
 def estimate_psi(
     d: Dataset, nu: NuisanceSet, a: int, *, hajek: bool = False
 ) -> EstimateWithIF:
     """Pooled-data doubly robust mean of the potential outcome under ``a``."""
-    return _estimate(cell_table(d, nu.outcome_kind), nu, "psi", a, hajek)
+    return _estimate_one(d, nu, "psi", a, hajek)
+
+
+def _estimate_one(d: Dataset, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
+    t = cell_table(d, nu.outcome_kind)
+    return _estimate(t.stacked(), nu, name, a, hajek).only(t)
 
 
 def contrast(
@@ -242,8 +297,7 @@ def contrast(
         table=e1.table,
         alpha=e1.alpha - e2.alpha,
         beta=e1.beta - e2.beta,
-        n_effective=np.minimum(e1.n_effective, e2.n_effective),
-        errors=tuple(f or g for f, g in zip_longest(e1.errors, e2.errors)),
+        n_effective=min(e1.n_effective, e2.n_effective),
     )
 
 
@@ -305,17 +359,34 @@ def _contrasts(plan: AnalysisPlan) -> list[tuple[str, str, str]]:
 
 def run_plan_with(
     d: Dataset | CellTable, nu: NuisanceSet, plan: AnalysisPlan
-) -> dict[str, EstimateWithIF]:
+) -> dict[str, EstimateWithIF] | dict[str, EstimateStack]:
     """Same as run_plan but on an already fitted nuisance bundle.
 
-    ``d`` may also be a cell table, such as a bootstrap replicate's
-    reweighted one; every estimate then comes from that table.
+    The estimates run as a stack of one, and the first error met, in the
+    order of the returned mapping, is raised here. ``d`` may also be a
+    reweighted cell table, such as a chunk of bootstrap replicates', with
+    ``nu`` fitted on it: every quantity is then an EstimateStack, one
+    estimate per weight vector, and a failed one is recorded, not raised.
     """
-    t = cell_table(d, nu.outcome_kind)
-    out: dict[str, EstimateWithIF] = {}
+    table = cell_table(d, nu.outcome_kind)
+    t = table.stacked()
+    out: dict[str, EstimateStack] = {}
     for name in plan.estimators:
         for arm in plan.arms:
             out[f"{name}({arm})"] = _estimate(t, nu, name, arm, plan.hajek)
     for label, first, second in _contrasts(plan):
-        out[label] = contrast(out[first], out[second], label=label)
+        e1, e2 = out[first], out[second]
+        out[label] = EstimateStack(
+            label=label,
+            value=e1.value - e2.value,
+            table=t,
+            alpha=e1.alpha - e2.alpha,
+            beta=e1.beta - e2.beta,
+            n_effective=np.minimum(e1.n_effective, e2.n_effective),
+            errors=[f or g for f, g in zip(e1.errors, e2.errors)],
+        )
+    if not table.reweighted:
+        return {label: e.only(table) for label, e in out.items()}
+    for e in out.values():
+        e.check()
     return out

@@ -7,9 +7,10 @@ matrix, one row per fit of the shared (m, p) design, and return one model
 whose fields carry a leading axis of length B, together with the error each
 row's fit raised (None where it succeeded). ``fit_logistic`` and
 ``fit_linear`` are the stack of one, and raise its error. Every reduction
-runs row by row (a stacked matmul, np.vecdot, a batched solve, or an
-elementwise product summed over the last axis) on row-contiguous arrays,
-so a row's fit has the same bits whatever other rows share its stack.
+runs row by row (a stacked matmul, np.vecdot, a batched solve or QR
+factorization, or an elementwise product summed over the last axis) on
+row-contiguous arrays, so a row's fit has the same bits whatever other rows
+share its stack.
 
 Before the rank decision and the solve, each non-intercept column whose
 largest magnitude lies outside [1/16, 16] is scaled by the power of two that
@@ -20,7 +21,9 @@ as the original does, and a {0, 1} or standard normal column is not touched.
 The logistic fit is Newton / iteratively reweighted least squares with step
 halving, so the (penalized) log-likelihood never decreases across accepted
 iterations. Convergence is declared on the score of the scaled problem:
-every component of the gradient below ``tol`` in absolute value.
+every component of the gradient below ``tol`` in absolute value. The linear
+fit is least squares on sqrt(w) X by a QR factorization, whose accuracy
+follows the condition number of sqrt(w) X rather than its square.
 
 The optional ridge penalty applies to slopes only, never the intercept,
 and exists as an explicit fallback for near-separated resamples; by
@@ -80,8 +83,8 @@ def _first_dependent_column(design: np.ndarray) -> int:
 
 
 # Columns whose largest magnitude lies in this band are fitted as they are:
-# their scale already suits the rank decision and the normal equations, and
-# leaving them alone spares a copy of the design.
+# their scale already suits the rank decision and the solve, and leaving
+# them alone spares a copy of the design.
 _UNSCALED_BAND = (2.0**-4, 2.0**4)
 
 
@@ -91,13 +94,10 @@ def _column_scales(design: np.ndarray) -> np.ndarray | None:
     two that brings that magnitude into [1, 2). None when every column is
     left as it is. The design must be finite."""
     lo, hi = _UNSCALED_BAND
-    m, p = design.shape
-    # A reduction down the columns is quick on few cells; on many, one column
-    # at a time is. The maximum is exact either way.
-    if m <= 1024:
-        top = np.abs(design).max(axis=0, initial=0.0).tolist()
-    else:
-        top = [float(np.abs(design[:, j]).max()) for j in range(p)]
+    # One column at a time: numpy reduces a (m, p) array down its columns
+    # about ten times slower than it reduces each column, 0.64 ms against
+    # 0.07 ms at 20000 cells and 4 columns.
+    top = [float(np.abs(column).max(initial=0.0)) for column in design.T]
     kept = [j == 0 or v == 0.0 or lo <= v <= hi for j, v in enumerate(top)]
     if all(kept):
         return None
@@ -116,36 +116,9 @@ def _score(design: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return np.matmul(residual[:, None, :], design)[:, 0, :]
 
 
-# From this many cells on, the Gram matrices of a design come from its
-# column-pair products, formed once; on fewer, forming them costs more than
-# it saves.
-_PAIR_PRODUCTS_FROM = 256
-
-
-class _Gram:
-    """design' diag(w) design for (B, m) weight rows w. On many cells it
-    uses the products of the design's column pairs j <= k, formed once per
-    design, so that each row's matrix is one matrix-vector product over the
-    cells. Which way is fixed by the design alone, so a row gets the same
-    bits in any stack."""
-
-    def __init__(self, design: np.ndarray) -> None:
-        self.design, self.p = design, design.shape[1]
-        if design.shape[0] < _PAIR_PRODUCTS_FROM:
-            self.products = None
-            return
-        pairs = [(j, k) for j in range(self.p) for k in range(j, self.p)]
-        position = {pair: n for n, pair in enumerate(pairs)}
-        self.entries = np.array(
-            [position[min(j, k), max(j, k)] for j in range(self.p) for k in range(self.p)]
-        )
-        self.products = np.array([design[:, j] * design[:, k] for j, k in pairs])
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        if self.products is None:
-            return np.matmul(self.design.T, w[:, :, None] * self.design)
-        sums = np.matmul(self.products, w[:, :, None])[:, :, 0]
-        return sums[:, self.entries].reshape(w.shape[0], self.p, self.p)
+def _gram(design: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(B, p, p) design' diag(w) design of each (B, m) weight row."""
+    return np.matmul(design.T, w[:, :, None] * design)
 
 
 def _solve(hessian: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -171,24 +144,27 @@ def _check_rank(design: np.ndarray, occupied: np.ndarray, errors: list, what: st
     """Fail each row whose occupied design rows have rank below p, by the
     np.linalg.matrix_rank rule on those rows (singular values above
     max(singular value) * max(rows, p) * eps)."""
-    rows = np.flatnonzero([e is None for e in errors])
-    if rows.size == 0:
-        return
-    occ = occupied if rows.size == len(errors) else occupied[rows]
+    rows = np.arange(len(errors))
+    if any(errors):
+        rows = np.flatnonzero([e is None for e in errors])
+        if rows.size == 0:
+            return
     m, p = design.shape
-    # Cells of weight 0 are zeroed, which leaves the singular values of the
-    # occupied rows; a fully occupied row passes the design itself.
+    occ = occupied[rows] if rows.size < len(errors) else occupied
     if occ.all():
-        zeroed = np.broadcast_to(design, (rows.size, m, p)) if rows.size > 1 else design[None]
-        size = max(m, p)
+        # Every row occupies every cell: the design's own singular values
+        # (descending) decide for all of them.
+        values = np.linalg.svd(design, compute_uv=False).tolist()
+        if len(values) == p and values[-1] > values[0] * max(m, p) * _EPS:
+            return
+        deficient = rows
     else:
-        zeroed = design * occ[:, :, None]
-        size = np.maximum(occ.sum(axis=1), p)
-    values = np.linalg.svd(zeroed, compute_uv=False)  # descending
-    tol = values[:, 0] * size * _EPS
-    deficient = rows[(values > tol[:, None]).sum(axis=1) < p]
-    if deficient.size:
-        record(errors, deficient, lambda r: _singular(design[occupied[r]], what))
+        # Cells of weight 0 are zeroed, which leaves the singular values of
+        # the occupied rows.
+        values = np.linalg.svd(design * occ[:, :, None], compute_uv=False)
+        tol = values[:, 0] * np.maximum(occ.sum(axis=1), p) * _EPS
+        deficient = rows[(values > tol[:, None]).sum(axis=1) < p]
+    record(errors, deficient, lambda r: _singular(design[occupied[r]], what))
 
 
 def _singular(design: np.ndarray, what: str) -> SingularDesignError:
@@ -221,7 +197,8 @@ def _prepare(
     y = np.ascontiguousarray(response, dtype=float)
     if y.shape not in ((m,), w.shape):
         raise ValueError(f"{what}: {name} shape {y.shape} does not match {m} rows")
-    y = y[None] if y.shape == (m,) and len(w) == 1 else np.broadcast_to(y, w.shape)
+    if y.shape != w.shape:
+        y = np.repeat(y[None], len(w), axis=0)
 
     errors: list = [None] * w.shape[0]
     total = w.sum(axis=1)
@@ -340,8 +317,8 @@ def _predictor(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(x, coefficients[..., 1:, None])[..., 0] + coefficients[..., :1]
 
 
-def _only(model: Model, errors: list) -> Model:
-    """The single fit of a stack of one, or the error it raised."""
+def only(model: Model, errors: list) -> Model:
+    """The single fit of a stack of one; raises the error it met instead."""
     if errors[0] is not None:
         raise errors[0]
     return model.row(0)
@@ -402,7 +379,7 @@ def fit_logistic(
     DegenerateFitError for single-class labels. The stack of one of
     fit_logistic_stack.
     """
-    return _only(
+    return only(
         *fit_logistic_stack(design, labels, _stack_of_one(design, weights), max_iter, tol, ridge)
     )
 
@@ -451,7 +428,6 @@ def fit_logistic_stack(
         # Intercept never penalized; the slopes of scaled columns scale back.
         penalty[1:] = ridge * (1.0 if scales is None else scales[1:] ** 2)
     ridge_penalty = penalty if ridge > 0.0 else None
-    gram = _Gram(x)
     wy, free = w * y, ~occupied
     # Only a row whose log-likelihood exceeds this can be separated: a cell
     # of weight v pinned to its label adds more than v log(1 - eps) > -1.01 v eps.
@@ -520,7 +496,7 @@ def fit_logistic_stack(
         working = 1.0 - mu
         working *= mu
         working *= rows[0]
-        hessian = gram(working)
+        hessian = _gram(x, working)
         if ridge > 0.0:
             hessian += np.diag(penalty)
         step, singular = _solve(hessian, score)
@@ -588,8 +564,8 @@ def fit_logistic_stack(
         score = _score(x, wy[stopped] - w[stopped] * mu) - penalty * beta[stopped]
         converged[stopped] = np.abs(score).max(axis=1) < tol
 
-    failed = np.array([e is not None for e in errors])
-    if failed.any():
+    if any(errors):
+        failed = np.array([e is not None for e in errors])
         beta[failed] = 0.0
         converged[failed] = False
     model = LogisticModel(
@@ -613,7 +589,7 @@ def fit_linear(
     SingularDesignError naming the first dependent column. The stack of one
     of fit_linear_stack.
     """
-    return _only(*fit_linear_stack(design, response, _stack_of_one(design, weights)))
+    return only(*fit_linear_stack(design, response, _stack_of_one(design, weights)))
 
 
 def fit_linear_stack(
@@ -621,48 +597,52 @@ def fit_linear_stack(
 ) -> tuple[LinearModel, list]:
     """One weighted least-squares fit per row of the (B, m) ``weights``.
 
-    ``response`` is (m,), or (B, m) with one response vector per row. The
-    normal equations of each row are solved on the scaled design. Returns
-    the stack of fits and, per row, the error its fit alone would raise
-    (None where it succeeded; that row's coefficients are then 0).
+    ``response`` is (m,), or (B, m) with one response vector per row. Each
+    row is solved by a QR factorization of [sqrt(w) X | sqrt(w) y], X the
+    scaled design: the top rows of its R factor hold the triangular system
+    of the coefficients, whose condition is that of sqrt(w) X (the normal
+    equations would square it). Returns the stack of fits and, per row, the
+    error its fit alone would raise (None where it succeeded; that row's
+    coefficients are then 0).
     """
     x, scales, y, w, occupied, total, errors = _prepare(
         design, response, weights, "linear fit", "response"
     )
-    nonfinite = ~np.isfinite(y)
-    if nonfinite.any():
+    if not np.isfinite(y).all():
         record(
             errors,
-            np.flatnonzero(np.any(occupied & nonfinite, axis=1)),
+            np.flatnonzero(np.any(occupied & ~np.isfinite(y), axis=1)),
             lambda r: ValueError("linear fit: response contains non-finite values"),
         )
-    rows = np.flatnonzero([e is None for e in errors])
-    every = rows.size == len(errors)
-    if not every:
-        w, y, occupied = w[rows], y[rows], occupied[rows]
+    # A cell of weight 0 takes no part, whatever its response.
     y = np.where(occupied, y, 0.0)
+    m, p = x.shape
+    # Every row with fewer than p occupied cells has failed the rank check.
+    if m < p:
+        return LinearModel(np.zeros((len(errors), p)), np.zeros(len(errors))), errors
+    # Every row is solved, failed or not, and a failed row's fit is then
+    # zeroed: no row's arithmetic depends on another's.
+    augmented = np.empty((len(w), m, p + 1))
+    augmented[:, :, :p] = x
+    augmented[:, :, p] = y
+    augmented *= np.sqrt(w)[:, :, None]
     # An overflow here leaves a non-finite residual variance, which the
-    # callers that need it finite (nuisance.fit_cells) reject.
+    # callers that need it finite (nuisance.fit_cells) reject; a failed row
+    # may hold NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, singular = _solve(_Gram(x)(w), _score(x, w * y))
+        factor = np.linalg.qr(augmented, mode="r")
+        beta, singular = _solve(factor[:, :p, :p], factor[:, :p, p])
         residuals = y - _linear(x, beta)
         rss = np.vecdot(w * residuals, residuals)
-    df = total[rows] - x.shape[1]
-    variance = np.divide(rss, df, out=np.zeros(rows.size), where=df > 0)
+    df = total - p
+    variance = np.divide(rss, df, out=np.zeros(len(w)), where=df > 0)
     if singular is not None:
-        record(errors, rows[singular], lambda r: _singular(x[occupied[r]], "linear fit"))
-        beta[singular], variance[singular] = 0.0, 0.0
-    if not every:
-        beta, variance = _scatter(beta, rows, len(errors)), _scatter(variance, rows, len(errors))
+        record(errors, np.flatnonzero(singular), lambda r: _singular(x[occupied[r]], "linear fit"))
+    if any(errors):
+        failed = np.array([e is not None for e in errors])
+        beta[failed], variance[failed] = 0.0, 0.0
     coefficients = beta if scales is None else beta * scales
     return LinearModel(coefficients=coefficients, residual_variance=variance), errors
-
-
-def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    """``values`` of ``rows`` placed in ``count`` rows of zeros."""
-    out = np.zeros((count, *values.shape[1:]))
-    out[rows] = values
-    return out
 
 
 def coefficient_covariance(

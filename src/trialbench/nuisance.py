@@ -30,9 +30,7 @@ from .glm import (
     LogisticModel,
     Model,
     add_intercept,
-    fit_linear,
     fit_linear_stack,
-    fit_logistic,
     fit_logistic_stack,
 )
 
@@ -57,8 +55,9 @@ class NuisanceSet:
     ``outcome`` maps (stratum, arm) to the arm-specific outcome regression.
     Coefficient vectors all have length k + 1 against the dataset's
     covariate order (dropped covariates appear as zero slopes). Fitted on a
-    reweighted table, every model is a stack of fits, one per weight vector,
-    and ``errors`` holds for each the first error its fits raised, or None.
+    reweighted table, every model is a stack of fits, one per weight vector.
+    ``errors`` holds, per weight vector, the first error its fits raised, or
+    None; a single set of fits has the one entry None.
     """
 
     participation: LogisticModel
@@ -67,7 +66,18 @@ class NuisanceSet:
     outcome_kind: str
     covariate_names: tuple[str, ...]
     dropped: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    errors: tuple[Exception | None, ...] = ()
+    errors: tuple[Exception | None, ...] = (None,)
+
+    def only(self) -> "NuisanceSet":
+        """The single fits of a stack of one; raises the first error they met."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return replace(
+            self,
+            participation=self.participation.row(0),
+            propensity={s: m.row(0) for s, m in self.propensity.items()},
+            outcome={key: m.row(0) for key, m in self.outcome.items()},
+        )
 
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
         return self.participation.predict(x)
@@ -166,47 +176,35 @@ def fit_cells(
     tag: str,
     ridge: float = 0.0,
 ) -> tuple[Model, list]:
-    """Fit one model on the cells ``mask`` of ``t``, each weighted by its count.
+    """Fit one model on the cells ``mask`` of the stacked table ``t`` (see
+    CellTable.stacked), once per weight vector, each cell weighted by its count.
 
-    Given ``labels`` (0/1, one per cell of ``t``) the fit is logistic; without
-    them it is the linear fit of the cell means, whose RSS also takes in the
-    spread of the rows about their cell mean. Either way it is the fit on the
-    rows. A fit error carries ``tag``, the model's name, as a prefix. On a
-    table of one count vector the error is raised and the second item is
-    [None]. On a reweighted table (see CellTable.reweight) every weight
-    vector gets its own fit: the model is a stack of fits, and the second
-    item holds, per weight vector, the error its fit raised or None.
+    Given ``labels`` (0/1, one per cell of ``t``, or one row of them per
+    weight vector) the fit is logistic; without them it is the linear fit of
+    the cell means, whose RSS also takes in the spread of the rows about
+    their cell mean. Either way it is the fit on the rows. Returns the stack
+    of fits and, per weight vector, the error its fit raised, or None; an
+    error carries ``tag``, the model's name, as a prefix.
     """
-    count = t.count[..., mask]
-    if count.ndim == 1:
-        try:
-            if labels is not None:
-                model = fit_logistic(design, labels[mask], ridge=ridge, weights=count)
-            else:
-                model = fit_linear(design, t.y_mean[mask], weights=count)
-        except (FitError, ValueError) as exc:
-            raise _tagged(exc, tag) from exc
-        errors: list = [None]
+    count = t.count[:, mask]
+    if labels is not None:
+        model, errors = fit_logistic_stack(design, labels[..., mask], count, ridge=ridge)
     else:
-        if labels is not None:
-            model, errors = fit_logistic_stack(design, labels[..., mask], count, ridge=ridge)
-        else:
-            model, errors = fit_linear_stack(design, t.y_mean[:, mask], count)
+        model, errors = fit_linear_stack(design, t.y_mean[:, mask], count)
+    if any(errors):
         errors = [e and _tagged(e, tag) for e in errors]
     if labels is not None:
         return model, errors
-    df = count.sum(axis=-1) - design.shape[1]
-    spread = t.y_ss[..., mask].sum(axis=-1) / np.where(df > 0, df, 1.0)
-    variance = model.residual_variance + np.where(df > 0, spread, 0.0)
-    if count.ndim == 1:
-        if not np.isfinite(variance):
-            raise FitError(f"{tag}: residual variance is not finite")
-        return replace(model, residual_variance=float(variance)), errors
-    record(
-        errors,
-        np.flatnonzero(~np.isfinite(variance)),
-        lambda r: FitError(f"{tag}: residual variance is not finite"),
-    )
+    df = count.sum(axis=1) - design.shape[1]
+    spread = np.divide(t.y_ss[:, mask].sum(axis=1), df, out=np.zeros(df.size), where=df > 0)
+    variance = model.residual_variance + spread
+    finite = np.isfinite(variance)
+    if not finite.all():
+        record(
+            errors,
+            np.flatnonzero(~finite),
+            lambda r: FitError(f"{tag}: residual variance is not finite"),
+        )
     return replace(model, residual_variance=variance), errors
 
 
@@ -231,7 +229,8 @@ def fit_nuisances(
     gives the fit on the rows themselves and prefixes any fit error with the
     model's name (and treatment arm, for outcome models), so callers can see
     exactly which nuisance failed. ``ridge`` > 0 enables the slope-only
-    fallback penalty for every logistic fit. On a reweighted table every
+    fallback penalty for every logistic fit. The fits run as a stack of one
+    and the first error raised is raised here. On a reweighted table every
     model is a stack of fits, one per weight vector, and a weight vector
     whose fits fail does not raise: ``errors`` keeps the first error it met.
     """
@@ -239,7 +238,8 @@ def fit_nuisances(
         raise ConfigError(
             f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}"
         )
-    t = cell_table(d, outcome_kind)
+    table = cell_table(d, outcome_kind)
+    t = table.stacked()
     occupied = t.count > 0
     y = t.y_mean
     if outcome_kind == "binary" and np.any(occupied & (y != 0.0) & (y != 1.0)):
@@ -247,16 +247,17 @@ def fit_nuisances(
 
     dropped = normalize_drop(drop, t.covariate_names)
     masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.s.size, dtype=bool)}
-    errors = [None] * len(np.atleast_2d(t.count))
+    errors = [None] * len(t.count)
 
     def fit(name: str, mask: np.ndarray, labels: np.ndarray | None, tag: str) -> Model:
         keep = [j for j, c in enumerate(t.covariate_names) if c not in dropped.get(name, ())]
         model, failed = fit_cells(t, mask, add_intercept(t.x[mask][:, keep]), labels, tag, ridge)
-        errors[:] = [e or f for e, f in zip(errors, failed)]
+        if any(failed):
+            errors[:] = [e or f for e, f in zip(errors, failed)]
         if len(keep) == t.k:
             return model
-        coef = np.zeros(model.coefficients.shape[:-1] + (t.k + 1,))
-        coef[..., [0, *(j + 1 for j in keep)]] = model.coefficients
+        coef = np.zeros((len(errors), t.k + 1))
+        coef[:, [0, *(j + 1 for j in keep)]] = model.coefficients
         return replace(model, coefficients=coef)
 
     participation = fit("participation", masks["pooled"], t.s.astype(float), "participation")
@@ -271,22 +272,22 @@ def fit_nuisances(
         for arm in (0, 1):
             mask = base & (t.a == arm)
             tag = f"outcome_{stratum} arm {arm}"
-            empty = ~np.any(mask & occupied, axis=-1)
-            record(
-                errors,
-                np.flatnonzero(empty),
-                lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"),
-            )
-            if t.count.ndim == 1 and errors[0]:
-                raise errors[0]
+            empty = ~np.any(mask & occupied, axis=1)
+            if empty.any():
+                record(
+                    errors,
+                    np.flatnonzero(empty),
+                    lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"),
+                )
             outcome[(stratum, arm)] = fit(f"outcome_{stratum}", mask, labels, tag)
 
-    return NuisanceSet(
+    nu = NuisanceSet(
         participation=participation,
         propensity=propensity,
         outcome=outcome,
         outcome_kind=outcome_kind,
         covariate_names=t.covariate_names,
         dropped=dropped,
-        errors=tuple(errors) if t.count.ndim == 2 else (),
+        errors=tuple(errors),
     )
+    return nu if table.reweighted else nu.only()

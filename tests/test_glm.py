@@ -111,6 +111,23 @@ def test_linear_fit_residuals_orthogonal_to_design():
     assert np.max(np.abs(design.T @ residuals)) < 1e-8 * y.size
 
 
+def test_linear_fit_of_a_near_collinear_design_matches_least_squares():
+    # Full rank, but both slope columns sit far from zero with a small spread
+    # and nearly repeat each other (condition number about 2e7). Power-of-two
+    # column scaling does not help here; the normal equations would square
+    # the condition number and lose about 1e-3 of the coefficients.
+    rng = np.random.default_rng(11)
+    n = 200
+    t = rng.uniform(0.0, 1.0, n)
+    design = add_intercept(np.column_stack([1e3 + t, 1e3 + t + 1e-4 * rng.standard_normal(n)]))
+    w = rng.integers(1, 4, n).astype(float)
+    y = 1.0 + 2.0 * t + 0.1 * rng.standard_normal(n)
+    root = np.sqrt(w)
+    expected = np.linalg.lstsq(design * root[:, None], y * root, rcond=None)[0]
+    got = fit_linear(design, y, weights=w).coefficients
+    assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
 def test_linear_fit_interpolation_has_zero_residual_variance():
     design = np.array([[1.0, 0.0], [1.0, 1.0]])
     model = fit_linear(design, np.array([1.0, 3.0]))
