@@ -8,6 +8,10 @@ diagnostics module tests the observable restriction behind it; the
 simulation module measures everything against scenarios with known truth.
 """
 
+# The one source of the version: pyproject.toml reads it from here, and every
+# report's metadata records it.
+__version__ = "0.1.0"
+
 from .data import (
     ColumnSchema,
     Dataset,
@@ -27,6 +31,7 @@ from .errors import (
     IncompatibleEstimatesError,
     ParseError,
     PositivityError,
+    ReportSchemaError,
     SchemaError,
     SeparationError,
     SingularDesignError,
@@ -91,6 +96,7 @@ __all__ = [
     "PRESETS",
     "ParseError",
     "PositivityError",
+    "ReportSchemaError",
     "RestrictionResult",
     "ScenarioConfig",
     "SchemaError",

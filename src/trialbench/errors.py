@@ -63,6 +63,10 @@ class DegenerateTestError(TrialbenchError):
     """A test statistic cannot be formed (zero standard error)."""
 
 
+class ReportSchemaError(TrialbenchError):
+    """A report breaks the shipped report schema; the message names the JSON path and rule."""
+
+
 def record(errors: list, rows, make) -> None:
     """Give each of ``rows`` whose slot in ``errors`` is still empty the error ``make(row)``.
 

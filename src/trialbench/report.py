@@ -2,8 +2,13 @@
 
 The JSON layout is versioned (``schema_version``) and pinned by the
 report_schema.json shipped inside the package; every report written by the
-command line is validated against that schema before it reaches disk.
-Timestamps are the only content that changes between identical runs.
+command line is validated against that schema before it reaches disk. The
+check is a small draft-07 validator, not a schema library: it implements
+exactly the keywords the shipped schema uses and raises ValueError on any
+other, so no constraint of the schema passes unchecked. A report that breaks
+the schema raises ReportSchemaError with a one-line message naming the JSON
+path and the rule. Timestamps are the only content that changes between
+identical runs.
 
 A report dict holds the result records themselves (configs, intervals,
 tests, restriction and overlap results, validation and Monte Carlo
@@ -13,17 +18,15 @@ at the end of each ``build_*_report``.
 
 from __future__ import annotations
 
-import importlib.metadata
-import importlib.resources
 import json
 from datetime import datetime, timezone
+from pathlib import Path
 
-import jsonschema
-
+from . import __version__
 from .config import AnalysisConfig, SimulationConfig, ValidateConfig
 from .data import Dataset, ValidationReport, validate
 from .diagnostics import overlap_summary, restriction_test
-from .errors import ValidationFailure
+from .errors import ReportSchemaError, ValidationFailure
 from .estimators import AnalysisPlan, EstimateWithIF, run_plan_with
 from .inference import BootstrapResult, TestResult, bootstrap, sandwich_ci, wald_test
 from .jsonfields import dump
@@ -53,31 +56,152 @@ _NOT_ASSESSED_TEXT = (
 )
 
 
-def tool_version() -> str:
-    try:
-        return importlib.metadata.version("trialbench")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
+_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
+
+# The draft-07 keywords of the shipped schema. Of these, the annotations
+# $schema, title and definitions check nothing; any keyword outside this set
+# raises, so no constraint can pass unchecked.
+_KEYWORDS = frozenset(
+    {
+        "$schema",
+        "title",
+        "definitions",
+        "type",
+        "properties",
+        "required",
+        "additionalProperties",
+        "propertyNames",
+        "items",
+        "enum",
+        "const",
+        "oneOf",
+        "$ref",
+        "exclusiveMinimum",
+        "exclusiveMaximum",
+    }
+)
+
+
+def _is_number(value) -> bool:
+    # JSON true and false load as Python bools, which are ints too.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    # Draft 7 counts a float with no fractional part, such as 1.0, as an integer.
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality, as ``enum`` and ``const`` use it: true is not 1, 1.0 is 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b
+
+
+def _resolve(root: dict, ref: str):
+    """The sub-schema a local JSON-pointer ``$ref`` such as ``#/definitions/x`` names."""
+    if not ref.startswith("#"):
+        raise ValueError(f"report schema: only local $ref is supported, got {ref!r}")
+    node = root
+    for part in ref[1:].split("/")[1:]:
+        node = node[part.replace("~1", "/").replace("~0", "~")]
+    return node
+
+
+def _first_error(value, schema, root: dict, path: tuple) -> tuple[tuple, str] | None:
+    """The first rule of ``schema`` that ``value`` breaks, as (JSON path, rule), or None."""
+    if schema is True:
+        return None
+    if schema is False:
+        return path, "not allowed"
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"report schema keyword(s) {sorted(unknown)} not supported")
+    if "$ref" in schema:
+        # Draft 7 ignores every keyword beside a $ref.
+        return _first_error(value, _resolve(root, schema["$ref"]), root, path)
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_TYPES[name](value) for name in names):
+            return path, f"not of type {' or '.join(names)}"
+    if "enum" in schema and not any(_equal(value, option) for option in schema["enum"]):
+        return path, f"not one of {json.dumps(schema['enum'])}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        return path, f"not equal to {json.dumps(schema['const'])}"
+    if _is_number(value) and (
+        value <= schema.get("exclusiveMinimum", -float("inf"))
+        or value >= schema.get("exclusiveMaximum", float("inf"))
+    ):
+        return path, "out of range"
+    if "oneOf" in schema:
+        errors = [_first_error(value, option, root, path) for option in schema["oneOf"]]
+        matched = errors.count(None)
+        if matched > 1:
+            return path, f"matches {matched} alternatives of oneOf, not exactly one"
+        if matched == 0:
+            # The alternative that got deepest into the value is the one meant.
+            return max(errors, key=lambda error: len(error[0]))
+    if isinstance(value, list) and "items" in schema:
+        if not isinstance(schema["items"], (dict, bool)):
+            raise ValueError("report schema: only a single schema is supported for items")
+        for i, item in enumerate(value):
+            error = _first_error(item, schema["items"], root, (*path, str(i)))
+            if error is not None:
+                return error
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"missing required property {json.dumps(key)}"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if "propertyNames" in schema:
+                error = _first_error(key, schema["propertyNames"], root, (*path, key))
+                if error is not None:
+                    return error[0], f"property name {error[1]}"
+            rule = properties.get(key, schema.get("additionalProperties", True))
+            error = _first_error(item, rule, root, (*path, key))
+            if error is not None:
+                return error
+    return None
 
 
 def load_report_schema() -> dict:
-    text = (
-        importlib.resources.files("trialbench")
-        .joinpath("report_schema.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
+    return json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
+
+
+def validate_against(instance, schema: dict) -> None:
+    """Check ``instance`` against the draft-07 ``schema``.
+
+    Raises ReportSchemaError naming the first broken rule and its JSON path,
+    and ValueError when the schema uses a keyword this validator lacks.
+    """
+    error = _first_error(instance, schema, schema, ("report",))
+    if error is not None:
+        path, rule = error
+        raise ReportSchemaError(f"{'.'.join(path)}: {rule}")
 
 
 def validate_report(report: dict) -> None:
-    """Check a report against the shipped schema; raises on mismatch."""
-    jsonschema.validate(report, load_report_schema())
+    """Check a report against the shipped schema; raises ReportSchemaError on mismatch."""
+    validate_against(report, load_report_schema())
 
 
 def _metadata(config: AnalysisConfig | SimulationConfig | ValidateConfig) -> dict:
     return {
         "tool": "trialbench",
-        "version": tool_version(),
+        "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
     }

@@ -88,3 +88,54 @@ def test_cell_path_matches_rows(seed, n, k, levels, outcome_kind, include_intera
             continue
         got = restriction_test(d, arm, include_interactions, outcome_kind=outcome_kind)
         assert got.test.p_value == pytest.approx(expected, rel=1e-9, abs=0.0), arm
+
+
+@settings(max_examples=30, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(300, 600),
+    k=st.integers(1, 2),
+    levels=st.integers(2, 3),
+    outcome_kind=st.sampled_from(["continuous", "binary"]),
+)
+def test_estimates_do_not_change_when_rows_are_reordered_within_each_study(
+    seed, n, k, levels, outcome_kind
+):
+    # At most 3^2 covariate patterns, so the rows are grouped (see
+    # test_cell_path_matches_rows) and each cell sums its rows in a new order:
+    # only the last bits may move.
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, k)).astype(float)
+    s = rng.integers(0, 2, n)
+    a = rng.integers(0, 2, n)
+    mean = 5.0 + x @ rng.normal(size=k) + rng.normal() * s + 0.5 * a
+    if outcome_kind == "continuous":
+        y = mean + rng.normal(size=n)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.3 * (mean - 5.0)))).astype(float)
+    order = np.arange(n)
+    for study in (0, 1):
+        rows = np.flatnonzero(s == study)
+        order[rows] = rng.permutation(rows)
+    names = tuple(f"X{j}" for j in range(k))
+    d = Dataset(x=x, s=s, a=a, y=y, covariate_names=names)
+    shuffled = Dataset(x=x[order], s=s[order], a=a[order], y=y[order], covariate_names=names)
+    assert d.cells(outcome_kind == "binary").count.size < n
+
+    plan = AnalysisPlan(outcome_kind=outcome_kind)
+    try:
+        expected = run_plan_with(d, fit_nuisances(d, outcome_kind), plan)
+    except FitError as exc:
+        with pytest.raises(type(exc)):
+            run_plan_with(shuffled, fit_nuisances(shuffled, outcome_kind), plan)
+        return
+    got = run_plan_with(shuffled, fit_nuisances(shuffled, outcome_kind), plan)
+    for name in ("phi", "chi", "psi"):
+        for arm in (0, 1):
+            label = f"{name}({arm})"
+            assert got[label].value == pytest.approx(
+                expected[label].value, rel=1e-12, abs=0.0
+            ), label
+            assert sandwich_se(got[label]) == pytest.approx(
+                sandwich_se(expected[label]), rel=1e-12, abs=0.0
+            ), label

@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -8,10 +10,11 @@ import sys
 import pytest
 
 import trialbench
+from trialbench import cli
 from trialbench.cli import main
 from trialbench.report import load_report_schema, validate_report
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, REPO_ROOT
 
 SCHEMA = {"s": "S", "a": "A", "y": "Y", "x": ["X1"]}
 
@@ -285,19 +288,74 @@ def test_console_script_is_installed(tmp_path, write_config):
     assert "dataset is usable" in proc.stdout
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.special alone takes about 0.3 s to import; the numerics need none of scipy.
-    code = (
-        "import sys, trialbench.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+def fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports this package."""
     package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
     path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.special alone takes about 0.3 s to import; the numerics need none of scipy.
+    code = (
+        "import sys, trialbench.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_analyze_run_leaves_out_jsonschema_and_importlib_metadata(tmp_path, write_config):
+    # Importing jsonschema (with referencing) or importlib.metadata (with email)
+    # costs every command tens of milliseconds before it does any work.
+    config = write_config(analysis_payload(tmp_path, bootstrap=20))
+    code = (
+        "import sys, trialbench.cli; "
+        f"assert trialbench.cli.main(['analyze', {config!r}, '--quiet']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'referencing') "
+        "or m.startswith('importlib.metadata')))"
+    )
+    assert fresh_python(code).strip() == "[]"
+    assert (tmp_path / "report.json").exists()
+
+
+def test_report_that_breaks_the_schema_exits_5_with_a_one_line_error(
+    tmp_path, write_config, capsys, monkeypatch
+):
+    build = cli.build_analysis_report
+
+    def broken(config, d):
+        report = build(config, d)
+        report["estimates"]["phi"]["0"]["sandwich"]["level"] = 1.5
+        return report
+
+    monkeypatch.setattr(cli, "build_analysis_report", broken)
+    assert main(["analyze", write_config(analysis_payload(tmp_path)), "--quiet"]) == 5
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {
+        "type": "ReportSchemaError",
+        "message": "report.estimates.phi.0.sandwich.level: out of range",
+        "exit_code": 5,
+    }
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_report_version_is_the_version_pyproject_reads(tmp_path, write_config):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    module, _, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    version = getattr(importlib.import_module(module), name)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", version)
+    out = tmp_path / "validation.json"
+    payload = {"input": str(FIXTURE_CSV), "schema": SCHEMA, "output": str(out)}
+    assert main(["validate", write_config(payload), "--quiet"]) == 0
+    assert written_report(out)["metadata"]["version"] == version == trialbench.__version__
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])

@@ -53,35 +53,58 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Every import of scipy in the source, at module level or in any function body."""
+# Each costs every command its import time: scipy (about 0.3 s for
+# scipy.special), jsonschema (with referencing, 60-90 ms) and
+# importlib.metadata (with email, about 20 ms). Tests may use them.
+BANNED = ("scipy", "jsonschema", "importlib.metadata")
+
+
+def banned_imports(source: str) -> list[str]:
+    """Every import of a BANNED module in the source, at module level or in any function body."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
+            # ``from importlib import metadata`` imports importlib.metadata.
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
-    return found
+        found += [
+            (node.lineno, m)
+            for m in modules
+            if any(m == b or m.startswith(b + ".") for b in BANNED)
+        ]
+    return [f"line {line}: {m}" for line, m in sorted(found)]
 
 
-def test_scipy_imports_are_found():
+def test_banned_imports_are_found():
     source = (
         "import os, scipy.special as sp\n"
         "from .scipy import x\n"
         "def f():\n    from scipy import stats\n    import scipyx\n"
+        "import jsonschema\nfrom importlib import metadata, resources\n"
+        "import importlib.metadata\nfrom importlib.metadata import version\n"
+        "import importlib.resources\n"
     )
-    assert scipy_imports(source) == ["line 1: scipy.special", "line 4: scipy"]
+    assert banned_imports(source) == [
+        "line 1: scipy.special",
+        "line 4: scipy",
+        "line 4: scipy.stats",
+        "line 6: jsonschema",
+        "line 7: importlib.metadata",
+        "line 8: importlib.metadata",
+        "line 9: importlib.metadata",
+        "line 9: importlib.metadata.version",
+    ]
 
 
-def test_no_module_imports_scipy():
+def test_no_module_imports_a_banned_module():
     # A lazy import inside a function still costs its import time when it runs.
     found = {
         path.name: hits
         for path in sorted(PACKAGE.glob("*.py"))
-        if (hits := scipy_imports(path.read_text(encoding="utf-8")))
+        if (hits := banned_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
