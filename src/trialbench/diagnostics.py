@@ -108,13 +108,12 @@ def restriction_test(
     labels = None if outcome_kind == "continuous" else t.y_mean
     model = only(*fit_cells(t.stacked(), mask, design, labels, f"restriction test arm {a}", ridge))
     converged = not isinstance(model, LogisticModel) or model.converged
-    cov = coefficient_covariance(model, design, t.count[mask])
     idx = np.arange(n_base, design.shape[1])
     b = model.coefficients[idx]
-    sub = cov[np.ix_(idx, idx)]
     try:
+        sub = coefficient_covariance(model, design, t.count[mask])[np.ix_(idx, idx)]
         statistic = float(b @ np.linalg.solve(sub, b))
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError:  # a singular information matrix
         statistic = float("nan")
     df = idx.size
     p_value = chi2_sf(df, statistic) if np.isfinite(statistic) else float("nan")

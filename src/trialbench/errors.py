@@ -6,6 +6,8 @@ data problems, and fitting problems are distinct families.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class TrialbenchError(Exception):
     """Base class for all errors raised by this package."""
@@ -67,13 +69,14 @@ class ReportSchemaError(TrialbenchError):
     """A report breaks the shipped report schema; the message names the JSON path and rule."""
 
 
-def record(errors: list, rows, make) -> None:
-    """Give each of ``rows`` whose slot in ``errors`` is still empty the error ``make(row)``.
+def record(errors: list, rows: np.ndarray, make) -> None:
+    """Give each row marked in the boolean mask ``rows`` whose slot in
+    ``errors`` is still empty the error ``make(row)``.
 
     A stack of fits or estimates keeps one error slot per row. The first
     error a row meets is the one its analysis alone would raise, so a later
     check never overwrites it.
     """
-    for r in rows:
+    for r in rows.nonzero()[0]:
         if errors[r] is None:
             errors[r] = make(r)

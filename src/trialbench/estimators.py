@@ -51,7 +51,9 @@ class EstimateWithIF:
     them to one per dataset row. ``n_effective`` is the emulation-sample
     count the functional standardizes over; contrasts carry the smaller of
     their parents'. Construction enforces that the estimate is finite and
-    that the influence values average to zero up to float tolerance.
+    that the influence values average to zero within ``tolerance``,
+    1e-8 (1 + |value|); a contrast's is the sum of its parents', which
+    ``contrast`` passes as the private ``_budget``.
     """
 
     label: str
@@ -60,15 +62,19 @@ class EstimateWithIF:
     alpha: np.ndarray
     beta: np.ndarray
     n_effective: int
+    _budget: float = field(default=0.0, repr=False, compare=False)
+    tolerance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "n_effective", int(self.n_effective))
+        # A parents' budget never falls below the estimate's own.
+        object.__setattr__(self, "tolerance", max(float(_tolerance(self.value)), self._budget))
         if not np.isfinite(self.value):
             raise _not_finite(self.label)
         t = self.table
-        center, tolerance = _center(self.value, self.alpha, self.beta, t.count, t.y_sum)
-        if center > tolerance:
+        center = _center(self.alpha, self.beta, t.count, t.y_sum)
+        if center > self.tolerance:
             raise _off_center(self.label, center)
 
     @property
@@ -93,11 +99,17 @@ class EstimateStack:
     alpha: np.ndarray
     beta: np.ndarray
     n_effective: np.ndarray
+    tolerance: np.ndarray
     errors: list
 
     def check(self) -> None:
+        """Record a failure of EstimateWithIF's construction checks per row."""
+        record(self.errors, ~np.isfinite(self.value), lambda r: _not_finite(self.label))
         t = self.table
-        _check(self.label, self.value, self.alpha, self.beta, t.count, t.y_sum, self.errors)
+        # A failed row may hold non-finite values; its slot is already filled.
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = _center(self.alpha, self.beta, t.count, t.y_sum)
+        record(self.errors, center > self.tolerance, lambda r: _off_center(self.label, center[r]))
 
     def only(self, table: CellTable) -> EstimateWithIF:
         """The estimate of a stack of one, on the unstacked ``table``; raises
@@ -111,16 +123,20 @@ class EstimateStack:
             alpha=self.alpha[0],
             beta=self.beta[0],
             n_effective=self.n_effective[0],
+            _budget=float(self.tolerance[0]),
         )
 
 
 def _center(
-    value: np.ndarray, alpha: np.ndarray, beta: np.ndarray, count: np.ndarray, y_sum: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """|mean influence value| of an estimate, or of each row of a stack, and
-    the tolerance it must stay within."""
-    center = np.abs(np.vecdot(alpha, y_sum) + np.vecdot(beta, count)) / count.sum(axis=-1)
-    return center, 1e-8 * (1.0 + np.abs(value))
+    alpha: np.ndarray, beta: np.ndarray, count: np.ndarray, y_sum: np.ndarray
+) -> np.ndarray:
+    """|mean influence value| of an estimate, or of each row of a stack."""
+    return np.abs(np.vecdot(alpha, y_sum) + np.vecdot(beta, count)) / count.sum(axis=-1)
+
+
+def _tolerance(value: np.ndarray) -> np.ndarray:
+    """How far from zero the mean influence value of an estimate may lie."""
+    return 1e-8 * (1.0 + np.abs(value))
 
 
 def _not_finite(label: str) -> ValueError:
@@ -129,34 +145,6 @@ def _not_finite(label: str) -> ValueError:
 
 def _off_center(label: str, center: float) -> ValueError:
     return ValueError(f"{label}: influence values are off-center by {center:.3e}")
-
-
-def _check(
-    label: str,
-    value: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    count: np.ndarray,
-    y_sum: np.ndarray,
-    errors: list,
-) -> None:
-    """EstimateWithIF's construction checks on each row of a stack of
-    estimates still without an error: a failure is recorded, not raised."""
-    finite = np.isfinite(value)
-    if not finite.all():
-        record(errors, np.flatnonzero(~finite), lambda r: _not_finite(label))
-    rows = np.arange(len(errors))
-    if any(errors):
-        rows = np.flatnonzero([e is None for e in errors])
-        value, alpha, beta, count, y_sum = (v[rows] for v in (value, alpha, beta, count, y_sum))
-    center, tolerance = _center(value, alpha, beta, count, y_sum)
-    off = center > tolerance
-    if off.any():
-        record(
-            errors,
-            rows[off],
-            lambda r: _off_center(label, center[np.searchsorted(rows, r)]),
-        )
 
 
 def _positivity_check(
@@ -175,7 +163,7 @@ def _positivity_check(
             f"rows [{shown}]{suffix}"
         )
 
-    record(errors, np.flatnonzero(np.any(bad_cells, axis=1)), error)
+    record(errors, np.any(bad_cells, axis=1), error)
 
 
 # Per estimator: the stratum of its outcome and propensity models (its
@@ -229,14 +217,13 @@ def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> 
         w = np.where(live, weight(e, p), 0.0)
     if hajek:
         total = np.vecdot(count, w)
-        if (total <= 0.0).any():
-            record(
-                errors,
-                np.flatnonzero(total <= 0.0),
-                lambda r: PositivityError(
-                    "renormalization impossible: weighted rows have zero total weight"
-                ),
-            )
+        record(
+            errors,
+            total <= 0.0,
+            lambda r: PositivityError(
+                "renormalization impossible: weighted rows have zero total weight"
+            ),
+        )
         w *= (n0 / np.where(total > 0.0, total, n0))[:, None]
 
     fitted = count * g
@@ -249,6 +236,7 @@ def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> 
         alpha=scale * w,
         beta=scale * (np.where(s0, g - value[:, None], 0.0) - w * g),
         n_effective=n0,
+        tolerance=_tolerance(value),
         errors=errors,
     )
 
@@ -285,7 +273,9 @@ def contrast(
     """Difference e1 - e2 with the differenced influence values.
 
     Both estimates must come from the same cell table, and so from the
-    same dataset.
+    same dataset. The mean of the differenced influence values may lie as
+    far from zero as the parents' may together: its rounding error grows
+    with the size of the parents, not of their difference.
     """
     if e1.table is not e2.table:
         raise IncompatibleEstimatesError(
@@ -298,6 +288,7 @@ def contrast(
         alpha=e1.alpha - e2.alpha,
         beta=e1.beta - e2.beta,
         n_effective=min(e1.n_effective, e2.n_effective),
+        _budget=e1.tolerance + e2.tolerance,
     )
 
 
@@ -383,6 +374,7 @@ def run_plan_with(
             alpha=e1.alpha - e2.alpha,
             beta=e1.beta - e2.beta,
             n_effective=np.minimum(e1.n_effective, e2.n_effective),
+            tolerance=e1.tolerance + e2.tolerance,
             errors=[f or g for f, g in zip(e1.errors, e2.errors)],
         )
     if not table.reweighted:

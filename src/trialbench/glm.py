@@ -12,18 +12,27 @@ factorization, or an elementwise product summed over the last axis) on
 row-contiguous arrays, so a row's fit has the same bits whatever other rows
 share its stack.
 
+A row's error slot is the one record of its failure: a check fails only the
+rows it concerns, ``errors.record`` keeps the first error a row meets, no row
+is ever taken out of the stack, and a failed row's coefficients are 0.
+
 Before the rank decision and the solve, each non-intercept column whose
 largest magnitude lies outside [1/16, 16] is scaled by the power of two that
 brings it into [1, 2), and the coefficients are scaled back afterwards.
 Powers of two are exact, so a covariate multiplied by 1e200 or 1e-200 fits
 as the original does, and a {0, 1} or standard normal column is not touched.
+A row whose coefficients leave the float range when scaled back fails.
 
 The logistic fit is Newton / iteratively reweighted least squares with step
 halving, so the (penalized) log-likelihood never decreases across accepted
 iterations. Convergence is declared on the score of the scaled problem:
-every component of the gradient below ``tol`` in absolute value. The linear
-fit is least squares on sqrt(w) X by a QR factorization, whose accuracy
-follows the condition number of sqrt(w) X rather than its square.
+every component of the gradient below ``tol`` in absolute value. The loop
+runs on every row of the stack and keeps a ``live`` mask of the rows still
+iterating: a row that converges, fails or stagnates leaves it, and from then
+on its Hessian is the identity and its score 0, so its step is 0 and its fit
+stays as it was. The linear fit is least squares on sqrt(w) X by a QR
+factorization, whose accuracy follows the condition number of sqrt(w) X
+rather than its square.
 
 The optional ridge penalty applies to slopes only, never the intercept,
 and exists as an explicit fallback for near-separated resamples; by
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, SeparationError, SingularDesignError, record
+from .errors import DegenerateFitError, FitError, SeparationError, SingularDesignError, record
 
 # Probabilities are kept strictly inside (0, 1) so weights stay finite.
 _PROB_LO = 1e-300
@@ -121,17 +130,16 @@ def _gram(design: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(design.T, w[:, :, None] * design)
 
 
-def _solve(hessian: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve(hessian: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hessian^-1 score per stack row, and which rows have a singular hessian
-    (their step is 0), or None when none has. One singular row makes the
-    batched solve raise, so the rows are then solved one at a time, which
-    gives each the same bits."""
+    (their step is 0). One singular row makes the batched solve raise, so the
+    rows are then solved one at a time, which gives each the same bits."""
+    singular = np.zeros(len(score), dtype=bool)
     try:
-        return np.linalg.solve(hessian, score[:, :, None])[:, :, 0], None
+        return np.linalg.solve(hessian, score[:, :, None])[:, :, 0], singular
     except np.linalg.LinAlgError:
         pass
     step = np.zeros_like(score)
-    singular = np.zeros(len(score), dtype=bool)
     for r in range(len(score)):
         try:
             step[r] = np.linalg.solve(hessian[r : r + 1], score[r : r + 1, :, None])[0, :, 0]
@@ -144,26 +152,20 @@ def _check_rank(design: np.ndarray, occupied: np.ndarray, errors: list, what: st
     """Fail each row whose occupied design rows have rank below p, by the
     np.linalg.matrix_rank rule on those rows (singular values above
     max(singular value) * max(rows, p) * eps)."""
-    rows = np.arange(len(errors))
-    if any(errors):
-        rows = np.flatnonzero([e is None for e in errors])
-        if rows.size == 0:
-            return
     m, p = design.shape
-    occ = occupied[rows] if rows.size < len(errors) else occupied
-    if occ.all():
+    if occupied.all():
         # Every row occupies every cell: the design's own singular values
         # (descending) decide for all of them.
         values = np.linalg.svd(design, compute_uv=False).tolist()
         if len(values) == p and values[-1] > values[0] * max(m, p) * _EPS:
             return
-        deficient = rows
+        deficient = np.ones(len(errors), dtype=bool)
     else:
         # Cells of weight 0 are zeroed, which leaves the singular values of
         # the occupied rows.
-        values = np.linalg.svd(design * occ[:, :, None], compute_uv=False)
-        tol = values[:, 0] * np.maximum(occ.sum(axis=1), p) * _EPS
-        deficient = rows[(values > tol[:, None]).sum(axis=1) < p]
+        values = np.linalg.svd(design * occupied[:, :, None], compute_uv=False)
+        tol = values[:, 0] * np.maximum(occupied.sum(axis=1), p) * _EPS
+        deficient = (values > tol[:, None]).sum(axis=1) < p
     record(errors, deficient, lambda r: _singular(design[occupied[r]], what))
 
 
@@ -207,24 +209,23 @@ def _prepare(
         valid = np.all(w >= 0.0, axis=1) & np.isfinite(total)
         record(
             errors,
-            np.flatnonzero(~valid),
+            ~valid,
             lambda r: ValueError(f"{what}: weights must be finite and non-negative"),
         )
         w = np.where(valid[:, None], w, 0.0)
         total = w.sum(axis=1)
     occupied = w > 0.0
     small = total < p
-    if small.any():
-        record(
-            errors,
-            np.flatnonzero(small),
-            lambda r: ValueError(f"{what}: {total[r]:g} rows cannot identify {p} coefficients"),
-        )
+    record(
+        errors,
+        small,
+        lambda r: ValueError(f"{what}: {total[r]:g} rows cannot identify {p} coefficients"),
+    )
     if not np.isfinite(design).all():
         finite = np.all(np.isfinite(design), axis=1)
         record(
             errors,
-            np.flatnonzero(np.any(occupied & ~finite, axis=1)),
+            np.any(occupied & ~finite, axis=1),
             lambda r: ValueError(f"{what}: design contains non-finite values"),
         )
         design = np.where(finite[:, None], design, 0.0)
@@ -233,6 +234,21 @@ def _prepare(
         design = design * scales
     _check_rank(design, occupied, errors, what)
     return design, scales, y, w, occupied, total, errors
+
+
+def _scale_back(
+    beta: np.ndarray, scales: np.ndarray | None, errors: list, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of the unscaled design, 0 on failed rows, and which
+    rows failed. A row fails whose coefficients leave the float range, as the
+    slope 1e320 of an outcome of size 1e120 on a covariate of size 1e-200 does."""
+    with np.errstate(over="ignore"):
+        coefficients = beta if scales is None else beta * scales
+    overflow = ~np.isfinite(coefficients).all(axis=1)
+    record(errors, overflow, lambda r: FitError(f"{what}: coefficients are not finite"))
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    coefficients[failed] = 0.0
+    return coefficients, failed
 
 
 @dataclass(frozen=True)
@@ -351,13 +367,15 @@ def _separated(one: np.ndarray, mu: np.ndarray, free: np.ndarray, rows: np.ndarr
     to its label (``one`` marks label 1, ``free`` the cells of weight 0,
     which take no part): the current coefficient direction then classifies
     perfectly, so the MLE is at infinity."""
-    out = np.zeros(rows.shape, dtype=bool)
-    if rows.any():
-        pick = slice(None) if rows.all() else rows
-        pinned = np.where(one[pick], mu[pick] > 1.0 - _SEPARATION_EPS, mu[pick] < _SEPARATION_EPS)
-        pinned |= free[pick]
-        out[pick] = pinned.all(axis=-1)
-    return out
+    if not rows.any():
+        return rows
+    pinned = np.where(one, mu > 1.0 - _SEPARATION_EPS, mu < _SEPARATION_EPS)
+    pinned |= free
+    return rows & pinned.all(axis=-1)
+
+
+def _separation(what: str, iteration: int) -> SeparationError:
+    return SeparationError(f"logistic fit: {what} at iteration {iteration}")
 
 
 def fit_logistic(
@@ -409,24 +427,31 @@ def fit_logistic_stack(
     if nonbinary.any():
         record(
             errors,
-            np.flatnonzero(np.any(nonbinary & occupied, axis=1)),
+            np.any(nonbinary & occupied, axis=1),
             lambda r: ValueError("logistic fit: labels must be 0 or 1"),
         )
     both = (zero & occupied).any(axis=1) & (one & occupied).any(axis=1)
-    if not both.all():
-        record(
-            errors,
-            np.flatnonzero(~both),
-            lambda r: DegenerateFitError(
-                f"logistic fit: labels are single-class (all {int(y[r][occupied[r]][0])})"
-            ),
-        )
+    record(
+        errors,
+        ~both,
+        lambda r: DegenerateFitError(
+            f"logistic fit: labels are single-class (all {int(y[r][occupied[r]][0])})"
+        ),
+    )
 
     count, p = w.shape[0], x.shape[1]
     penalty = np.zeros(p)
     if ridge > 0.0:
         # Intercept never penalized; the slopes of scaled columns scale back.
-        penalty[1:] = ridge * (1.0 if scales is None else scales[1:] ** 2)
+        # A penalty beyond the float range (a covariate below about 1e-154)
+        # is held at the largest float. The slope is then not the penalized
+        # optimum but one Newton step against that penalty, score * scale^2 /
+        # max float in original units (about 1e-8 for a covariate of 1e-300,
+        # where the optimum is about 1e-300): far from 0, but its share of
+        # every linear predictor lies below float resolution.
+        with np.errstate(over="ignore"):
+            penalty[1:] = ridge * (1.0 if scales is None else scales[1:] ** 2)
+        np.minimum(penalty, np.finfo(float).max, out=penalty)
     ridge_penalty = penalty if ridge > 0.0 else None
     wy, free = w * y, ~occupied
     # Only a row whose log-likelihood exceeds this can be separated: a cell
@@ -440,136 +465,79 @@ def fit_logistic_stack(
     converged = np.zeros(count, dtype=bool)
     iterations = np.zeros(count, dtype=int)
 
-    # The rows still iterating, and their (rows, m) arrays, compacted
-    # whenever some rows stop; e is exp(-|eta|), kept for expit.
-    active = np.flatnonzero([e is None for e in errors])
-    rows = [w, wy, one, free] if active.size == count else [a[active] for a in (w, wy, one, free)]
-    eta, e = np.zeros((active.size, w.shape[1])), np.ones((active.size, w.shape[1]))
-    settle = []  # rows that stopped without converging
+    # The rows still iterating (see the module docstring); e is exp(-|eta|),
+    # kept for expit.
+    live = np.array([e is None for e in errors], dtype=bool)
+    stagnated = np.zeros(count, dtype=bool)
+    eta, e = np.zeros(w.shape), np.ones(w.shape)
+    identity = np.eye(p)
     for it in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        sel = active if active.size < count else slice(None)
-        w_a, wy_a, one_a, free_a = rows
         mu = _expit(eta, e)
-        residual = w_a * mu
-        np.subtract(wy_a, residual, out=residual)
+        residual = w * mu
+        np.subtract(wy, residual, out=residual)
         score = _score(x, residual)
         if ridge > 0.0:
-            score -= penalty * beta[sel]
+            score -= penalty * beta
         # A NaN score component shows a non-finite mu, and with it
         # non-finite working weights w mu (1 - mu).
         largest = np.abs(score).max(axis=1)
-        candidates = ll[sel] > floor[sel]
-        if candidates.any() or not (largest >= tol).all():
-            if not candidates.any() and (largest < tol).all():  # every row converged
-                converged[active] = True
-                iterations[active] = it - 1
-                active = active[:0]
-                break
-            stop = np.isnan(largest)
-            record(
-                errors,
-                active[stop],
-                lambda r: SeparationError(
-                    f"logistic fit: non-finite working weights at iteration {it}"
-                ),
-            )
-            separated = _separated(one_a, mu, free_a, candidates & ~stop)
-            record(
-                errors,
-                active[separated],
-                lambda r: SeparationError(
-                    f"logistic fit: complete separation detected at iteration {it}"
-                ),
-            )
-            done = (largest < tol) & ~separated
-            go = ~(stop | separated | done)
-            converged[active[done]] = True
-            iterations[active[done]] = it - 1
-            if not go.any():
-                active = active[:0]
-                break
-            active, eta, e, mu, score = active[go], eta[go], e[go], mu[go], score[go]
-            rows = [a[go] for a in rows]
-            sel = active
+        stop = live & np.isnan(largest)
+        record(errors, stop, lambda r: _separation("non-finite working weights", it))
+        separated = _separated(one, mu, free, live & ~stop & (ll > floor))
+        record(errors, separated, lambda r: _separation("complete separation detected", it))
+        done = live & (largest < tol) & ~separated
+        converged |= done
+        live &= ~(stop | separated | done)
+        if not live.any():
+            break
+
         working = 1.0 - mu
         working *= mu
-        working *= rows[0]
+        working *= w
         hessian = _gram(x, working)
         if ridge > 0.0:
             hessian += np.diag(penalty)
+        hessian[~live] = identity
+        score[~live] = 0.0
         step, singular = _solve(hessian, score)
-        if singular is not None:
-            record(
-                errors,
-                active[singular],
-                lambda r: SeparationError(
-                    f"logistic fit: singular working Hessian at iteration {it}"
-                ),
-            )
-            active, eta, e, step = active[~singular], eta[~singular], e[~singular], step[~singular]
-            rows = [a[~singular] for a in rows]
-            sel = active
+        record(errors, singular, lambda r: _separation("singular working Hessian", it))
+        live &= ~singular
 
-        # Step halving keeps each row's penalized log-likelihood non-decreasing.
-        # The rows still trying after h halvings all take start + 0.5^h step.
-        w_a, wy_a = rows[0], rows[1]
-        start, least = beta[sel], ll[sel] - 1e-12 * (1.0 + np.abs(ll[sel]))
-        candidate = start + step
-        eta_new = _linear(x, candidate)
-        ll_new, e_new = _penalized_loglik(eta_new, wy_a, w_a, candidate, ridge_penalty)
-        up = ll_new >= least
-        if up.all():  # every row took its whole step
-            beta[sel], ll[sel], trace[sel, it], iterations[sel] = candidate, ll_new, ll_new, it
-            eta, e = eta_new, e_new
-            continue
-        trying, fraction = np.arange(active.size), 1.0
-        for halving in range(_HALVINGS):
-            if halving:
-                eta_new = _linear(x, candidate)
-                ll_new, e_new = _penalized_loglik(
-                    eta_new, wy_a[trying], w_a[trying], candidate, ridge_penalty
-                )
-                up = ll_new >= least[trying]
-            moved = active[trying[up]]
-            beta[moved], ll[moved], trace[moved, it] = candidate[up], ll_new[up], ll_new[up]
-            iterations[moved] = it
-            eta[trying[up]], e[trying[up]] = eta_new[up], e_new[up]
-            trying = trying[~up]
-            if trying.size == 0:
+        # Step halving keeps each row's penalized log-likelihood non-decreasing:
+        # the rows still trying after h halvings all take start + 0.5^h step.
+        start, least = beta, ll - 1e-12 * (1.0 + np.abs(ll))
+        trying, fraction = live.copy(), 1.0
+        for _ in range(_HALVINGS):
+            if not trying.any():
                 break
+            candidate = start + fraction * step
+            eta_new = _linear(x, candidate)
+            ll_new, e_new = _penalized_loglik(eta_new, wy, w, candidate, ridge_penalty)
+            up = trying & (ll_new >= least)
+            kept = (~up).nonzero()[0]  # these rows keep their fit
+            candidate[kept], eta_new[kept], e_new[kept] = beta[kept], eta[kept], e[kept]
+            beta, eta, e = candidate, eta_new, e_new
+            ll[up], trace[up, it], iterations[up] = ll_new[up], ll_new[up], it
+            trying &= ~up
             fraction *= 0.5
-            candidate = start[trying] + fraction * step[trying]
-        else:
-            iterations[active[trying]] = it - 1  # stagnated at float resolution
-            settle.append(active[trying])
-            keep = np.ones(active.size, dtype=bool)
-            keep[trying] = False
-            active, eta, e = active[keep], eta[keep], e[keep]
-            rows = [a[keep] for a in rows]
-    settle.append(active)  # ran out of iterations
+        stagnated |= trying  # at float resolution
+        live &= ~trying
 
-    stopped = np.concatenate(settle)
-    if stopped.size:
-        mu = expit(_linear(x, beta[stopped]))
-        separated = _separated(one[stopped], mu, free[stopped], ll[stopped] > floor[stopped])
+    # The rows that stagnated or ran out of iterations.
+    stopped = stagnated | live
+    if stopped.any():
+        mu = expit(_linear(x, beta))
+        pinned = _separated(one, mu, free, stopped & (ll > floor))
         record(
-            errors,
-            stopped[separated],
-            lambda r: SeparationError(
-                f"logistic fit: complete separation detected at iteration {iterations[r]}"
-            ),
+            errors, pinned, lambda r: _separation("complete separation detected", iterations[r])
         )
-        score = _score(x, wy[stopped] - w[stopped] * mu) - penalty * beta[stopped]
-        converged[stopped] = np.abs(score).max(axis=1) < tol
+        score = _score(x, wy - w * mu) - penalty * beta
+        converged[stopped] = (np.abs(score).max(axis=1) < tol)[stopped]
 
-    if any(errors):
-        failed = np.array([e is not None for e in errors])
-        beta[failed] = 0.0
-        converged[failed] = False
+    coefficients, failed = _scale_back(beta, scales, errors, "logistic fit")
+    converged[failed] = False
     model = LogisticModel(
-        coefficients=beta if scales is None else beta * scales,
+        coefficients=coefficients,
         converged=converged,
         iterations=iterations,
         log_likelihood=ll,
@@ -611,7 +579,7 @@ def fit_linear_stack(
     if not np.isfinite(y).all():
         record(
             errors,
-            np.flatnonzero(np.any(occupied & ~np.isfinite(y), axis=1)),
+            np.any(occupied & ~np.isfinite(y), axis=1),
             lambda r: ValueError("linear fit: response contains non-finite values"),
         )
     # A cell of weight 0 takes no part, whatever its response.
@@ -636,12 +604,9 @@ def fit_linear_stack(
         rss = np.vecdot(w * residuals, residuals)
     df = total - p
     variance = np.divide(rss, df, out=np.zeros(len(w)), where=df > 0)
-    if singular is not None:
-        record(errors, np.flatnonzero(singular), lambda r: _singular(x[occupied[r]], "linear fit"))
-    if any(errors):
-        failed = np.array([e is not None for e in errors])
-        beta[failed], variance[failed] = 0.0, 0.0
-    coefficients = beta if scales is None else beta * scales
+    record(errors, singular, lambda r: _singular(x[occupied[r]], "linear fit"))
+    coefficients, failed = _scale_back(beta, scales, errors, "linear fit")
+    variance[failed] = 0.0
     return LinearModel(coefficients=coefficients, residual_variance=variance), errors
 
 

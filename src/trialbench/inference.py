@@ -236,13 +236,13 @@ def bootstrap(
 ) -> dict[str, BootstrapResult]:
     """Stratified nonparametric bootstrap of every quantity in the plan.
 
-    Replicates are fitted in chunks by bootstrap_chunk. A replicate that
-    fails there is rerun alone by bootstrap_replicate, which raises its
-    error: fit failures (separation, positivity, degenerate strata) are
-    dropped and counted, and more than B/2 of them aborts. Results are
-    bit-identical for a given (d, plan, B, seed) regardless of execution
-    order and chunking, because each replicate owns an index-keyed RNG
-    stream and is fitted row by row.
+    Replicates are fitted in chunks by bootstrap_chunk, which records the
+    first error each replicate's analysis met, the error bootstrap_replicate
+    would raise for it alone; that error is raised here. Fit failures
+    (separation, positivity, degenerate strata) are dropped and counted, and
+    more than B/2 of them aborts. Results are bit-identical for a given
+    (d, plan, B, seed) regardless of execution order and chunking, because
+    each replicate owns an index-keyed RNG stream and is fitted row by row.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
@@ -255,7 +255,9 @@ def bootstrap(
             indices = range(i, min(i + chunk, B))
             pending.update(zip(indices, bootstrap_chunk(d, plan, seed, indices)))
         out = pending.pop(i)
-        return bootstrap_replicate(d, plan, seed, i) if isinstance(out, Exception) else out
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     results, failures = run_replicates(replicate, B, "bootstrap")
     return {

@@ -199,12 +199,7 @@ def fit_cells(
     spread = np.divide(t.y_ss[:, mask].sum(axis=1), df, out=np.zeros(df.size), where=df > 0)
     variance = model.residual_variance + spread
     finite = np.isfinite(variance)
-    if not finite.all():
-        record(
-            errors,
-            np.flatnonzero(~finite),
-            lambda r: FitError(f"{tag}: residual variance is not finite"),
-        )
+    record(errors, ~finite, lambda r: FitError(f"{tag}: residual variance is not finite"))
     return replace(model, residual_variance=variance), errors
 
 
@@ -273,12 +268,7 @@ def fit_nuisances(
             mask = base & (t.a == arm)
             tag = f"outcome_{stratum} arm {arm}"
             empty = ~np.any(mask & occupied, axis=1)
-            if empty.any():
-                record(
-                    errors,
-                    np.flatnonzero(empty),
-                    lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"),
-                )
+            record(errors, empty, lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"))
             outcome[(stratum, arm)] = fit(f"outcome_{stratum}", mask, labels, tag)
 
     nu = NuisanceSet(

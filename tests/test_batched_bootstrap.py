@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import trialbench
 from trialbench import AnalysisPlan, Dataset, FitError, ScenarioConfig, generate
-from trialbench import inference
+from trialbench import glm, inference
 from trialbench.glm import (
     add_intercept,
     fit_linear,
@@ -116,20 +116,21 @@ def test_chunk_size_leaves_the_bits_alone(small_dataset, monkeypatch):
 
 
 def _outcomes(fit, design, response, weights):
-    """Per row of ``weights``: the fit alone, or the class of the error it raised."""
+    """Per row of ``weights``: the fit alone, or the error it raised."""
     out = []
     for w in weights:
         try:
             out.append(fit(design, response, weights=w))
         except (FitError, ValueError) as exc:
-            out.append(type(exc))
+            out.append(exc)
     return out
 
 
 def _assert_rows_equal(stack, errors, alone):
     for r, single in enumerate(alone):
-        if isinstance(single, type):
-            assert type(errors[r]) is single, (r, errors[r])
+        if isinstance(single, Exception):
+            assert type(errors[r]) is type(single), (r, errors[r], single)
+            assert str(errors[r]) == str(single), (r, errors[r], single)
             continue
         assert errors[r] is None, (r, errors[r])
         row = stack.row(r)
@@ -167,6 +168,74 @@ def test_stacked_fits_equal_fits_alone(seed, cells, slopes, stack, separable):
     model, errors = fit_linear_stack(design, np.asfortranarray(response), np.asfortranarray(weights))
     alone = [_outcomes(fit_linear, design, y, w[None])[0] for y, w in zip(response, weights)]
     _assert_rows_equal(model, errors, alone)
+
+
+# One shared design (intercept and two slopes), each stack row weighting its
+# own group of cells. Lone, the rows take 0, 1 and 3 step halvings, separate
+# completely, meet a singular working Hessian after one step (two cells 2^-30
+# apart on X1 leave the Gram matrix numerically singular) and stagnate: no
+# halving of the first step raises the log-likelihood.
+MASKED_LOOP_ROWS = {
+    "no halving": ([[0, 4], [8, -8], [-6, 5], [8, -4], [-3, 6], [-1, -4]],
+                   [1, 0, 1, 0, 0, 1], [25, 14, 23, 4, 9, 4]),
+    "one halving": ([[6, 8], [-4, -5], [0, -8], [8, -3], [0, 5], [6, 0], [1, -7]],
+                    [0, 0, 1, 0, 1, 0, 0], [261, 3, 270, 209, 29, 2, 268]),
+    "three halvings": ([[-1, 1], [-5, 6], [2, 6], [8, 5], [-5, 3], [-1, 3], [3, 1], [6, -6]],
+                       [1, 0, 0, 0, 0, 1, 0, 1], [69, 3, 3, 167, 6, 1, 186, 5]),
+    "separated": ([[-2, 1], [-3, -1], [2, 2], [3, -2]], [0, 0, 1, 1], [1, 2, 2, 1]),
+    "singular": ([[1, 0], [1 + 2**-30, 0], [2, 0.5]], [0, 1, 1], [3, 1, 1]),
+    "stagnated": ([[1, 0], [1 + 2**-30, 0], [1, 1]], [0, 1, 0], [3, 1, 1]),
+}
+
+
+def test_masked_newton_loop_rows_equal_their_fits_alone(monkeypatch):
+    x, labels, groups = [], [], []
+    for cells, cell_labels, _ in MASKED_LOOP_ROWS.values():
+        groups.append(slice(len(x), len(x) + len(cells)))
+        x += cells
+        labels += cell_labels
+    design, labels = add_intercept(np.array(x, dtype=float)), np.array(labels, dtype=float)
+    weights = np.zeros((len(groups), len(x)))
+    for row, group, (_, _, w) in zip(weights, groups, MASKED_LOOP_ROWS.values()):
+        row[group] = w
+
+    # A fit alone evaluates the log-likelihood once for each step it takes,
+    # once more for each halving on the way, and _HALVINGS times for a step
+    # it gives up on.
+    evaluations = []
+    loglik = glm._penalized_loglik
+
+    def counted(eta, *args):
+        evaluations.append(len(eta))
+        return loglik(eta, *args)
+
+    monkeypatch.setattr(glm, "_penalized_loglik", counted)
+    alone, halvings = [], []
+    for w in weights:
+        evaluations.clear()
+        (out,) = _outcomes(fit_logistic, design, labels, w[None])
+        alone.append(out)
+        steps = out.iterations if isinstance(out, glm.LogisticModel) else 0
+        halvings.append(sum(evaluations) - steps)
+    monkeypatch.undo()
+
+    no_halving, one_halving, three_halvings, separated, singular, stagnated = alone
+    assert halvings[:3] == [0, 1, 3]
+    assert [m.iterations for m in (no_halving, one_halving, three_halvings)] == [6, 11, 12]
+    for m in (no_halving, one_halving, three_halvings):
+        assert m.converged and len(m.loglik_trace) == m.iterations + 1
+        assert np.all(np.diff(m.loglik_trace) >= 0.0)
+    assert str(separated) == "logistic fit: complete separation detected at iteration 18"
+    assert str(singular) == "logistic fit: singular working Hessian at iteration 2"
+    assert halvings[5] == glm._HALVINGS
+    assert (stagnated.iterations, stagnated.converged) == (0, False)
+    assert len(stagnated.loglik_trace) == 1
+
+    model, errors = fit_logistic_stack(design, labels, weights)
+    _assert_rows_equal(model, errors, alone)
+    for order in ([5, 4, 3, 2, 1, 0], [3, 0], [4, 1, 5]):
+        model, errors = fit_logistic_stack(design, labels, weights[order])
+        _assert_rows_equal(model, errors, [alone[r] for r in order])
 
 
 BOOTSTRAP_MEMORY = """

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -6,8 +8,12 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trialbench
 from trialbench import cli
@@ -398,3 +404,138 @@ def test_rescaled_covariate_gives_the_same_estimates(tmp_path, write_config, fac
             expected = original["estimates"][name][arm]["value"]
             got = rescaled["estimates"][name][arm]["value"]
             assert got == pytest.approx(expected, rel=1e-9, abs=0.0), (name, arm)
+
+
+def _fixture_with(tmp_path, name: str, change) -> pathlib.Path:
+    """The fixture CSV with ``change(column, value)`` applied to every data cell."""
+    lines = FIXTURE_CSV.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    for i in range(1, len(lines)):
+        row = lines[i].split(",")
+        lines[i] = ",".join(change(column, value) for column, value in zip(header, row))
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _leaves(entry, path=()):
+    """(path, value) of every number in a report entry."""
+    if isinstance(entry, dict):
+        for key, value in entry.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        yield path, entry
+
+
+def test_shifted_outcome_gives_the_same_contrasts(tmp_path, write_config):
+    # A contrast's influence values centre within the sum of its parents'
+    # budgets: phi(1) and phi(0) near 1e9 each carry a rounding error that
+    # their difference, near 2.4, keeps.
+    shifted = _fixture_with(
+        tmp_path, "shifted.csv", lambda c, v: repr(float(v) + 1e9) if c == "Y" else v
+    )
+    reports = []
+    for name, csv in (("original", FIXTURE_CSV), ("shifted", shifted)):
+        output = tmp_path / f"{name}.json"
+        payload = analysis_payload(tmp_path, input=str(csv), output=str(output), bootstrap=20)
+        assert main(["analyze", write_config(payload, f"{name}.json"), "--quiet"]) == 0
+        reports.append(written_report(output)["contrasts"])
+    original, moved = reports
+    for family in ("ate", "benchmarking"):
+        for key, entry in original[family].items():
+            expected, got = dict(_leaves(entry)), dict(_leaves(moved[family][key]))
+            assert got.keys() == expected.keys()
+            # The z statistic divides the estimate by its standard error.
+            slack = 1e-5 / entry["sandwich"]["std_error"]
+            for path, value in expected.items():
+                bound = slack if path[0] == "test" else 1e-5
+                assert got[path] == pytest.approx(value, rel=0.0, abs=bound), (family, key, path)
+
+
+def test_overflowing_slope_exits_4_naming_the_outcome_model(tmp_path, write_config, capsys):
+    # The outcome slope of X1 * 1e-200 against Y * 1e120 is 1e320, beyond the
+    # float range once the column scale is taken back out.
+    def change(column: str, value: str) -> str:
+        factor = {"X1": 1e-200, "Y": 1e120}.get(column)
+        return value if factor is None else repr(float(value) * factor)
+
+    csv = _fixture_with(tmp_path, "overflow.csv", change)
+    payload = analysis_payload(tmp_path, input=str(csv))
+    assert main(["analyze", write_config(payload), "--quiet"]) == 4
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["exit_code"] == 4
+    assert error["message"].startswith("outcome_")
+    assert "not finite" in error["message"]
+
+
+MAGNITUDES = (1.0, 1e150, 1e-150, 1e300, 1e-300)
+
+
+@st.composite
+def analyze_runs(draw) -> tuple[str, dict]:
+    """A small CSV with S, A, Y and one or two covariates, and the analyze
+    config to run on it (without input and output)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 60))
+    columns: list[np.ndarray] = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("binary", "normal", "constant", "duplicate")))
+        if kind == "duplicate" and columns:
+            columns.append(columns[0].copy())
+            continue
+        if kind == "constant":
+            column = np.full(n, draw(st.sampled_from((0.0, 1.0, -3.0))))
+        elif kind == "binary":
+            column = rng.integers(0, 2, n).astype(float)
+        else:
+            column = rng.normal(size=n)
+        columns.append(column * draw(st.sampled_from(MAGNITUDES)))
+    outcome_kind = draw(st.sampled_from(("binary", "continuous")))
+    outcome = draw(st.sampled_from(("varied", "constant")))
+    if outcome == "constant":
+        y = np.ones(n)
+    elif outcome_kind == "binary":
+        y = rng.integers(0, 2, n).astype(float)
+    else:
+        y = rng.normal(size=n) * draw(st.sampled_from(MAGNITUDES))
+    s, a = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    rows = list(zip(s, a, y, *columns))
+    if draw(st.booleans()):  # every row twice
+        rows = rows[: n // 2] * 2
+    names = [f"X{j + 1}" for j in range(len(columns))]
+    lines = [",".join(["S", "A", "Y", *names])]
+    lines += [",".join([str(int(r[0])), str(int(r[1])), *map(repr, map(float, r[2:]))]) for r in rows]
+    config = {
+        "schema": {"s": "S", "a": "A", "y": "Y", "x": names},
+        "outcome_kind": outcome_kind,
+        "ridge": draw(st.sampled_from((0.0, 1.0))),
+        "hajek": draw(st.booleans()),
+        "include_interactions": draw(st.booleans()),
+        "bootstrap": draw(st.sampled_from((0, 5))),
+        "seed": 3,
+    }
+    return "\n".join(lines) + "\n", config
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(run=analyze_runs())
+def test_analyze_exits_within_its_families(tmp_path_factory, run):
+    # Every input ends in exit 0 or in its own family (2 config, 3 data,
+    # 4 fit) with a one-line JSON error, never in exit 5, and in bounded time.
+    text, payload = run
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "data.csv").write_text(text)
+    payload = {**payload, "input": str(work / "data.csv"), "output": str(work / "report.json")}
+    (work / "config.json").write_text(json.dumps(payload))
+    stdout = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["analyze", str(work / "config.json"), "--quiet"])
+    assert time.perf_counter() - started < 5.0
+    out = stdout.getvalue()
+    assert code in (0, 2, 3, 4), out
+    if code:
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["exit_code"] == code

@@ -11,6 +11,7 @@ from trialbench import (
     restriction_test,
     truth_table,
 )
+from trialbench import diagnostics
 from trialbench.errors import DegenerateFitError
 
 
@@ -151,3 +152,18 @@ def test_overlap_rejects_bad_threshold(fixture_dataset):
     nu = fit_nuisances(fixture_dataset, outcome_kind="continuous")
     with pytest.raises(ValueError, match="threshold"):
         overlap_summary(fixture_dataset, nu, weight_threshold=0.0)
+
+
+def test_singular_information_makes_the_restriction_test_indeterminate(
+    small_dataset, monkeypatch
+):
+    # An observed information matrix that cannot be inverted (the fuzz of
+    # `analyze` met one in a separated fit) reads "indeterminate", as a
+    # singular Wald block does; the LinAlgError does not escape.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(diagnostics, "coefficient_covariance", singular)
+    result = restriction_test(small_dataset, 1, outcome_kind="continuous")
+    assert result.status == "indeterminate"
+    assert np.isnan(result.test.statistic) and np.isnan(result.test.p_value)

@@ -153,3 +153,25 @@ def test_linear_covariance_scales_with_residual_variance():
     cov = coefficient_covariance(model, design)
     expected = model.residual_variance * np.linalg.inv(design.T @ design)
     assert np.allclose(cov, expected)
+
+
+def test_ridge_on_a_covariate_of_size_1e_minus_300_fits_without_overflow():
+    # The penalty on the scaled slope, ridge * scale^2 = 2^1992, lies beyond
+    # the float range and is held at the largest float. The slope is one
+    # Newton step against it, x' (y - mu) scale^2 / max float with mu the
+    # intercept-only fit: about 7e-9, where the penalized optimum is about
+    # 1e-300, yet below float resolution in every linear predictor.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(50, 1))
+    y = (rng.random(50) < 0.5).astype(float)
+    tiny = fit_logistic(add_intercept(x * 1e-300), y, ridge=1.0)
+    alone = fit_logistic(np.ones((50, 1)), y)
+    assert tiny.converged
+    assert tiny.coefficients[0] == pytest.approx(alone.coefficients[0], rel=1e-12)
+    scale = 2.0 ** (1 - np.frexp(np.abs(x * 1e-300).max())[1])
+    assert scale == 2.0**996
+    mu = 1.0 / (1.0 + np.exp(-alone.coefficients[0]))
+    step = (x[:, 0] * 1e-300 * scale) @ (y - mu) / np.finfo(float).max * scale
+    assert tiny.coefficients[1] == pytest.approx(step, rel=1e-9)
+    assert abs(tiny.coefficients[1]) == pytest.approx(7.311e-9, rel=1e-3)
+    assert abs(tiny.coefficients[1]) * np.abs(x * 1e-300).max() < 1e-300
