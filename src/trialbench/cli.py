@@ -84,65 +84,49 @@ def _load(path: str, schema: ColumnSchema) -> Dataset:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
 
-def _write(report: dict, summary: str, output: str) -> None:
-    try:
-        write_report(report, output)
-        with open(_text_path(output), "w", encoding="utf-8") as fh:
-            fh.write(summary)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {output}: {exc}") from exc
+def _commands() -> dict:
+    """Per command: its config class, how it builds its report and how it
+    renders the summary. Built per call, so every function is the module
+    global of the moment: tests and tracers replace them."""
+    return {
+        "analyze": (
+            AnalysisConfig,
+            lambda c: build_analysis_report(c, _load(c.input, c.schema)),
+            render_analysis_summary,
+        ),
+        "simulate": (
+            SimulationConfig,
+            lambda c: build_simulation_report(c, run_simulation_config(c)),
+            render_simulation_summary,
+        ),
+        "validate": (
+            ValidateConfig,
+            lambda c: build_validation_report(c, validate(_load(c.input, c.schema))),
+            render_validation_summary,
+        ),
+    }
 
 
-def _run_analyze(raw: dict, output: str | None, quiet: bool) -> int:
-    config = AnalysisConfig.from_dict(raw)
+def _run(command: str, raw: dict, output: str | None, quiet: bool) -> int:
+    config_class, build, render = _commands()[command]
+    config = config_class.from_dict(raw)
     if output is not None:
         config = dataclasses.replace(config, output=output)
-    d = _load(config.input, config.schema)
-    report = build_analysis_report(config, d)
-    summary = render_analysis_summary(report)
-    _write(report, summary, config.output)
-    if not quiet:
-        print(summary)
-        print(f"report written to {config.output}")
-    return EXIT_OK
-
-
-def _run_simulate(raw: dict, output: str | None, quiet: bool) -> int:
-    config = SimulationConfig.from_dict(raw)
-    if output is not None:
-        config = dataclasses.replace(config, output=output)
-    result = run_simulation_config(config)
-    report = build_simulation_report(config, result)
-    summary = render_simulation_summary(report)
-    _write(report, summary, config.output)
-    if not quiet:
-        print(summary)
-        print(f"report written to {config.output}")
-    return EXIT_OK
-
-
-def _run_validate(raw: dict, output: str | None, quiet: bool) -> int:
-    config = ValidateConfig.from_dict(raw)
-    if output is not None:
-        config = dataclasses.replace(config, output=output)
-    d = _load(config.input, config.schema)
-    result = validate(d)
-    report = build_validation_report(config, result)
-    summary = render_validation_summary(report)
+    report = build(config)
+    summary = render(report)
     if config.output is not None:
-        _write(report, summary, config.output)
+        try:
+            write_report(report, config.output)
+            with open(_text_path(config.output), "w", encoding="utf-8") as fh:
+                fh.write(summary)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {config.output}: {exc}") from exc
     if not quiet:
         print(summary)
         if config.output is not None:
             print(f"report written to {config.output}")
-    return EXIT_OK if result.ok else EXIT_DATA
-
-
-_COMMANDS = {
-    "analyze": _run_analyze,
-    "simulate": _run_simulate,
-    "validate": _run_validate,
-}
+    # Only a dataset that fails a hard check reports validation.ok false.
+    return EXIT_OK if report.get("validation", {"ok": True})["ok"] else EXIT_DATA
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -161,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = load_json(args.config)
-        return _COMMANDS[args.command](raw, args.output, args.quiet)
+        return _run(args.command, raw, args.output, args.quiet)
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except DataError as exc:

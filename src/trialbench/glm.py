@@ -26,7 +26,7 @@ A row whose coefficients leave the float range when scaled back fails.
 The logistic fit is Newton / iteratively reweighted least squares with step
 halving, so the (penalized) log-likelihood never decreases across accepted
 iterations. Convergence is declared on the score of the scaled problem:
-every component of the gradient below ``tol`` in absolute value. The loop
+every component of the gradient below ``_TOL`` in absolute value. The loop
 runs on every row of the stack and keeps a ``live`` mask of the rows still
 iterating: a row that converges, fails or stagnates leaves it, and from then
 on its Hessian is the identity and its score 0, so its step is 0 and its fit
@@ -54,6 +54,10 @@ _PROB_HI = float(np.nextafter(1.0, 0.0))
 _SEPARATION_EPS = 1e-7
 # Halvings of a Newton step before the fit counts as stagnated.
 _HALVINGS = 40
+# Newton iterations before a logistic fit stops unconverged, and the largest
+# score component of a converged fit.
+_MAX_ITER = 100
+_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -381,8 +385,6 @@ def _separation(what: str, iteration: int) -> SeparationError:
 def fit_logistic(
     design: np.ndarray,
     labels: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-8,
     ridge: float = 0.0,
     weights: np.ndarray | None = None,
 ) -> LogisticModel:
@@ -397,17 +399,13 @@ def fit_logistic(
     DegenerateFitError for single-class labels. The stack of one of
     fit_logistic_stack.
     """
-    return only(
-        *fit_logistic_stack(design, labels, _stack_of_one(design, weights), max_iter, tol, ridge)
-    )
+    return only(*fit_logistic_stack(design, labels, _stack_of_one(design, weights), ridge))
 
 
 def fit_logistic_stack(
     design: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-8,
     ridge: float = 0.0,
 ) -> tuple[LogisticModel, list]:
     """One logistic fit per row of the (B, m) ``weights``, on the shared design.
@@ -460,7 +458,7 @@ def fit_logistic_stack(
     floor = -2.0 * _SEPARATION_EPS * total if ridge == 0.0 else np.full(count, np.inf)
     beta = np.zeros((count, p))
     ll = -np.log(2.0) * total  # at eta = 0 every cell's softplus is log 2
-    trace = np.full((count, max_iter + 1), np.nan)
+    trace = np.full((count, _MAX_ITER + 1), np.nan)
     trace[:, 0] = ll
     converged = np.zeros(count, dtype=bool)
     iterations = np.zeros(count, dtype=int)
@@ -471,7 +469,7 @@ def fit_logistic_stack(
     stagnated = np.zeros(count, dtype=bool)
     eta, e = np.zeros(w.shape), np.ones(w.shape)
     identity = np.eye(p)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         mu = _expit(eta, e)
         residual = w * mu
         np.subtract(wy, residual, out=residual)
@@ -485,7 +483,7 @@ def fit_logistic_stack(
         record(errors, stop, lambda r: _separation("non-finite working weights", it))
         separated = _separated(one, mu, free, live & ~stop & (ll > floor))
         record(errors, separated, lambda r: _separation("complete separation detected", it))
-        done = live & (largest < tol) & ~separated
+        done = live & (largest < _TOL) & ~separated
         converged |= done
         live &= ~(stop | separated | done)
         if not live.any():
@@ -532,7 +530,7 @@ def fit_logistic_stack(
             errors, pinned, lambda r: _separation("complete separation detected", iterations[r])
         )
         score = _score(x, wy - w * mu) - penalty * beta
-        converged[stopped] = (np.abs(score).max(axis=1) < tol)[stopped]
+        converged[stopped] = (np.abs(score).max(axis=1) < _TOL)[stopped]
 
     coefficients, failed = _scale_back(beta, scales, errors, "logistic fit")
     converged[failed] = False

@@ -180,9 +180,6 @@ class _Draws:
         self.seed = seed
         self.indices = indices
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     def __getitem__(self, r: int) -> np.ndarray:
         rng = _replicate_rng(self.seed, self.indices[r])
         drawn = [rows[rng.integers(0, rows.size, rows.size)] for rows in self.strata]

@@ -12,8 +12,8 @@ identical runs.
 
 A report dict holds the result records themselves (configs, intervals,
 tests, restriction and overlap results, validation and Monte Carlo
-reports); ``jsonfields.dump`` turns the whole dict into JSON values once,
-at the end of each ``build_*_report``.
+reports); ``_report`` adds the envelope every report shares and turns the
+whole dict into JSON values once, with ``jsonfields.dump``.
 """
 
 from __future__ import annotations
@@ -198,13 +198,16 @@ def validate_report(report: dict) -> None:
     validate_against(report, load_report_schema())
 
 
-def _metadata(config: AnalysisConfig | SimulationConfig | ValidateConfig) -> dict:
-    return {
+def _report(kind: str, config: AnalysisConfig | SimulationConfig | ValidateConfig, **body) -> dict:
+    """The JSON-ready report of ``kind``: the envelope every report shares,
+    then the blocks of ``body``."""
+    metadata = {
         "tool": "trialbench",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
     }
+    return dump({"schema_version": SCHEMA_VERSION, "kind": kind, "metadata": metadata, **body})
 
 
 def _bootstrap_entry(
@@ -358,44 +361,30 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
         verdict = "incompatible" if rejected else "compatible"
         narrative = _DISAGREE_TEXT if rejected else _AGREE_TEXT
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "analysis",
-        "metadata": _metadata(config),
-        "validation": report_validation,
-        "estimates": estimates_block,
-        "contrasts": {
+    return _report(
+        "analysis",
+        config,
+        validation=report_validation,
+        estimates=estimates_block,
+        contrasts={
             "ate": ate_block,
             "ate_omitted_reason": ate_reason,
             "benchmarking": benchmarking_block,
             "benchmarking_omitted_reason": benchmarking_reason,
         },
-        "diagnostics": {"restriction": restriction_block, "overlap": overlap_block},
-        "nuisance": nuisance_block,
-        "interpretation": {"benchmarking_verdict": verdict, "narrative": narrative},
-        "warnings": warnings,
-    }
-    return dump(report)
+        diagnostics={"restriction": restriction_block, "overlap": overlap_block},
+        nuisance=nuisance_block,
+        interpretation={"benchmarking_verdict": verdict, "narrative": narrative},
+        warnings=warnings,
+    )
 
 
 def build_simulation_report(config: SimulationConfig, result: MCReport) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "simulation",
-        "metadata": _metadata(config),
-        "result": result,
-    }
-    return dump(report)
+    return _report("simulation", config, result=result)
 
 
 def build_validation_report(config: ValidateConfig, result: ValidationReport) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "validation",
-        "metadata": _metadata(config),
-        "validation": result,
-    }
-    return dump(report)
+    return _report("validation", config, validation=result)
 
 
 def run_simulation_config(config: SimulationConfig) -> MCReport:

@@ -9,6 +9,7 @@ that fails in its chunk must fail alone with the same error class.
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,8 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trialbench
-from trialbench import AnalysisPlan, Dataset, FitError, ScenarioConfig, generate
-from trialbench import glm, inference
+from trialbench import (
+    AnalysisPlan,
+    Dataset,
+    FitError,
+    PositivityError,
+    ScenarioConfig,
+    d1,
+    generate,
+)
+from trialbench import estimators, glm, inference
 from trialbench.glm import (
     add_intercept,
     fit_linear,
@@ -94,6 +103,35 @@ def test_failing_replicates_fail_alone_with_the_same_class():
     d = Dataset(x=x, s=s, a=a, y=y, covariate_names=("X1",))
     plan = AnalysisPlan(outcome_kind="binary", estimators=("phi", "chi"))
     assert 0 < _assert_chunks_match_lone(d, plan, 200, 3) < 200
+
+
+def test_positivity_failures_in_a_chunk_list_the_rows_their_replicate_drew(monkeypatch):
+    d = generate(d1(), (60, 60), seed=11)
+    plan = AnalysisPlan(outcome_kind="continuous")
+    # Propensities of this law lie near 0.5, so a floor of 0.35 trips about
+    # half of these replicates.
+    monkeypatch.setattr(estimators, "PROPENSITY_FLOOR", 0.35)
+    B, seed = 20, 5
+    chunked = inference.bootstrap_chunk(d, plan, seed, range(B))
+    tripped = 0
+    for i, together in enumerate(chunked):
+        try:
+            alone = inference.bootstrap_replicate(d, plan, seed, i)
+        except FitError as exc:
+            alone = exc
+        if not isinstance(alone, FitError):
+            assert together == alone, i
+            continue
+        assert type(together) is type(alone) and str(together) == str(alone), i
+        if not isinstance(alone, PositivityError):
+            continue
+        tripped += 1
+        shown = re.search(r"rows \[([0-9, ]+)\]$", str(together))
+        assert shown is not None, together
+        rows = [int(row) for row in shown.group(1).split(", ")]
+        drawn = inference._Draws(d, seed, [i])[0]
+        assert (drawn[rows] > 0).all(), (i, rows)
+    assert 0 < tripped < B
 
 
 def test_replicates_cross_a_chunk_boundary_unchanged():

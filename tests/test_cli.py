@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trialbench
-from trialbench import cli
+from trialbench import cli, glm
 from trialbench.cli import main
 from trialbench.report import load_report_schema, validate_report
 
@@ -38,6 +38,21 @@ def analysis_payload(tmp_path, **overrides) -> dict:
 def written_report(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def simulation_payload(tmp_path, **overrides) -> dict:
+    payload = {
+        "scenario": "D1",
+        "reps": 10,
+        "n": [300, 300],
+        "seed": 6,
+        "estimators": ["phi"],
+        "arms": [1],
+        "restriction": False,
+        "output": str(tmp_path / "sim.json"),
+    }
+    payload.update(overrides)
+    return payload
 
 
 def test_analyze_end_to_end(tmp_path, write_config, capsys):
@@ -97,17 +112,7 @@ def test_analyze_config_echo_reproduces_report(tmp_path, write_config):
 
 def test_simulate_end_to_end(tmp_path, write_config, capsys):
     out = tmp_path / "sim.json"
-    payload = {
-        "scenario": "D1",
-        "reps": 10,
-        "n": [300, 300],
-        "seed": 6,
-        "estimators": ["phi"],
-        "arms": [1],
-        "restriction": False,
-        "output": str(out),
-    }
-    code = main(["simulate", write_config(payload)])
+    code = main(["simulate", write_config(simulation_payload(tmp_path))])
     assert code == 0
     report = written_report(out)
     validate_report(report)
@@ -145,6 +150,63 @@ def test_validate_failing_dataset_exits_3_and_reports(tmp_path, write_config):
     assert report["validation"]["ok"] is False
     failed = [c for c in report["validation"]["checks"] if c["status"] == "fail"]
     assert any("(s=0, a=1)" in c["message"] for c in failed)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("simulate", simulation_payload),
+        ("validate", analysis_payload),
+        ("validate", lambda tmp_path: {"input": str(FIXTURE_CSV), "schema": SCHEMA}),
+    ],
+    ids=["simulate", "validate", "validate-without-output"],
+)
+def test_output_flag_overrides_and_is_echoed(tmp_path, write_config, capsys, command, payload):
+    payload = payload(tmp_path)
+    override = tmp_path / "moved.json"
+    assert main([command, write_config(payload), "--output", str(override)]) == 0
+    report = written_report(override)
+    assert report["kind"] == {"simulate": "simulation", "validate": "validation"}[command]
+    assert report["metadata"]["config"]["output"] == str(override)
+    assert (tmp_path / "moved.txt").exists()
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == ["config.json", "moved.json"]
+    assert capsys.readouterr().out.endswith(f"\nreport written to {override}\n")
+
+
+def test_unconverged_nuisance_fit_is_a_report_warning(
+    tmp_path, write_config, capsys, monkeypatch
+):
+    monkeypatch.setattr(glm, "_MAX_ITER", 1)
+    assert main(["analyze", write_config(analysis_payload(tmp_path))]) == 0
+    report = written_report(tmp_path / "report.json")
+    models = ("participation", "propensity_s0", "propensity_s1", "propensity_pooled")
+    for name in models:
+        assert report["nuisance"][name]["converged"] is False
+    expected = [f"nuisance: {name} did not converge" for name in models]
+    assert [w for w in report["warnings"] if w.startswith("nuisance:")] == expected
+    summary = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert "warnings\n" + "".join(f"  - {w}\n" for w in expected) in summary
+    assert summary in capsys.readouterr().out
+
+
+def test_simulation_summary_names_misspecified_models(tmp_path, write_config, capsys):
+    payload = simulation_payload(tmp_path, misspec=["outcome_s0"])
+    assert main(["simulate", write_config(payload)]) == 0
+    summary = (tmp_path / "sim.txt").read_text(encoding="utf-8")
+    assert "\nmisspecified models: {'outcome_s0': ['X1']}\n" in summary
+    assert "replicates dropped" not in summary
+    assert summary in capsys.readouterr().out
+
+
+def test_simulation_summary_counts_dropped_replicates(tmp_path, write_config, capsys):
+    # At 15 rows per study, 2 of these 10 replicates fail to fit.
+    payload = simulation_payload(tmp_path, n=[15, 15], seed=3)
+    assert main(["simulate", write_config(payload)]) == 0
+    assert written_report(tmp_path / "sim.json")["result"]["failures"] == 2
+    summary = (tmp_path / "sim.txt").read_text(encoding="utf-8")
+    assert "\nreplicates dropped for fit failures: 2\n" in summary
+    assert "misspecified models" not in summary
+    assert summary in capsys.readouterr().out
 
 
 def test_unknown_config_key_exits_2(tmp_path, write_config, capsys):

@@ -175,3 +175,22 @@ def test_ridge_on_a_covariate_of_size_1e_minus_300_fits_without_overflow():
     assert tiny.coefficients[1] == pytest.approx(step, rel=1e-9)
     assert abs(tiny.coefficients[1]) == pytest.approx(7.311e-9, rel=1e-3)
     assert abs(tiny.coefficients[1]) * np.abs(x * 1e-300).max() < 1e-300
+
+
+def test_ridge_has_no_grip_on_a_covariate_of_size_1e150_or_more():
+    # Six separable points under ridge 1. The penalty on the scaled slope is
+    # ridge * scale^2: about 1e-300 for x * 1e150, and 0 for x * 1e300, where
+    # scale^2 = 2^-1994 underflows. Both are negligible against the
+    # likelihood, so both fits stop at the same linear predictors, where the
+    # score falls below the tolerance: the underflow changes nothing. A ridge
+    # penalty in original units has no grip on a covariate of that scale.
+    x = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])[:, None]
+    y = (x[:, 0] > 0).astype(float)
+    fits = {f: fit_logistic(add_intercept(x * f), y, ridge=1.0) for f in (1.0, 1e150, 1e300)}
+    eta = {f: model.linear_predictor(x * f) for f, model in fits.items()}
+    assert np.array_equal(eta[1e150], eta[1e300])
+    assert fits[1e150].converged and fits[1e300].converged
+    assert fits[1e150].iterations == fits[1e300].iterations == 20
+    assert eta[1e300][-1] == pytest.approx(56.88, abs=0.01)
+    # In original units the penalty holds the slope near 1.10.
+    assert fits[1.0].converged and fits[1.0].coefficients[1] == pytest.approx(1.1044, abs=1e-4)

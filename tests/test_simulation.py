@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -136,6 +137,84 @@ def test_gaussian_truths_match_quadrature():
     assert t.mean1 == pytest.approx(expected1, abs=max(4.0 * t.mc_error[1], 1e-4))
     assert t.mean0 == pytest.approx(expected0, abs=max(4.0 * t.mc_error[0], 1e-4))
     assert all(e > 0 for e in t.mc_error)
+
+
+def gaussian_violations(**violations) -> ScenarioConfig:
+    return dataclasses.replace(gaussian_scenario(), **violations)
+
+
+TRANSPORT = TransportViolation(u_prob=0.3, effect_on_participation=1.0, effect_on_y=1.5)
+CONFOUNDING = ConfoundingViolation(u_prob=0.3, effect_on_treatment=1.2, effect_on_y=0.8)
+
+
+def test_gaussian_transport_truths_match_quadrature():
+    t = true_values(gaussian_violations(transport=TRANSPORT), draws=2_000_000, seed=7)
+    assert t.method == "importance"
+
+    # Pr[x, u_t | s=0] is proportional to Pr[u_t] phi(x) Pr[S = 0 | x, u_t]:
+    # sum over both u_t levels of the integral over x.
+    def integral(f):
+        return sum(
+            prob * integrate.quad(
+                lambda x: f(x, u) * (1.0 - expit(-0.4 + 0.8 * x + u)) * stats.norm.pdf(x),
+                -10,
+                10,
+            )[0]
+            for u, prob in ((0.0, 0.7), (1.0, 0.3))
+        )
+
+    denominator = integral(lambda x, u: 1.0)
+    expected1 = integral(lambda x, u: 3.0 + 2.0 * x + 1.5 * u) / denominator
+    expected0 = integral(lambda x, u: 1.0 + x + 1.5 * u) / denominator
+    assert t.mean1 == pytest.approx(expected1, abs=max(4.0 * t.mc_error[1], 1e-4))
+    assert t.mean0 == pytest.approx(expected0, abs=max(4.0 * t.mc_error[0], 1e-4))
+    assert t.ate == pytest.approx(expected1 - expected0, abs=max(4.0 * t.mc_error[2], 1e-4))
+
+
+def test_gaussian_confounding_shifts_both_means_and_leaves_the_ate():
+    # u_c is independent of x and of the study, and both arms' outcomes
+    # take the same shift, effect_on_y u_c.
+    clean = true_values(gaussian_scenario(), draws=2_000_000, seed=7)
+    t = true_values(gaussian_violations(confounding=CONFOUNDING), draws=2_000_000, seed=7)
+    shift = 0.8 * 0.3
+    assert t.mean1 == pytest.approx(clean.mean1 + shift, abs=4.0 * t.mc_error[1])
+    assert t.mean0 == pytest.approx(clean.mean0 + shift, abs=4.0 * t.mc_error[0])
+    assert t.mean1 - clean.mean1 == pytest.approx(t.mean0 - clean.mean0, abs=1e-12)
+    assert t.ate == pytest.approx(clean.ate, abs=1e-12)
+    assert t.mc_error[2] == pytest.approx(clean.mc_error[2], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "violations, exchangeability, transport",
+    [
+        ({}, True, True),
+        ({"confounding": CONFOUNDING}, False, True),
+        ({"transport": TRANSPORT}, True, False),
+        ({"confounding": CONFOUNDING, "transport": TRANSPORT}, False, False),
+        ({"transport": TransportViolation(effect_on_y=0.0)}, True, True),
+        ({"confounding": ConfoundingViolation(effect_on_treatment=0.0)}, True, True),
+    ],
+)
+def test_gaussian_violation_flags(violations, exchangeability, transport):
+    t = true_values(gaussian_violations(**violations), draws=1000, seed=7)
+    assert t.condition_exchangeability is exchangeability
+    assert t.condition_transport is transport
+    assert t.restriction_holds is (exchangeability and transport)
+
+
+def test_generate_with_gaussian_violations_reproduces_its_bits():
+    cfg = gaussian_violations(confounding=CONFOUNDING, transport=TRANSPORT)
+    a = generate(cfg, (500, 700), seed=123)
+    b = generate(cfg, (500, 700), seed=123)
+    for name in ("x", "s", "a", "y"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.x.shape == (1200, 1)
+    assert np.array_equal(a.s, np.repeat([1, 0], [500, 700]))
+    # The violations' u's take part: without them the same seed draws other data.
+    clean = generate(gaussian_scenario(), (500, 700), seed=123)
+    assert not np.array_equal(a.y, clean.y)
+    c = generate(cfg, (500, 700), seed=124)
+    assert not np.array_equal(a.y, c.y)
 
 
 def test_replicate_estimates_keys_and_order_independence():
