@@ -61,19 +61,21 @@ _TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
-def expit(x: np.ndarray) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-x)), elementwise.
+def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)), elementwise, into ``out`` when
+    given (which may be x itself).
 
     exp only ever sees -|x|, so it cannot overflow (not even at +-inf) and
     no floating-point error state has to be silenced. With e = exp(-|x|) in
     [0, 1], the result is 1 / (1 + e) for x >= 0 and e / (1 + e) below 0.
     """
-    return _expit(x, np.exp(np.copysign(x, -1.0)))
+    e = np.copysign(x, -1.0)
+    return _expit(x, np.exp(e, out=e), out)
 
 
-def _expit(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _expit(x: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """expit(x), given e = exp(-|x|)."""
-    out = np.maximum(e, x >= 0)
+    out = np.maximum(e, x >= 0, out=out)
     out /= 1.0 + e
     return out
 

@@ -96,7 +96,8 @@ def sandwich_se(e: EstimateWithIF) -> float:
         raise DegenerateTestError(f"{e.label}: need at least 2 rows for a variance")
     cell_mean = e.alpha * t.y_mean + e.beta
     dev = cell_mean - float(t.count @ cell_mean) / n
-    squares = float((e.alpha * e.alpha) @ t.y_ss + t.count @ (dev * dev))
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        squares = float((e.alpha * e.alpha) @ t.y_ss + t.count @ (dev * dev))
     if not math.isfinite(squares):
         raise DegenerateTestError(f"{e.label}: sum of squared influence values is not finite")
     return math.sqrt(squares / (n - 1) / n)

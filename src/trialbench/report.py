@@ -492,9 +492,9 @@ def render_analysis_summary(report: dict) -> str:
         lines.append("")
     if diag["overlap"] is not None:
         ov = diag["overlap"]
-        flagged = {
-            k: v["count_above"] for k, v in ov["weights"].items() if v["count_above"] > 0
-        }
+        flagged = ", ".join(
+            f"{k} {v['count_above']}" for k, v in ov["weights"].items() if v["count_above"] > 0
+        )
         lines.append(
             f"overlap: max weight {_fmt(ov['max_weight'], 2)}"
             + (
@@ -554,7 +554,11 @@ def render_simulation_summary(report: dict) -> str:
         + ("holds" if truths["restriction_holds"] else "fails")
     )
     if result["misspec"]:
-        lines.append(f"misspecified models: {result['misspec']}")
+        models = ", ".join(
+            f"{name} ({', '.join(cols) or 'no covariate dropped'})"
+            for name, cols in result["misspec"].items()
+        )
+        lines.append(f"misspecified models: {models}")
     lines.append("")
     lines.append("  estimator  arm      bias        sd   mean se  coverage")
     for s in result["series"]:

@@ -175,6 +175,28 @@ class ScenarioConfig:
         loc = self.outcome_location(x, a, uc, ut)
         return expit(loc) if self.outcome_kind == "binary" else loc
 
+    def arm_means(self, x: np.ndarray, uc: np.ndarray | None, ut: np.ndarray | None,
+                  out: np.ndarray) -> None:
+        """Write ``outcome_mean_given`` at a = 0 and at a = 1, bit for bit, and
+        their difference into the three rows of ``out`` (3, len(x)).
+
+        Each product of x is formed once for both arms. The u of an absent
+        violation is ignored and may be None.
+        """
+        m0, m1, diff = out
+        np.add(self.outcome_intercept, x @ np.asarray(self.outcome_x), out=m0)
+        np.add(self.outcome_treatment, x @ np.asarray(self.outcome_tx), out=m1)
+        m1 += m0
+        for violation, u in ((self.confounding, uc), (self.transport, ut)):
+            if violation is not None:
+                shift = violation.effect_on_y * u
+                m0 += shift
+                m1 += shift
+        if self.outcome_kind == "binary":
+            expit(m0, out=m0)
+            expit(m1, out=m1)
+        np.subtract(m1, m0, out=diff)
+
     def participation_logit(self, x: np.ndarray, ut: np.ndarray | float) -> np.ndarray:
         coef = np.asarray(self.participation)
         lp = coef[0] + np.atleast_2d(x) @ coef[1:]
@@ -382,6 +404,47 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
 _TRUTH_CHUNK = 1 << 18
 
 
+def _weigh_drawn_ahead(draw, sizes, weigh) -> None:
+    """Call ``weigh(*draw(size))`` for each size in order, with every ``draw``
+    made on one worker thread while ``weigh`` runs on the draw before.
+
+    The worker starts a draw only once this loop has dropped the draw before
+    the last, so at most two draws are alive at once. An exception of the
+    worker is raised here, and the worker is joined before this returns.
+    """
+    import threading  # loaded with the package's CLI already
+
+    slot: list = []
+    wanted, ready = threading.Semaphore(1), threading.Semaphore(0)
+    stop = False
+
+    def work() -> None:
+        for size in sizes:
+            wanted.acquire()
+            if stop:
+                return
+            try:
+                slot.append(draw(size))
+            except BaseException as exc:  # raised on the calling thread
+                slot.append(exc)
+            ready.release()
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        for _ in sizes:
+            ready.acquire()
+            drawn = slot.pop()
+            if isinstance(drawn, BaseException):
+                raise drawn
+            wanted.release()
+            weigh(*drawn)
+    finally:
+        stop = True
+        wanted.release()
+        worker.join()
+
+
 def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
     """Weight prior draws of (x, u_c, u_t) by Pr[S = 0 | x, u_t], chunk by chunk.
 
@@ -389,27 +452,48 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
     own. For each v in (y(0), y(1), their difference) the chunks add up
     w v and, about a shift c (the first chunk's mean), w^2 (v - c) and
     w^2 (v - c)^2, which give sum w^2 (v - mean)^2 for the Monte Carlo error.
+
+    One worker thread makes the draws one chunk ahead while this thread
+    weighs the chunk before. Each stream has that one consumer and the sums
+    are added in chunk order, so the truths do not depend on thread timing;
+    at most two chunks of draws are alive at once.
     """
     rng = np.random.default_rng(seed)
     rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
+
+    def draw(size: int):
+        return (
+            rng.standard_normal((size, cfg.covariates.dim)),
+            None if cfg.confounding is None else _draw_u(cfg.confounding, size, rng_c),
+            None if cfg.transport is None else _draw_u(cfg.transport, size, rng_t),
+        )
+
     total = total_sq = 0.0
     sums = np.zeros((3, 3))  # rows: w v, w^2 (v - c), w^2 (v - c)^2
-    shift = None
-    for start in range(0, draws, _TRUTH_CHUNK):
-        size = min(_TRUTH_CHUNK, draws - start)
-        x = rng.standard_normal((size, cfg.covariates.dim))
-        uc = _draw_u(cfg.confounding, size, rng_c)
-        ut = _draw_u(cfg.transport, size, rng_t)
-        w = 1.0 - expit(cfg.participation_logit(x, ut))
-        m1 = cfg.outcome_mean_given(x, 1.0, uc, ut)
-        m0 = cfg.outcome_mean_given(x, 0.0, uc, ut)
-        values = np.stack([m0, m1, m1 - m0])
+    shift = values = None
+
+    def weigh(x, uc, ut) -> None:
+        nonlocal total, total_sq, shift, values
+        w = cfg.participation_logit(x, ut)
+        np.subtract(1.0, expit(w, out=w), out=w)
+        if values is None or values.shape[1] != len(w):
+            values = np.empty((3, len(w)))  # rows: y(0), y(1), their difference
+        cfg.arm_means(x, uc, ut, out=values)
+        weight = np.sum(w)
+        values_w = values @ w
         if shift is None:
-            shift = values @ w / np.sum(w)
-        centred, w2 = values - shift[:, None], w * w
-        total += float(np.sum(w))
-        total_sq += float(np.sum(w2))
-        sums += np.stack([values @ w, centred @ w2, centred**2 @ w2])
+            shift = values_w / weight
+        total += float(weight)
+        sums[0] += values_w
+        w *= w
+        total_sq += float(np.sum(w))
+        values -= shift[:, None]
+        sums[1] += values @ w
+        np.square(values, out=values)
+        sums[2] += values @ w
+
+    sizes = [min(_TRUTH_CHUNK, draws - start) for start in range(0, draws, _TRUTH_CHUNK)]
+    _weigh_drawn_ahead(draw, sizes, weigh)
     means = sums[0] / total
     gap = means - shift
     spread = sums[2] - 2.0 * gap * sums[1] + gap**2 * total_sq

@@ -193,8 +193,22 @@ def test_simulation_summary_names_misspecified_models(tmp_path, write_config, ca
     payload = simulation_payload(tmp_path, misspec=["outcome_s0"])
     assert main(["simulate", write_config(payload)]) == 0
     summary = (tmp_path / "sim.txt").read_text(encoding="utf-8")
-    assert "\nmisspecified models: {'outcome_s0': ['X1']}\n" in summary
+    assert "\nmisspecified models: outcome_s0 (X1)\n" in summary
     assert "replicates dropped" not in summary
+    assert summary in capsys.readouterr().out
+
+
+def test_analysis_summary_lists_rows_above_the_weight_threshold(tmp_path, write_config, capsys):
+    payload = analysis_payload(tmp_path, weight_threshold=2.0)
+    assert main(["analyze", write_config(payload)]) == 0
+    weights = written_report(tmp_path / "report.json")["diagnostics"]["overlap"]["weights"]
+    counts = {"phi(0)": 1578, "chi(0)": 1990, "phi(1)": 2729, "chi(1)": 2008}
+    assert {k: w["count_above"] for k, w in weights.items()} == {
+        **counts, "psi(0)": 0, "psi(1)": 0
+    }
+    summary = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    flagged = ", ".join(f"{k} {v}" for k, v in counts.items())
+    assert f"\noverlap: max weight 3.03; rows above threshold 2: {flagged}\n" in summary
     assert summary in capsys.readouterr().out
 
 
@@ -327,6 +341,32 @@ def test_overflowing_outcome_exits_4_with_one_line_error(tmp_path, write_config,
     assert error["exit_code"] == 4
     assert error["message"].startswith("outcome_")
     assert "not finite" in error["message"]
+
+
+def test_overflowing_influence_squares_exit_4_without_a_warning(tmp_path, write_config, capsys):
+    # Outcomes near 1e152 fit, but the squares in the sandwich SE overflow.
+    # numpy's overflow warning must not escape: as an error (the test
+    # settings, or python -W error) it made the command exit 5.
+    lines = FIXTURE_CSV.read_text(encoding="utf-8").splitlines()
+    y_column = lines[0].split(",").index("Y")
+    for i in range(1, len(lines)):
+        row = lines[i].split(",")
+        row[y_column] = repr(float(row[y_column]) * 1e152)
+        lines[i] = ",".join(row)
+    csv = tmp_path / "huge_outcomes.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    payload = analysis_payload(tmp_path, input=str(csv))
+    assert main(["analyze", write_config(payload), "--quiet"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {
+        "error": {
+            "type": "DegenerateTestError",
+            "message": "phi(0): sum of squared influence values is not finite",
+            "exit_code": 4,
+        }
+    }
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from trialbench import (
     truth_table,
 )
 from trialbench.scenarios import PRESETS
-from trialbench import simulation
+from trialbench import glm, simulation
+from trialbench.inference import keyed_seed
 from trialbench.simulation import replicate_estimates
 
 D1_MEAN1 = 3.8026246797750964
@@ -335,6 +337,122 @@ def test_importance_truths_run_in_bounded_memory():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert float(proc.stdout) < 200.0  # megabytes of peak growth
+
+
+def serial_importance_truths(cfg, draws, seed):
+    """The importance truths as one serial loop, drawing and weighing each
+    chunk in turn with the scenario's one-arm formulas: the oracle that the
+    lean pass with its worker thread must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
+    total = total_sq = 0.0
+    sums = np.zeros((3, 3))
+    shift = None
+    for start in range(0, draws, simulation._TRUTH_CHUNK):
+        size = min(simulation._TRUTH_CHUNK, draws - start)
+        x = rng.standard_normal((size, cfg.covariates.dim))
+        uc = simulation._draw_u(cfg.confounding, size, rng_c)
+        ut = simulation._draw_u(cfg.transport, size, rng_t)
+        w = 1.0 - glm.expit(cfg.participation_logit(x, ut))
+        m1 = cfg.outcome_mean_given(x, 1.0, uc, ut)
+        m0 = cfg.outcome_mean_given(x, 0.0, uc, ut)
+        values = np.stack([m0, m1, m1 - m0])
+        if shift is None:
+            shift = values @ w / np.sum(w)
+        centred, w2 = values - shift[:, None], w * w
+        total += float(np.sum(w))
+        total_sq += float(np.sum(w2))
+        sums += np.stack([values @ w, centred @ w2, centred**2 @ w2])
+    means = sums[0] / total
+    gap = means - shift
+    spread = sums[2] - 2.0 * gap * sums[1] + gap**2 * total_sq
+    errors = np.sqrt(np.maximum(spread, 0.0)) / total
+    (mean0, mean1, ate), (err0, err1, err_ate) = means.tolist(), errors.tolist()
+    exchangeability = cfg.confounding is None or not cfg.confounding.active
+    transport = cfg.transport is None or not cfg.transport.active
+    return simulation.Truths(
+        mean0=mean0,
+        mean1=mean1,
+        ate=ate,
+        condition_exchangeability=exchangeability,
+        condition_transport=transport,
+        restriction_holds=exchangeability and transport,
+        method="importance",
+        mc_error=(err0, err1, err_ate),
+    )
+
+
+def gaussian_law(dim, outcome_kind, **violations) -> ScenarioConfig:
+    slopes = (0.8, -0.5, 0.3)[:dim]
+    return ScenarioConfig(
+        covariates=CovariateLaw(kind="gaussian", dim=dim),
+        participation=(-0.4, *slopes),
+        trial_arm_prob=0.5,
+        emulation_propensity=(-0.2, *(0.6 * b for b in slopes)),
+        outcome_intercept=-0.3,
+        outcome_x=(1.0, 0.4, -0.7)[:dim],
+        outcome_treatment=0.9,
+        outcome_tx=(-0.6, 0.0, 0.5)[:dim],
+        outcome_kind=outcome_kind,
+        **violations,
+    )
+
+
+# Every pair of (violations, outcome kind, dimension) occurs at least once.
+TRUTH_LAWS = {
+    "clean-binary-1": gaussian_law(1, "binary"),
+    "clean-continuous-3": gaussian_law(3, "continuous"),
+    "confounding-binary-3": gaussian_law(3, "binary", confounding=CONFOUNDING),
+    "confounding-continuous-1": gaussian_law(1, "continuous", confounding=CONFOUNDING),
+    "transport-binary-1": gaussian_law(1, "binary", transport=TRANSPORT),
+    "transport-continuous-3": gaussian_law(3, "continuous", transport=TRANSPORT),
+    "both-binary-3": gaussian_law(3, "binary", confounding=CONFOUNDING, transport=TRANSPORT),
+    "both-continuous-1": gaussian_law(
+        1, "continuous", confounding=CONFOUNDING, transport=TRANSPORT
+    ),
+}
+CHUNK = simulation._TRUTH_CHUNK
+
+
+@pytest.mark.parametrize("draws", [1, 1000, CHUNK, CHUNK + 1, 3 * CHUNK - 5])
+@pytest.mark.parametrize("law", list(TRUTH_LAWS))
+def test_importance_truths_equal_the_serial_loop_bit_for_bit(law, draws):
+    cfg = TRUTH_LAWS[law]
+    got = true_values(cfg, draws=draws, seed=31)
+    want = serial_importance_truths(cfg, draws, 31)
+    for field in dataclasses.fields(simulation.Truths):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_importance_truths_leave_no_thread_behind():
+    before = threading.active_count()
+    true_values(TRUTH_LAWS["both-binary-3"], draws=3 * CHUNK - 5, seed=31)
+    assert threading.active_count() == before
+
+
+def _fail_on_second_call(fn):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure")
+        return fn(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    # arm_means runs on the calling thread, _draw_u on the drawing worker.
+    [(ScenarioConfig, "arm_means"), (simulation, "_draw_u")],
+)
+def test_importance_truths_stop_their_worker_on_a_failure_mid_loop(monkeypatch, owner, name):
+    monkeypatch.setattr(owner, name, _fail_on_second_call(getattr(owner, name)))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        true_values(TRUTH_LAWS["both-binary-3"], draws=3 * CHUNK - 5, seed=31)
+    assert threading.active_count() == before
 
 
 def test_confounded_row_biases_phi_not_chi():

@@ -2,9 +2,12 @@
 
 import ast
 import collections
+import importlib
 import pathlib
+import types
 
 import trialbench
+from conftest import REPO_ROOT
 
 PACKAGE = pathlib.Path(trialbench.__file__).parent
 
@@ -166,3 +169,29 @@ def test_every_definition_is_named_outside_itself():
     tests = pathlib.Path(__file__).resolve().parent
     others = [path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))]
     assert unreferenced_definitions(defining, others) == []
+
+
+def _perfbench_spans():
+    """perfbench/spans.py as a module, run from its source (stdlib imports
+    only) so that nothing, bytecode included, is written next to it."""
+    path = REPO_ROOT / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_every_benchmark_wrap_point_resolves():
+    # A wrap point that no longer resolves drops its per-layer metrics from
+    # the benchmark's result line, so a rename must move the benchmark too.
+    spans = _perfbench_spans()
+    absent = []
+    for layer, qualnames in spans.WRAP_POINTS.items():
+        module = importlib.import_module(f"trialbench.{layer}")
+        for qualname in qualnames:
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or vars(owner).get(attr) is None:
+                absent.append(f"{layer}.{qualname}")
+    assert absent == []
+    wrapped = {f"{layer}.{q}" for layer, qualnames in spans.WRAP_POINTS.items() for q in qualnames}
+    assert set(spans.COUNTERS) <= wrapped
