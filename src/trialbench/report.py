@@ -536,9 +536,10 @@ def render_simulation_summary(report: dict) -> str:
     result = report["result"]
     truths = result["truths"]
     lines: list[str] = []
+    n_trial, n_emulation = result["n"]
     lines.append(
-        f"trialbench {report['metadata']['version']} simulation: "
-        f"{result['reps']} replicates, n = {result['n']}, seed {result['seed']}"
+        f"trialbench {report['metadata']['version']} simulation: {result['reps']} "
+        f"replicates, n = {n_trial} trial, {n_emulation} emulation, seed {result['seed']}"
     )
     lines.append(f"generated {report['metadata']['created_utc']}")
     lines.append(

@@ -22,6 +22,8 @@ otherwise.
 from __future__ import annotations
 
 import itertools
+import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
@@ -404,45 +406,14 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
 _TRUTH_CHUNK = 1 << 18
 
 
-def _weigh_drawn_ahead(draw, sizes, weigh) -> None:
-    """Call ``weigh(*draw(size))`` for each size in order, with every ``draw``
-    made on one worker thread while ``weigh`` runs on the draw before.
+# The stop signal of the truths that run_monte_carlo runs on a thread of its
+# own: once the Event is set, they end before their next chunk. Other
+# callers of true_values have none.
+_truths_stop: ContextVar[threading.Event | None] = ContextVar("truths_stop", default=None)
 
-    The worker starts a draw only once this loop has dropped the draw before
-    the last, so at most two draws are alive at once. An exception of the
-    worker is raised here, and the worker is joined before this returns.
-    """
-    import threading  # loaded with the package's CLI already
 
-    slot: list = []
-    wanted, ready = threading.Semaphore(1), threading.Semaphore(0)
-    stop = False
-
-    def work() -> None:
-        for size in sizes:
-            wanted.acquire()
-            if stop:
-                return
-            try:
-                slot.append(draw(size))
-            except BaseException as exc:  # raised on the calling thread
-                slot.append(exc)
-            ready.release()
-
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        for _ in sizes:
-            ready.acquire()
-            drawn = slot.pop()
-            if isinstance(drawn, BaseException):
-                raise drawn
-            wanted.release()
-            weigh(*drawn)
-    finally:
-        stop = True
-        wanted.release()
-        worker.join()
+class _TruthsStopped(Exception):
+    """The truths were stopped between chunks; nothing reads their result."""
 
 
 def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
@@ -453,10 +424,12 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
     w v and, about a shift c (the first chunk's mean), w^2 (v - c) and
     w^2 (v - c)^2, which give sum w^2 (v - mean)^2 for the Monte Carlo error.
 
-    One worker thread makes the draws one chunk ahead while this thread
-    weighs the chunk before. Each stream has that one consumer and the sums
-    are added in chunk order, so the truths do not depend on thread timing;
-    at most two chunks of draws are alive at once.
+    Each chunk is drawn and weighed in turn on one thread. Each stream has
+    that one consumer and the sums are added in chunk order, so the truths
+    do not depend on what other threads run beside them: the same seed gives
+    the same bits. One chunk of draws is alive at a time. In
+    ``run_monte_carlo``'s truths thread the loop checks its stop signal
+    before each chunk.
     """
     rng = np.random.default_rng(seed)
     rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
@@ -493,7 +466,11 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
         sums[2] += values @ w
 
     sizes = [min(_TRUTH_CHUNK, draws - start) for start in range(0, draws, _TRUTH_CHUNK)]
-    _weigh_drawn_ahead(draw, sizes, weigh)
+    stop = _truths_stop.get()
+    for size in sizes:
+        if stop is not None and stop.is_set():
+            raise _TruthsStopped
+        weigh(*draw(size))
     means = sums[0] / total
     gap = means - shift
     spread = sums[2] - 2.0 * gap * sums[1] + gap**2 * total_sq
@@ -622,6 +599,13 @@ def run_monte_carlo(
     tested against zero at ``level``) and optionally of the restriction
     test. Replicates whose fits fail are dropped and counted; more than
     reps/2 failures aborts.
+
+    The truths (``true_values``) run on one background thread while this
+    thread runs the replicates. The two share no data and each keeps its own
+    random streams, so the report does not depend on their timing. When the
+    replicates raise, the truths stop at their next chunk; the thread is
+    joined before this returns or raises, and an error of the truths wins
+    over the replicates' error, as when the truths ran first.
     """
     if reps < 2:
         raise ConfigError("need at least 2 replicates")
@@ -637,23 +621,44 @@ def run_monte_carlo(
         ridge=ridge,
         drop=dict(misspec) if isinstance(misspec, Mapping) else misspec,
     )
-    truths = true_values(cfg, draws=truth_draws)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     want_delta = "phi" in plan.estimators and "chi" in plan.estimators
 
-    records, failures = run_replicates(
-        lambda i: replicate_estimates(
-            cfg,
-            n,
-            seed,
-            i,
-            plan,
-            restriction=restriction,
-            restriction_threshold=restriction_threshold,
-        ),
-        reps,
-        "simulation",
-    )
+    stop = threading.Event()
+    outcome: list = []  # the truths, or what computing them raised
+
+    def truths_beside() -> None:
+        _truths_stop.set(stop)
+        try:
+            outcome.append(true_values(cfg, draws=truth_draws))
+        except BaseException as exc:  # raised on the calling thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=truths_beside, daemon=True)
+    worker.start()
+    try:
+        records, failures = run_replicates(
+            lambda i: replicate_estimates(
+                cfg,
+                n,
+                seed,
+                i,
+                plan,
+                restriction=restriction,
+                restriction_threshold=restriction_threshold,
+            ),
+            reps,
+            "simulation",
+        )
+        worker.join()
+    finally:
+        if worker.is_alive():  # the replicates raised, or a Ctrl-C came while waiting
+            stop.set()
+            worker.join()
+        (truths,) = outcome
+        # An error of the truths wins, as if they had run before the replicates.
+        if isinstance(truths, BaseException) and not isinstance(truths, _TruthsStopped):
+            raise truths
     used = len(records)
     series: list[SeriesStats] = []
     for name in plan.estimators:

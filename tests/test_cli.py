@@ -198,6 +198,17 @@ def test_simulation_summary_names_misspecified_models(tmp_path, write_config, ca
     assert summary in capsys.readouterr().out
 
 
+def test_simulation_summary_names_the_study_sizes_in_words(tmp_path, write_config, capsys):
+    payload = simulation_payload(tmp_path, n=[300, 200])
+    assert main(["simulate", write_config(payload)]) == 0
+    summary = (tmp_path / "sim.txt").read_text(encoding="utf-8")
+    assert summary.splitlines()[0] == (
+        f"trialbench {trialbench.__version__} simulation: "
+        "10 replicates, n = 300 trial, 200 emulation, seed 6"
+    )
+    assert summary in capsys.readouterr().out
+
+
 def test_analysis_summary_lists_rows_above_the_weight_threshold(tmp_path, write_config, capsys):
     payload = analysis_payload(tmp_path, weight_threshold=2.0)
     assert main(["analyze", write_config(payload)]) == 0

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -339,10 +340,35 @@ def test_importance_truths_run_in_bounded_memory():
     assert float(proc.stdout) < 200.0  # megabytes of peak growth
 
 
+# The script above, running the default truths beside a few large replicates.
+MONTE_CARLO_MEMORY = TRUTHS_MEMORY.replace("true_values", "run_monte_carlo").replace(
+    "run_monte_carlo(law)", "run_monte_carlo(law, reps=3, n=(10_000, 10_000), seed=3)"
+)
+
+
+def test_monte_carlo_with_truths_beside_runs_in_bounded_memory():
+    # A fresh process, as above. The default 10M truth draws on their thread
+    # beside 3 replicates of (10k, 10k) rows grew the peak by 33.6-33.9 MB on
+    # a 2-vCPU machine at its default BLAS threads (truths alone: 24 MB).
+    # Drawing the truths a chunk ahead grew it by 40-48 MB; the bound allows
+    # a third over 34 MB.
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", MONTE_CARLO_MEMORY],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert float(proc.stdout) < 45.0  # megabytes of peak growth
+
+
 def serial_importance_truths(cfg, draws, seed):
     """The importance truths as one serial loop, drawing and weighing each
     chunk in turn with the scenario's one-arm formulas: the oracle that the
-    lean pass with its worker thread must match bit for bit."""
+    lean pass must match bit for bit."""
     rng = np.random.default_rng(seed)
     rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
     total = total_sq = 0.0
@@ -424,35 +450,90 @@ def test_importance_truths_equal_the_serial_loop_bit_for_bit(law, draws):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
-def test_importance_truths_leave_no_thread_behind():
+MC_LAW = TRUTH_LAWS["both-binary-3"]
+
+
+def test_run_monte_carlo_leaves_no_thread_behind():
     before = threading.active_count()
-    true_values(TRUTH_LAWS["both-binary-3"], draws=3 * CHUNK - 5, seed=31)
+    run_monte_carlo(MC_LAW, reps=2, n=(300, 300), seed=5, truth_draws=3 * CHUNK - 5)
     assert threading.active_count() == before
 
 
-def _fail_on_second_call(fn):
+def _abort_replicates(monkeypatch, wait_for=None):
+    """Make every replicate fail to fit, once ``wait_for`` is set if given."""
+
+    def failing(*args, **kwargs):
+        if wait_for is not None:
+            assert wait_for.wait(timeout=60)
+        raise FitError("injected fit failure")
+
+    monkeypatch.setattr(simulation, "replicate_estimates", failing)
+
+
+def test_run_monte_carlo_stops_its_truths_when_the_replicates_abort(monkeypatch):
     calls = []
+    arm_means = ScenarioConfig.arm_means
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return arm_means(*args, **kwargs)
+
+    monkeypatch.setattr(ScenarioConfig, "arm_means", counted)
+    _abort_replicates(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(FitError, match="simulation aborted"):
+        run_monte_carlo(MC_LAW, reps=4, n=(300, 300), seed=5)
+    assert threading.active_count() == before
+    assert len(calls) < 39  # the chunks of the default 10M draws
+
+
+@pytest.mark.parametrize("replicates", ["fit", "abort"])
+def test_run_monte_carlo_raises_the_truths_error_first(monkeypatch, replicates):
+    failed = threading.Event()
+    calls = []
+    arm_means = ScenarioConfig.arm_means
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
+            failed.set()
             raise RuntimeError("injected failure")
-        return fn(*args, **kwargs)
+        return arm_means(*args, **kwargs)
 
-    return failing
-
-
-@pytest.mark.parametrize(
-    "owner, name",
-    # arm_means runs on the calling thread, _draw_u on the drawing worker.
-    [(ScenarioConfig, "arm_means"), (simulation, "_draw_u")],
-)
-def test_importance_truths_stop_their_worker_on_a_failure_mid_loop(monkeypatch, owner, name):
-    monkeypatch.setattr(owner, name, _fail_on_second_call(getattr(owner, name)))
+    monkeypatch.setattr(ScenarioConfig, "arm_means", failing)
+    if replicates == "abort":
+        _abort_replicates(monkeypatch, wait_for=failed)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected failure"):
-        true_values(TRUTH_LAWS["both-binary-3"], draws=3 * CHUNK - 5, seed=31)
+        run_monte_carlo(MC_LAW, reps=2, n=(300, 300), seed=5, truth_draws=3 * CHUNK - 5)
     assert threading.active_count() == before
+
+
+def test_run_monte_carlo_matches_its_truths_and_replicates_run_alone():
+    draws, n, seed, reps = 3 * CHUNK - 5, (300, 300), 5, 4
+    report = run_monte_carlo(MC_LAW, reps=reps, n=n, seed=seed, truth_draws=draws)
+    truths = true_values(MC_LAW, draws=draws)
+    for field in dataclasses.fields(simulation.Truths):
+        assert getattr(report.truths, field.name) == getattr(truths, field.name), field.name
+
+    plan = AnalysisPlan(outcome_kind=MC_LAW.outcome_kind)
+    records = [
+        replicate_estimates(MC_LAW, n, seed, i, plan, restriction=True) for i in range(reps)
+    ]
+    assert report.failures == 0
+    z = NormalDist().inv_cdf(0.975)
+    for s in report.series:
+        label = f"{s.estimator}({s.arm})"
+        values = np.asarray([r[label] for r in records])
+        ses = np.asarray([r[f"{label}.se"] for r in records])
+        truth = truths.mean(s.arm)
+        assert s.truth == truth
+        assert s.mean_estimate == float(np.mean(values))
+        assert s.bias == float(np.mean(values) - truth)
+        assert s.empirical_sd == float(np.std(values, ddof=1))
+        assert s.mean_std_error == float(np.mean(ses))
+        assert s.coverage == float(np.mean(np.abs(values - truth) <= z * ses))
+        assert s.reps_used == reps
 
 
 def test_confounded_row_biases_phi_not_chi():
