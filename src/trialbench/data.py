@@ -13,8 +13,7 @@ import copy
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,13 +128,18 @@ class Dataset:
             keys = [*self.x.T, self.s, self.a] + ([self.y] if split_outcome else [])
             groups = _group_rows(keys, int(self.n * _MAX_CELL_SHARE))
             first, inverse = groups if groups else (slice(None), np.arange(self.n))
+            s = self.s[first]
+            count, y_sum, y_ss = _cell_sums(inverse, self.y, s.size)
             cache[split_outcome] = CellTable(
                 x=self.x[first],
-                s=self.s[first],
+                s=s,
                 a=self.a[first],
                 covariate_names=self.covariate_names,
                 inverse=inverse,
                 y_rows=self.y,
+                count=count,
+                y_sum=y_sum,
+                y_ss=y_ss,
             )
         return cache[split_outcome]
 
@@ -144,25 +148,69 @@ class Dataset:
 # of the rows; otherwise a fit on the cells saves too little to pay for them.
 _MAX_CELL_SHARE = 0.25
 
+# A key is counted by np.bincount while it takes at most this many values
+# per row; a larger key space is ranked by a sort.
+_KEYS_PER_ROW = 4
+
 
 def _group_rows(columns: list[np.ndarray], limit: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(first row of each group, group of each row) over the distinct value
-    combinations of ``columns``, or None as soon as they number more than ``limit``.
+    combinations of ``columns``, or None when they number more than ``limit``.
 
-    Columns are added one at a time, so a column with many distinct values
-    ends the search after one ``np.unique`` of that column alone.
+    Groups are numbered in the lexicographic order of their values. Each
+    column is coded once (see _column_codes), and a column with more than
+    ``limit`` distinct values ends the search at once. The codes are joined
+    into one mixed-radix key, ranked whenever its key space would outgrow
+    ``_KEYS_PER_ROW`` values per row, and once at the end. A ranked key
+    and a column each take at most ``limit`` values, so the key stays
+    below limit**2, inside int64 for any table that fits in memory.
     """
-    codes = np.zeros(columns[0].shape[0], dtype=np.int64)
+    n = columns[0].shape[0]
+    key, size = np.zeros(n, dtype=np.int64), 1
     for col in columns:
-        values, col_codes = np.unique(col, return_inverse=True)
-        if values.size > limit:
+        coded = _column_codes(col, limit)
+        if coded is None:
             return None
-        _, first, codes = np.unique(
-            codes * values.size + col_codes, return_index=True, return_inverse=True
-        )
-        if first.size > limit:
-            return None
-    return first, codes
+        codes, radix = coded
+        if size * radix > _KEYS_PER_ROW * n:
+            key, size = _rank(key, size)
+            if size > limit:
+                return None
+        key, size = key * radix + codes, size * radix
+    key, size = _rank(key, size)
+    if size > limit:
+        return None
+    first = np.full(size, n, dtype=np.int64)
+    np.minimum.at(first, key, np.arange(n))
+    return first, key
+
+
+def _column_codes(col: np.ndarray, limit: int) -> tuple[np.ndarray, int] | None:
+    """Codes that order the values of ``col`` as the values order, and the
+    number of codes, or None when ``col`` has more than ``limit`` distinct values.
+
+    Integers spanning fewer than ``limit`` values are coded ``col - min``
+    (exact: every difference is an integer below 2**53); any other column
+    by the rank of each value among its distinct values, from one sort.
+    """
+    low, high = col.min(), col.max()
+    if high - low < limit and (col.dtype.kind in "iu" or np.array_equal(col, np.trunc(col))):
+        return (col - low).astype(np.int64), int(high - low) + 1
+    ordered = np.sort(col)
+    values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if values.size > limit:
+        return None
+    return np.searchsorted(values, col), values.size
+
+
+def _rank(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct keys of ``key`` (all below
+    ``size``), and the number of distinct keys."""
+    if size > _KEYS_PER_ROW * key.size:
+        values, rank = np.unique(key, return_inverse=True)
+        return rank, values.size
+    rank = np.cumsum(np.bincount(key, minlength=size) > 0) - 1
+    return rank[key], int(rank[-1]) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +219,16 @@ class CellTable:
 
     Cell ``j`` holds the rows ``i`` with ``inverse[i] == j``; they share
     ``x[j]``, ``s[j]`` and ``a[j]`` (and, when the outcome is part of the
-    key, their outcome). Per cell the table keeps the total weight of its
-    rows (``count``), the weighted sum of their outcomes (``y_sum``), their
-    mean (``y_mean``, 0 in a cell of zero weight) and their weighted sum of
-    squares about that mean (``y_ss``). When rows take too many distinct
-    patterns, every row is a cell of its own.
+    key, their outcome). Per cell the table keeps the number of its rows
+    (``count``), the sum of their outcomes (``y_sum``), their mean
+    (``y_mean``, 0 in an empty cell) and their sum of squares about that
+    mean (``y_ss``). When rows take too many distinct patterns, every row
+    is a cell of its own.
 
-    Each row weighs 1, unless ``reweight`` gave the table a sequence of
-    row-weight vectors, such as the number of times each bootstrap replicate
-    drew each row: the four per-cell arrays then gain a leading axis, one
-    entry per weight vector.
+    ``resample`` gives the table of a sequence of resamples of the rows,
+    such as a chunk of bootstrap replicates: ``draws[r]`` lists the rows
+    resample r drew, repeats included, and the four per-cell arrays gain a
+    leading axis, one entry per resample.
     """
 
     x: np.ndarray
@@ -189,21 +237,14 @@ class CellTable:
     covariate_names: tuple[str, ...]
     inverse: np.ndarray
     y_rows: np.ndarray
-    row_weights: Sequence[np.ndarray] | None = None
-    count: np.ndarray = field(init=False)
-    y_sum: np.ndarray = field(init=False)
+    count: np.ndarray
+    y_sum: np.ndarray
+    y_ss: np.ndarray
+    draws: Sequence[np.ndarray] | None = None
     y_mean: np.ndarray = field(init=False)
-    y_ss: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        m = self.s.shape[0]
-        if self.row_weights is None:
-            sums = _cell_sums(self.inverse, self.y_rows, np.ones(self.y_rows.size), m)
-        else:
-            stack = [_cell_sums(self.inverse, self.y_rows, w, m) for w in self.row_weights]
-            sums = tuple(np.array(column) for column in zip(*stack))
-        for name, value in zip(("count", "y_sum", "y_mean", "y_ss"), sums):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "y_mean", _mean(self.y_sum, self.count))
 
     @property
     def k(self) -> int:
@@ -211,16 +252,20 @@ class CellTable:
 
     @property
     def reweighted(self) -> bool:
-        return self.row_weights is not None
+        return self.draws is not None
 
-    def reweight(self, row_weights: Sequence[np.ndarray]) -> "CellTable":
-        """The same cells, once per vector of row frequency weights."""
-        return dataclasses.replace(self, row_weights=row_weights)
+    def resample(self, draws: Sequence[np.ndarray]) -> "CellTable":
+        """The same cells, once per resample of the rows: each resample's
+        sums run over the cells of the rows it drew, in the order drawn."""
+        m = self.s.size
+        sums = [_cell_sums(self.inverse[rows], self.y_rows[rows], m) for rows in draws]
+        count, y_sum, y_ss = (np.array(column) for column in zip(*sums))
+        return dataclasses.replace(self, count=count, y_sum=y_sum, y_ss=y_ss, draws=draws)
 
     def stacked(self) -> "CellTable":
         """The table with a leading axis on its four per-cell arrays: itself
-        when reweighted, else the same cells as a stack of one weight vector
-        (every row still weighing 1)."""
+        when resampled, else the same cells as a stack of one resample
+        that draws every row once."""
         if self.reweighted:
             return self
         out = copy.copy(self)
@@ -229,29 +274,32 @@ class CellTable:
         return out
 
     def rows_of(self, cells: np.ndarray, r: int = 0) -> np.ndarray:
-        """Indices of the dataset rows in the given cells that have positive
-        weight (in weight vector ``r``, when the table is reweighted)."""
+        """Indices of the dataset rows in the given cells (that resample
+        ``r`` drew, when the table is resampled)."""
         rows = np.isin(self.inverse, cells)
         if self.reweighted:
-            rows &= self.row_weights[r] > 0
+            rows &= np.bincount(self.draws[r], minlength=rows.size) > 0
         return np.flatnonzero(rows)
 
 
+def _mean(y_sum: np.ndarray, count: np.ndarray) -> np.ndarray:
+    return np.divide(y_sum, count, out=np.zeros(count.shape), where=count > 0)
+
+
 def _cell_sums(
-    inverse: np.ndarray, y: np.ndarray, w: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """count, y_sum, y_mean and y_ss over ``m`` cells of rows with cells
-    ``inverse``, outcomes ``y`` and weights ``w``."""
-    count = np.bincount(inverse, weights=w, minlength=m)
-    y_sum = np.bincount(inverse, weights=w * y, minlength=m)
-    mean = np.divide(y_sum, count, out=np.zeros(m), where=count > 0)
+    cells: np.ndarray, y: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count, y_sum and y_ss over ``m`` cells of rows in cells ``cells``
+    with outcomes ``y``, each summed in row order."""
+    count = np.bincount(cells, minlength=m).astype(float)
+    y_sum = np.bincount(cells, weights=y, minlength=m)
     # Centred on the cell mean, not sum(y^2) - sum(y)^2 / count, which loses
     # digits. Squares that overflow leave y_ss infinite; nuisance.fit_cells
     # rejects the residual variance that takes it in.
-    dev = y - mean[inverse]
+    dev = y - _mean(y_sum, count)[cells]
     with np.errstate(over="ignore"):
-        y_ss = np.bincount(inverse, weights=w * dev * dev, minlength=m)
-    return count, y_sum, mean, y_ss
+        y_ss = np.bincount(cells, weights=dev * dev, minlength=m)
+    return count, y_sum, y_ss
 
 
 def cell_table(d: Dataset | CellTable, outcome_kind: str) -> CellTable:
@@ -310,22 +358,56 @@ def _parse_indicator(raw: str, column: str, row_number: int) -> int:
     return int(value)
 
 
-def _locate_error(
-    records: list[list[str]], width: int, names: tuple[str, ...], positions: list[int]
-) -> NoReturn:
-    """Raise the error that a parse of one row at a time meets first.
+def _parse_records(
+    path: str, width: int, names: tuple[str, ...], positions: list[int]
+) -> np.ndarray:
+    """The used columns of every record, parsed one record at a time.
 
-    Called once the bulk parse has failed, so that the message and row
-    number name the first bad record and, within it, the first bad column
-    (study, treatment, outcome, then the covariates).
+    Reads what the bulk parse refuses or leaves to this path, and names
+    the first bad record and, within it, the first bad column (study,
+    treatment, outcome, then the covariates).
     """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        records = list(reader)
+    values = np.empty((len(names), len(records)))
     for row_number, record in enumerate(records, start=1):
         if len(record) != width:
             raise ParseError(f"row {row_number}: expected {width} fields, got {len(record)}")
         for j, (name, position) in enumerate(zip(names, positions)):
             parse = _parse_indicator if j < 2 else _parse_cell
-            parse(record[position], name, row_number)
-    raise AssertionError("the bulk parse failed on records that parse one by one")
+            values[j, row_number - 1] = parse(record[position], name, row_number)
+    return values
+
+
+def _bulk_values(body: str, width: int, positions: list[int]) -> np.ndarray | None:
+    """The used columns of every record of ``body``, parsed by one np.loadtxt
+    pass, or None where np.loadtxt refuses the text or could read it
+    otherwise than csv.reader and float() do.
+
+    np.loadtxt strips the padding that _parse_cell strips, and refuses
+    underscores, empty fields and lone carriage returns. Quotes are kept
+    from it, as a quoted delimiter would shift its fields. It skips blank
+    lines, which csv.reader reads as records of no fields, so every line
+    must come back as a row (and a blank first line, which could leave it
+    no data to warn about, is left to the record path). Asking for the
+    last column makes every row hold at least ``width`` fields, and the
+    delimiter count then makes it exactly ``width``.
+    """
+    lines = body.split("\n")
+    if '"' in body or lines[0] in ("", "\r"):
+        return None
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=[*positions, width - 1], ndmin=2
+        )
+    except ValueError:
+        return None
+    rows = len(lines) - (lines[-1] == "")
+    if values.shape[0] != rows or body.count(",") != (width - 1) * rows:
+        return None
+    return np.ascontiguousarray(values[:, :-1].T)
 
 
 def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
@@ -350,27 +432,16 @@ def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
         for name in names:
             if name not in header:
                 raise SchemaError(f"{path}: missing column {name!r}")
-        records = list(reader)
+        body = fh.read()
 
-    if not records:
+    if not body:
         raise SchemaError(f"{path}: no data rows")
-    # Each column in one pass at C level: float() strips the padding that
-    # _parse_cell strips. A record of the wrong width, a non-numeral or an
-    # indicator outside {0, 1} sends the parse to _locate_error. (Transposing
-    # with zip(*records) would allocate an iterator per record and set off
-    # the cyclic garbage collector.)
-    n, width = len(records), len(header)
+    # A record of the wrong width, a non-numeral or an indicator outside
+    # {0, 1} sends the parse to _parse_records.
     positions = [header.index(name) for name in names]
-    values = None
-    if set(map(len, records)) == {width}:
-        try:
-            values = np.array(
-                [np.fromiter(map(float, map(itemgetter(p), records)), float, n) for p in positions]
-            )
-        except ValueError:
-            pass
+    values = _bulk_values(body, len(header), positions)
     if values is None or not np.all((values[:2] == 0.0) | (values[:2] == 1.0)):
-        _locate_error(records, width, names, positions)
+        values = _parse_records(path, len(header), names, positions)
     return Dataset(
         x=np.ascontiguousarray(values[3:].T),
         s=values[0].astype(np.int64),

@@ -23,7 +23,7 @@ from .data import Dataset, cell_table
 from .errors import DegenerateFitError
 from .estimators import ESTIMATOR_NAMES, aipw_weighting
 from .glm import LogisticModel, add_intercept, coefficient_covariance, only
-from .inference import TestResult
+from .inference import TestResult, linear_quantiles
 from .nuisance import NuisanceSet, fit_cells
 
 STATUS_CONSISTENT = "consistent"
@@ -153,7 +153,7 @@ class QuantileSummary:
 
     @classmethod
     def of(cls, values: np.ndarray) -> "QuantileSummary":
-        qs = np.quantile(values, [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0])
+        qs = linear_quantiles(values, [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0])
         return cls(*[float(v) for v in qs])
 
 

@@ -70,7 +70,7 @@ class BootstrapResult:
     def percentile_interval(self, point: float, level: float = 0.95) -> Interval:
         _check_level(level)
         alpha = 1.0 - level
-        lower, upper = np.quantile(self.replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
+        lower, upper = linear_quantiles(self.replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
         return Interval(
             estimate=point,
             std_error=self.std_error,
@@ -79,6 +79,22 @@ class BootstrapResult:
             level=level,
             method="bootstrap-percentile",
         )
+
+
+def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """np.quantile(values, qs) by its default (linear) method, with the same
+    bits, from a sorted copy of ``values``; np.quantile calls np.unique, whose
+    first call imports numpy.ma (about 10 ms)."""
+    ordered = np.sort(values)
+    position = (ordered.size - 1) * np.asarray(qs, dtype=float)
+    low = np.floor(position).astype(np.intp)
+    high = low + 1
+    top = position >= ordered.size - 1
+    low[top] = high[top] = -1
+    gamma = position - low
+    a, b = ordered[low], ordered[high]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
 def _check_level(level: float) -> None:
@@ -171,20 +187,18 @@ def run_replicates(
 
 
 class _Draws:
-    """How often each bootstrap replicate of ``indices`` draws each row, as a
-    sequence: item r is drawn anew from replicate indices[r]'s keyed stream,
-    trial rows then emulation rows, each with replacement."""
+    """The rows each bootstrap replicate of ``indices`` draws, as a sequence:
+    item r is drawn anew from replicate indices[r]'s keyed stream, trial rows
+    then emulation rows, each with replacement."""
 
     def __init__(self, d: Dataset, seed: int, indices: Sequence[int]) -> None:
         self.strata = (np.flatnonzero(d.s == 1), np.flatnonzero(d.s == 0))
-        self.n = d.n
         self.seed = seed
         self.indices = indices
 
     def __getitem__(self, r: int) -> np.ndarray:
         rng = _replicate_rng(self.seed, self.indices[r])
-        drawn = [rows[rng.integers(0, rows.size, rows.size)] for rows in self.strata]
-        return np.bincount(np.concatenate(drawn), minlength=self.n).astype(float)
+        return np.concatenate([rows[rng.integers(0, rows.size, rows.size)] for rows in self.strata])
 
 
 # A chunk of replicates is fitted as one stack, whose largest arrays hold
@@ -198,12 +212,12 @@ def bootstrap_chunk(
     """Bootstrap replicates ``indices``, fitted together: per replicate its
     values, or the error its analysis raised.
 
-    Every replicate is a row of counts on the dataset's cell table, and
+    Every replicate is a row of cell sums over the rows it drew, and
     every nuisance fit and estimate runs on all the rows at once, row by
     row, so a replicate's values have the same bits whichever replicates
     share its chunk.
     """
-    table = cell_table(d, plan.outcome_kind).reweight(_Draws(d, seed, indices))
+    table = cell_table(d, plan.outcome_kind).resample(_Draws(d, seed, indices))
     nu = fit_nuisances(table, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
     estimates = run_plan_with(table, nu, plan)
     out: list[dict[str, float] | Exception] = []

@@ -441,6 +441,19 @@ def test_analyze_run_leaves_out_jsonschema_and_importlib_metadata(tmp_path, writ
     assert (tmp_path / "report.json").exists()
 
 
+def test_analyze_run_leaves_out_numpy_ma(tmp_path, write_config):
+    # np.quantile and a plain np.unique import numpy.ma on their first call,
+    # about 10 ms of a cold analyze that uses nothing of it.
+    payload = analysis_payload(tmp_path, bootstrap=20, restriction=True, overlap=True)
+    config = write_config(payload)
+    code = (
+        "import sys, trialbench.cli; "
+        f"assert trialbench.cli.main(['analyze', {config!r}, '--quiet']) == 0; "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    assert fresh_python(code).strip() == "[]"
+
+
 def test_report_that_breaks_the_schema_exits_5_with_a_one_line_error(
     tmp_path, write_config, capsys, monkeypatch
 ):
@@ -652,3 +665,38 @@ def test_analyze_exits_within_its_families(tmp_path_factory, run):
     if code:
         assert out.count("\n") == 1
         assert json.loads(out)["error"]["exit_code"] == code
+
+
+# Text forms of one CSV: each must read as the plain text reads.
+TEXT_FORMS = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "bom": lambda lines: "\ufeff" + "\n".join(lines) + "\n",
+    "padded": lambda lines: "".join(",".join(f" {v}\t" for v in line.split(",")) + "\n" for line in lines),
+    "quoted": lambda lines: "".join(",".join(f'"{v}"' for v in line.split(",")) + "\n" for line in lines),
+}
+
+
+def _analyze_text(work, text: str, payload: dict) -> tuple[int, dict | None]:
+    """Exit code and report estimates of ``analyze`` on ``text``."""
+    (work / "data.csv").write_text(text, encoding="utf-8", newline="")
+    report = work / "report.json"
+    report.unlink(missing_ok=True)
+    payload = {**payload, "input": str(work / "data.csv"), "output": str(report)}
+    (work / "config.json").write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["analyze", str(work / "config.json"), "--quiet"])
+    return code, written_report(report)["estimates"] if code == 0 else None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(run=analyze_runs())
+def test_analyze_reads_every_text_form_of_a_dataset_alike(tmp_path_factory, run):
+    # The loader parses each text form the same: exit code and estimates
+    # match the plain text's, and a trailing blank line is a data error.
+    text, payload = run
+    work = tmp_path_factory.mktemp("forms")
+    expected = _analyze_text(work, text, payload)
+    lines = text.splitlines()
+    for form, write in TEXT_FORMS.items():
+        assert _analyze_text(work, write(lines), payload) == expected, form
+    assert _analyze_text(work, text + "\n", payload)[0] == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialbench import (
     AnalysisPlan,
@@ -137,3 +139,20 @@ def test_percentile_interval_known_quantiles():
     assert interval.upper == pytest.approx(0.975, abs=1e-9)
     assert interval.method == "bootstrap-percentile"
     assert br.std_error == pytest.approx(np.std(reps, ddof=1), abs=1e-12)
+
+
+# Zeros are drawn unsigned: np.quantile partitions where linear_quantiles
+# sorts, and the two may order 0.0 and -0.0, which compare equal, apart.
+finite = st.floats(-1e300, 1e300).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(
+    values=st.lists(finite, min_size=1, max_size=60)
+    | st.lists(st.sampled_from((0.0, 1.0, 2.5, -3.0)), min_size=1, max_size=60),
+    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_linear_quantiles_give_the_bits_of_np_quantile(values, qs):
+    values = np.array(values)
+    qs = qs + [0.0, 0.025, 0.5, 0.975, 1.0]
+    assert inference.linear_quantiles(values, qs).tobytes() == np.quantile(values, qs).tobytes()

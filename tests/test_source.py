@@ -4,6 +4,7 @@ import ast
 import collections
 import importlib
 import pathlib
+import re
 import types
 
 import trialbench
@@ -195,3 +196,28 @@ def test_every_benchmark_wrap_point_resolves():
     assert absent == []
     wrapped = {f"{layer}.{q}" for layer, qualnames in spans.WRAP_POINTS.items() for q in qualnames}
     assert set(spans.COUNTERS) <= wrapped
+
+
+# numpy functions the package calls that older numpy releases lack, with the
+# release that added each.
+NUMPY_ADDED = {"vecdot": (2, 0)}
+
+
+def numpy_calls(source: str) -> set[str]:
+    """The names the source reads off ``np``."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+    }
+
+
+def test_numpy_floor_covers_every_numpy_function_the_package_calls():
+    # Below the floor every analysis would end in exit 5 on an AttributeError.
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', text)
+    declared = tuple(int(part) for part in floor.split("."))
+    called = set().union(*(numpy_calls(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")))
+    assert "vecdot" in called
+    needed = max(NUMPY_ADDED[name] for name in called & NUMPY_ADDED.keys())
+    assert declared >= needed
