@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SchemaError
+from .errors import DataError, DomainError, ParseError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -418,21 +418,24 @@ def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
     be encoded to numeric columns before loading. A UTF-8 byte-order mark
     is skipped.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise SchemaError(f"{path}: duplicate column name(s) {repeated} in header")
-        names = (schema.s, schema.a, schema.y, *schema.x)
-        for name in names:
-            if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
-        body = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            if repeated:
+                raise SchemaError(f"{path}: duplicate column name(s) {repeated} in header")
+            names = (schema.s, schema.a, schema.y, *schema.x)
+            for name in names:
+                if name not in header:
+                    raise SchemaError(f"{path}: missing column {name!r}")
+            body = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
     if not body:
         raise SchemaError(f"{path}: no data rows")
@@ -449,6 +452,21 @@ def load_dataset(path: str, schema: ColumnSchema) -> Dataset:
         y=values[2],
         covariate_names=schema.x,
     )
+
+
+def _not_utf8(path: str) -> DataError:
+    """The error for a file that is not UTF-8 text: it names the offset, from
+    the start of the file, of the first byte that cannot be decoded."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DataError(
+            f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} at byte offset "
+            f"{exc.start} cannot be decoded"
+        )
+    return DataError(f"{path}: not UTF-8 text")
 
 
 def save_dataset(d: Dataset, path: str, schema: ColumnSchema | None = None) -> None:

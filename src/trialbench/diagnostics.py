@@ -95,8 +95,8 @@ def restriction_test(
                 f"restriction test: no rows with treatment {a} in study s={s}"
             )
 
-    x = t.x[mask]
-    s_col = t.s[mask].astype(float)[:, None]
+    x = np.compress(mask, t.x, axis=0)
+    s_col = np.compress(mask, t.s).astype(float)[:, None]
     blocks = [add_intercept(x), s_col]
     names = ["S"]
     if include_interactions:
@@ -111,7 +111,7 @@ def restriction_test(
     idx = np.arange(n_base, design.shape[1])
     b = model.coefficients[idx]
     try:
-        sub = coefficient_covariance(model, design, t.count[mask])[np.ix_(idx, idx)]
+        sub = coefficient_covariance(model, design, np.compress(mask, t.count))[np.ix_(idx, idx)]
         statistic = float(b @ np.linalg.solve(sub, b))
     except np.linalg.LinAlgError:  # a singular information matrix
         statistic = float("nan")

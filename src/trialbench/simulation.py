@@ -301,8 +301,8 @@ def _draw_stream(
         ut = _draw_u(cfg.transport, batch, rng)
         p_s1 = expit(cfg.participation_logit(x, ut))
         accept = rng.random(batch) < (p_s1 if s == 1 else 1.0 - p_s1)
-        xs.append(x[accept])
-        uts.append(ut[accept])
+        xs.append(np.compress(accept, x, axis=0))
+        uts.append(np.compress(accept, ut))
         got += int(np.sum(accept))
         drawn += batch
         # (got + 3) / drawn bounds the acceptance rate from above (the rule of

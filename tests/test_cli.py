@@ -506,6 +506,34 @@ def test_csv_with_byte_order_mark_reads_as_without(tmp_path, write_config, comma
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "byte-order-mark"])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_csv_that_is_not_utf8_exits_3_naming_the_byte_offset(
+    tmp_path, write_config, capsys, command, marked
+):
+    # One byte 0xff in a cell of the last data row; the offset counts bytes
+    # from the start of the file, a byte-order mark included.
+    text = FIXTURE_CSV.read_bytes()
+    bom = b"\xef\xbb\xbf" if marked else b""
+    offset = len(bom) + text.rstrip(b"\n").rindex(b"\n") + 2
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(bom + text[: offset - len(bom)] + b"\xff" + text[offset - len(bom) :])
+    payload = {"input": str(bad), "schema": SCHEMA, "output": str(tmp_path / "r.json")}
+    assert main([command, write_config(payload), "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {
+        "error": {
+            "type": "DataError",
+            "message": f"{bad}: not UTF-8 text: byte 0xff at byte offset {offset} "
+            "cannot be decoded",
+            "exit_code": 3,
+        }
+    }
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("factor", [1e200, 1e-200])
 def test_rescaled_covariate_gives_the_same_estimates(tmp_path, write_config, factor):
     # The fits scale each covariate column by a power of two before the rank

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from trialbench import DegenerateFitError, SeparationError, SingularDesignError
+from trialbench import DegenerateFitError, SeparationError, SingularDesignError, glm
+from trialbench.errors import record
 from trialbench.glm import (
     LogisticModel,
     add_intercept,
@@ -194,3 +197,80 @@ def test_ridge_has_no_grip_on_a_covariate_of_size_1e150_or_more():
     assert eta[1e300][-1] == pytest.approx(56.88, abs=0.01)
     # In original units the penalty holds the slope near 1.10.
     assert fits[1.0].converged and fits[1.0].coefficients[1] == pytest.approx(1.1044, abs=1e-4)
+
+
+def _svd_rank_oracle(design, occupied, errors, what):
+    """glm._check_rank without its Gram certificate: the SVD rule alone."""
+    m, p = design.shape
+    if occupied.all():
+        values = np.linalg.svd(design, compute_uv=False).tolist()
+        if len(values) == p and values[-1] > values[0] * max(m, p) * glm._EPS:
+            return
+        deficient = np.ones(len(errors), dtype=bool)
+    else:
+        values = np.linalg.svd(design * occupied[:, :, None], compute_uv=False)
+        tol = values[:, 0] * np.maximum(occupied.sum(axis=1), p) * glm._EPS
+        deficient = (values > tol[:, None]).sum(axis=1) < p
+    record(errors, deficient, lambda r: glm._singular(design[occupied[r]], what))
+
+
+def _rank_verdicts(check, design, occupied):
+    errors = [None] * len(occupied)
+    check(design, occupied, errors, "fit")
+    return [e and (type(e), str(e)) for e in errors]
+
+
+@st.composite
+def rank_cases(draw):
+    """A design of m >= p rows with an intercept column: independent normal
+    columns, or one column a combination of the others plus noise of
+    relative size 10^-k, or one column a copy of another; then power-of-two
+    column scales, and the cells the fits occupy."""
+    p = draw(st.integers(2, 6))
+    m = draw(st.integers(p, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = add_intercept(rng.standard_normal((m, p - 1)))
+    j = draw(st.integers(1, p - 1))
+    others = [c for c in range(p) if c != j]
+    kind = draw(st.sampled_from(["independent", "near", "duplicate"]))
+    if kind == "near":
+        combination = design[:, others] @ rng.standard_normal(len(others))
+        noise = rng.standard_normal(m)
+        size = 10.0 ** -draw(st.integers(0, 16)) * np.linalg.norm(combination)
+        design[:, j] = combination + size * noise / np.linalg.norm(noise)
+    elif kind == "duplicate":
+        design[:, j] = design[:, draw(st.sampled_from(others))]
+    exponents = draw(st.lists(st.integers(-40, 40), min_size=p - 1, max_size=p - 1))
+    design[:, 1:] *= np.ldexp(1.0, exponents)
+    stack = draw(st.integers(1, 3))
+    occupied = np.ones((stack, m), dtype=bool)
+    if draw(st.booleans()):
+        occupied = rng.random((stack, m)) < 0.7
+    return design, occupied
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rank_cases())
+def test_rank_verdicts_equal_the_svd_rule(case):
+    design, occupied = case
+    assert _rank_verdicts(glm._check_rank, design, occupied) == _rank_verdicts(
+        _svd_rank_oracle, design, occupied
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 50, 1000, 5000])
+def test_rank_verdicts_near_the_m_eps_boundary_equal_the_svd_rule(m):
+    # Columns 1 and 1 + r z with z orthogonal to 1 and |z| = sqrt(m): the
+    # singular value ratio is about r / 2, so r = 2 m eps * f sweeps the
+    # rule's threshold m eps, from f = 1/4 to f = 4.
+    z = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    if m % 2:
+        z = np.append(z[:-1] * np.sqrt(m / (m - 1)), 0.0)
+    occupied = np.ones((1, m), dtype=bool)
+    verdicts = set()
+    for f in 2.0 ** (np.arange(-16, 17) / 8):
+        design = np.column_stack([np.ones(m), 1.0 + 2 * m * glm._EPS * f * z])
+        got = _rank_verdicts(glm._check_rank, design, occupied)
+        assert got == _rank_verdicts(_svd_rank_oracle, design, occupied), f
+        verdicts.add(got[0] is None)
+    assert verdicts == {True, False}

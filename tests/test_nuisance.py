@@ -1,7 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from trialbench import ConfigError, DegenerateFitError, Dataset, DomainError, fit_nuisances
+from trialbench import (
+    AnalysisPlan,
+    ConfigError,
+    DegenerateFitError,
+    Dataset,
+    DomainError,
+    FitError,
+    ScenarioConfig,
+    SingularDesignError,
+    d1,
+    fit_nuisances,
+    generate,
+)
+from trialbench import diagnostics, glm, inference, nuisance, simulation
+from trialbench.data import cell_table
+from trialbench.errors import record
+from trialbench.glm import add_intercept, fit_linear_stack, fit_logistic_stack
 from trialbench.nuisance import MODEL_NAMES, normalize_drop
 
 
@@ -151,3 +169,121 @@ def test_summaries_are_json_ready(small_dataset):
 def test_invalid_outcome_kind_is_config_error(small_dataset):
     with pytest.raises(ConfigError, match="outcome_kind"):
         fit_nuisances(small_dataset, "counts")
+
+
+# The law of the simulate_gauss benchmark workload: three standard normal
+# covariates, so every row is a cell of its own.
+GAUSSIAN_LAW = {
+    "covariates": {"kind": "gaussian", "dim": 3},
+    "participation": [-0.3, 0.5, -0.4, 0.3],
+    "trial_arm_prob": 0.5,
+    "emulation_propensity": [-0.2, 0.4, 0.3, -0.5],
+    "outcome_intercept": -0.5,
+    "outcome_x": [0.6, -0.4, 0.3],
+    "outcome_treatment": 0.8,
+    "outcome_tx": [0.3, 0.0, -0.2],
+}
+ALL_ESTIMATES = dict(estimators=("phi", "chi", "psi"), arms=(0, 1))
+
+
+def _boolean_mask_fit_cells(t, mask, design, labels, tag, ridge=0.0):
+    """nuisance.fit_cells as it was when it selected cells by boolean mask
+    subscripts rather than np.compress."""
+    count = t.count[:, mask]
+    if labels is not None:
+        model, errors = fit_logistic_stack(design, labels[..., mask], count, ridge=ridge)
+    else:
+        model, errors = fit_linear_stack(design, t.y_mean[:, mask], count)
+    if any(errors):
+        errors = [e and nuisance._tagged(e, tag) for e in errors]
+    if labels is not None:
+        return model, errors
+    df = count.sum(axis=1) - design.shape[1]
+    spread = np.divide(t.y_ss[:, mask].sum(axis=1), df, out=np.zeros(df.size), where=df > 0)
+    variance = model.residual_variance + spread
+    finite = np.isfinite(variance)
+    record(errors, ~finite, lambda r: FitError(f"{tag}: residual variance is not finite"))
+    return replace(model, residual_variance=variance), errors
+
+
+def _select_by_boolean_masks(monkeypatch):
+    monkeypatch.setattr(nuisance, "fit_cells", _boolean_mask_fit_cells)
+    monkeypatch.setattr(diagnostics, "fit_cells", _boolean_mask_fit_cells)
+
+
+@pytest.mark.parametrize("law", ["gaussian-binary", "gaussian-continuous", "d1"])
+def test_replicate_equals_its_boolean_mask_selection(monkeypatch, law):
+    # D1's one binary covariate leaves many rows per cell, so the linear fits
+    # add a within-cell spread; a Gaussian law makes every row its own cell.
+    if law == "d1":
+        law = d1()
+    else:
+        law = ScenarioConfig.from_dict({**GAUSSIAN_LAW, "outcome_kind": law.split("-")[1]})
+    plan = AnalysisPlan(outcome_kind=law.outcome_kind, **ALL_ESTIMATES)
+    run = lambda: simulation.replicate_estimates(law, (3000, 3000), 7007, 2, plan, restriction=True)
+    compressed = run()
+    _select_by_boolean_masks(monkeypatch)
+    masked = run()
+    assert "restriction_p(0)" in compressed
+    assert compressed == masked
+
+
+@pytest.mark.parametrize("outcome_kind", ["binary", "continuous"])
+def test_bootstrap_chunk_equals_its_boolean_mask_selection(monkeypatch, outcome_kind):
+    law = ScenarioConfig.from_dict({**GAUSSIAN_LAW, "outcome_kind": outcome_kind})
+    d = generate(law, (150, 150), seed=3)
+    plan = AnalysisPlan(outcome_kind=outcome_kind, **ALL_ESTIMATES)
+    table = cell_table(d, outcome_kind).resample(inference._Draws(d, 8, range(12)))
+    assert (table.count == 0).any(axis=1).all()  # every replicate leaves cells empty
+    compressed = inference.bootstrap_chunk(d, plan, 8, range(12))
+    _select_by_boolean_masks(monkeypatch)
+    masked = inference.bootstrap_chunk(d, plan, 8, range(12))
+    for got, expected in zip(compressed, masked):
+        if isinstance(expected, Exception):
+            assert (type(got), str(got)) == (type(expected), str(expected))
+        else:
+            assert got == expected
+
+
+def test_stacked_residual_variance_equals_the_stack_of_one():
+    # 16 covariate patterns, so each outcome model sums the within-cell
+    # spread over at least 8 cells: a sum whose bits follow its memory layout.
+    rng = np.random.default_rng(3)
+    n = 400
+    x = (rng.random((n, 2)) < 0.5) + 2.0 * (rng.random((n, 2)) < 0.5)
+    s, a = (rng.random((2, n)) < 0.5).astype(np.int64)
+    y = x[:, 0] + a + 100.0 * rng.standard_normal(n)
+    d = Dataset(x=x, s=s, a=a, y=y, covariate_names=("X1", "X2"))
+
+    def fitted(indices):
+        table = cell_table(d, "continuous").resample(inference._Draws(d, 5, indices))
+        return fit_nuisances(table, "continuous")
+
+    stack, alone = fitted([0, 1, 2]), fitted([1])
+    for key, model in stack.outcome.items():
+        assert model.residual_variance[1] == alone.outcome[key].residual_variance[0], key
+
+
+def test_gaussian_replicate_makes_no_svd_and_a_singular_design_still_does(monkeypatch):
+    # The Gram certificate passes every full-rank design of a replicate of
+    # the simulate_gauss workload; a rank-deficient one still reaches the SVD.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    law = ScenarioConfig.from_dict({**GAUSSIAN_LAW, "outcome_kind": "binary"})
+    plan = AnalysisPlan(outcome_kind="binary", **ALL_ESTIMATES)
+    values = simulation.replicate_estimates(law, (10000, 10000), 7007, 0, plan, restriction=True)
+    assert "restriction_p(1)" in values
+    assert calls == []
+
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((500, 2))
+    y = (rng.random(500) < 0.5).astype(float)
+    with pytest.raises(SingularDesignError, match="design column 3 is linearly dependent"):
+        glm.fit_logistic(add_intercept(np.column_stack([x, x[:, 1]])), y)
+    assert calls[0] == (500, 4)
