@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .data import ColumnSchema
 from .errors import ConfigError
-from .estimators import ESTIMATOR_NAMES
+from .estimators import ESTIMATOR_NAMES, AnalysisPlan
 from .jsonfields import dump, parse
 from .scenarios import preset
 from .simulation import ScenarioConfig
@@ -34,22 +34,25 @@ def load_json(path: str) -> dict:
     return raw
 
 
+# Peak bytes that one Monte Carlo replicate holds per composite row, as (base,
+# per covariate): tracemalloc peaks of replicate_estimates at (20k, 20k) and
+# (80k, 80k) rows were 67 + 16.6 k for k binary covariates and 312 + 25 k for k
+# Gaussian ones, whose accept-reject draws hold a proposal batch four times the
+# study size; rounded up. A simulate config whose replicate would need more than
+# REPLICATE_BUDGET is refused before anything is drawn.
+_ROW_BYTES = {"binary": (80, 20), "gaussian": (320, 32)}
+REPLICATE_BUDGET = 16 * 2**30
+
+
 def _check_plan(cfg: AnalysisConfig | SimulationConfig, where: str) -> None:
-    """Checks shared by the configs that run estimators."""
-    names = cfg.estimators
-    if not names or not set(names) <= set(ESTIMATOR_NAMES) or len(set(names)) != len(names):
-        raise ConfigError(
-            f"{where}: 'estimators' must be distinct names from {list(ESTIMATOR_NAMES)}, "
-            f"got {list(names)}"
-        )
-    arms = cfg.arms
-    if not arms or not set(arms) <= {0, 1} or len(set(arms)) != len(arms):
-        raise ConfigError(f"{where}: 'arms' must be a subset of [0, 1] without repeats")
+    """Checks shared by the configs that run estimators; AnalysisPlan checks the plan."""
+    try:
+        cfg.plan
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     for key in ("level", "restriction_threshold"):
         if not 0.0 < getattr(cfg, key) < 1.0:
             raise ConfigError(f"{where}: {key!r} must be inside (0, 1), got {getattr(cfg, key)}")
-    if not cfg.ridge >= 0.0:
-        raise ConfigError(f"{where}: 'ridge' must be >= 0, got {cfg.ridge}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,14 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         where = "analyze config"
         _check_plan(self, where)
-        if self.outcome_kind not in ("continuous", "binary"):
-            raise ConfigError(f"{where}: outcome_kind must be continuous or binary")
         if self.bootstrap < 0 or self.bootstrap == 1:
             raise ConfigError(f"{where}: bootstrap needs at least 2 replicates (or 0 to disable)")
         if not self.weight_threshold > 0.0:
             raise ConfigError(f"{where}: weight_threshold must be positive")
+
+    @property
+    def plan(self) -> AnalysisPlan:
+        return AnalysisPlan(self.outcome_kind, self.estimators, self.arms, self.ridge, self.hajek)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> AnalysisConfig:
@@ -109,12 +114,18 @@ class SimulationConfig:
         where = "simulate config"
         if isinstance(self.scenario, str):
             object.__setattr__(self, "scenario", self.scenario.upper())
-            preset(self.scenario)  # an unknown name fails here, not after the truths
-        _check_plan(self, where)
+        _check_plan(self, where)  # an unknown preset fails here, not after the truths
         if self.reps < 2:
             raise ConfigError(f"{where}: reps must be at least 2")
         if min(self.n) < 1:
             raise ConfigError(f"{where}: study sizes must be positive")
+        base, per_covariate = _ROW_BYTES[self.law.covariates.kind]
+        need = sum(self.n) * (base + per_covariate * self.law.k)
+        if need > REPLICATE_BUDGET:
+            raise ConfigError(
+                f"{where}: 'n' {list(self.n)} needs about {need / 2**30:.3g} GiB per replicate, "
+                f"over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
+            )
         if self.truth_draws < 1000:
             raise ConfigError(f"{where}: truth_draws must be at least 1000")
 
@@ -122,6 +133,10 @@ class SimulationConfig:
     def law(self) -> ScenarioConfig:
         """The scenario to simulate, with a preset name resolved."""
         return preset(self.scenario) if isinstance(self.scenario, str) else self.scenario
+
+    @property
+    def plan(self) -> AnalysisPlan:  # run_monte_carlo's, misspecification aside
+        return AnalysisPlan(self.law.outcome_kind, self.estimators, self.arms, self.ridge)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> SimulationConfig:

@@ -36,7 +36,8 @@ import numpy as np
 
 from .data import CellTable, Dataset, cell_table
 from .errors import IncompatibleEstimatesError, PositivityError, record
-from .nuisance import NuisanceSet, fit_nuisances
+from .glm import check_ridge
+from .nuisance import OUTCOME_KINDS, NuisanceSet, fit_nuisances
 
 PROPENSITY_FLOOR = 1e-10
 ESTIMATOR_NAMES = ("phi", "chi", "psi")
@@ -294,12 +295,13 @@ def contrast(
 
 @dataclass(frozen=True)
 class AnalysisPlan:
-    """What to estimate and how, shared by the point analysis and bootstrap.
+    """What to estimate and how, shared by the point analysis, the bootstrap
+    and the Monte Carlo replicates; the one check of these requests.
 
     ``estimators`` is a subset of {"phi", "chi", "psi"}; ``arms`` a subset
-    of {0, 1}. Treatment-effect contrasts appear when both arms are
-    requested, benchmarking deltas (phi minus chi, per arm) when both of
-    those estimators are requested.
+    of {0, 1}; ``outcome_kind`` one of nuisance.OUTCOME_KINDS; ``ridge`` a
+    finite number >= 0 (glm.check_ridge). A bad request raises a ValueError
+    that names its key. ``contrasts`` says which contrasts the plan yields.
     """
 
     outcome_kind: str
@@ -312,19 +314,32 @@ class AnalysisPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "arms", tuple(self.arms))
-        if not self.estimators:
-            raise ValueError("plan requests no estimators")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
-        if unknown:
-            raise ValueError(f"unknown estimator(s) {unknown}")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError("duplicate estimators in plan")
-        if not self.arms:
-            raise ValueError("plan requests no treatment arms")
-        if any(a not in (0, 1) for a in self.arms):
-            raise ValueError("treatment arms must be 0 or 1")
-        if len(set(self.arms)) != len(self.arms):
-            raise ValueError("duplicate arms in plan")
+        names, arms = self.estimators, self.arms
+        if not names or not set(names) <= set(ESTIMATOR_NAMES) or len(set(names)) != len(names):
+            raise ValueError(
+                f"'estimators' must be distinct names from {list(ESTIMATOR_NAMES)}, "
+                f"got {list(names)}"
+            )
+        # A bool arm would equal 1 or 0 here yet label its estimates "phi(True)".
+        bools = any(isinstance(a, bool) for a in arms)
+        if not arms or bools or not set(arms) <= {0, 1} or len(set(arms)) != len(arms):
+            raise ValueError(f"'arms' must be a subset of [0, 1] without repeats, got {list(arms)}")
+        if self.outcome_kind not in OUTCOME_KINDS:
+            raise ValueError(
+                f"'outcome_kind' must be one of {list(OUTCOME_KINDS)}, got {self.outcome_kind!r}"
+            )
+        check_ridge(self.ridge)
+
+    def contrasts(self) -> dict[str, dict]:
+        """Each contrast the plan yields, as (label, first, second), by kind:
+        "ate" keyed by estimator, when both arms are requested, and "delta"
+        (phi minus chi) keyed by arm, when both of those estimators are."""
+        ate, delta = {}, {}
+        if 0 in self.arms and 1 in self.arms:
+            ate = {name: (f"ate_{name}", f"{name}(1)", f"{name}(0)") for name in self.estimators}
+        if "phi" in self.estimators and "chi" in self.estimators:
+            delta = {arm: (f"delta({arm})", f"phi({arm})", f"chi({arm})") for arm in self.arms}
+        return {"ate": ate, "delta": delta}
 
 
 def run_plan(d: Dataset, plan: AnalysisPlan) -> dict[str, EstimateWithIF]:
@@ -336,16 +351,6 @@ def run_plan(d: Dataset, plan: AnalysisPlan) -> dict[str, EstimateWithIF]:
     """
     nu = fit_nuisances(d, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
     return run_plan_with(d, nu, plan)
-
-
-def _contrasts(plan: AnalysisPlan) -> list[tuple[str, str, str]]:
-    """(label, first, second) of each contrast the plan asks for."""
-    out = []
-    if 0 in plan.arms and 1 in plan.arms:
-        out += [(f"ate_{name}", f"{name}(1)", f"{name}(0)") for name in plan.estimators]
-    if "phi" in plan.estimators and "chi" in plan.estimators:
-        out += [(f"delta({arm})", f"phi({arm})", f"chi({arm})") for arm in plan.arms]
-    return out
 
 
 def run_plan_with(
@@ -365,18 +370,19 @@ def run_plan_with(
     for name in plan.estimators:
         for arm in plan.arms:
             out[f"{name}({arm})"] = _estimate(t, nu, name, arm, plan.hajek)
-    for label, first, second in _contrasts(plan):
-        e1, e2 = out[first], out[second]
-        out[label] = EstimateStack(
-            label=label,
-            value=e1.value - e2.value,
-            table=t,
-            alpha=e1.alpha - e2.alpha,
-            beta=e1.beta - e2.beta,
-            n_effective=np.minimum(e1.n_effective, e2.n_effective),
-            tolerance=e1.tolerance + e2.tolerance,
-            errors=[f or g for f, g in zip(e1.errors, e2.errors)],
-        )
+    for kind in plan.contrasts().values():
+        for label, first, second in kind.values():
+            e1, e2 = out[first], out[second]
+            out[label] = EstimateStack(
+                label=label,
+                value=e1.value - e2.value,
+                table=t,
+                alpha=e1.alpha - e2.alpha,
+                beta=e1.beta - e2.beta,
+                n_effective=np.minimum(e1.n_effective, e2.n_effective),
+                tolerance=e1.tolerance + e2.tolerance,
+                errors=[f or g for f, g in zip(e1.errors, e2.errors)],
+            )
     if not table.reweighted:
         return {label: e.only(table) for label, e in out.items()}
     for e in out.values():

@@ -416,6 +416,12 @@ def _separation(what: str, iteration: int) -> SeparationError:
     return SeparationError(f"logistic fit: {what} at iteration {iteration}")
 
 
+def check_ridge(ridge: float) -> None:
+    """A NaN ridge would switch off the penalty and the separation check both."""
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"'ridge' must be a finite number >= 0, got {ridge!r}")
+
+
 def fit_logistic(
     design: np.ndarray,
     labels: np.ndarray,
@@ -449,8 +455,7 @@ def fit_logistic_stack(
     where it succeeded; that row's coefficients are then 0). Each row keeps
     its own checks, step halving and convergence test.
     """
-    if ridge < 0.0:
-        raise ValueError("logistic fit: ridge penalty must be non-negative")
+    check_ridge(ridge)
     x, scales, y, w, occupied, total, errors = _prepare(
         design, labels, weights, "logistic fit", "labels"
     )

@@ -27,8 +27,8 @@ from .config import AnalysisConfig, SimulationConfig, ValidateConfig
 from .data import Dataset, ValidationReport, validate
 from .diagnostics import overlap_summary, restriction_test
 from .errors import ReportSchemaError, ValidationFailure
-from .estimators import AnalysisPlan, EstimateWithIF, run_plan_with
-from .inference import BootstrapResult, TestResult, bootstrap, sandwich_ci, wald_test
+from .estimators import EstimateWithIF, run_plan_with
+from .inference import BootstrapResult, bootstrap, sandwich_ci, wald_test
 from .jsonfields import dump
 from .nuisance import fit_nuisances
 from .simulation import MCReport, run_monte_carlo
@@ -269,14 +269,8 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
 
     warnings: list[str] = [f"validation: {c.message}" for c in report_validation.warnings]
 
-    plan = AnalysisPlan(
-        outcome_kind=config.outcome_kind,
-        estimators=config.estimators,
-        arms=config.arms,
-        ridge=config.ridge,
-        hajek=config.hajek,
-    )
-    nu = fit_nuisances(d, config.outcome_kind, ridge=config.ridge)
+    plan = config.plan
+    nu = fit_nuisances(d, plan.outcome_kind, ridge=plan.ridge)
     estimates = run_plan_with(d, nu, plan)
 
     boot: dict[str, BootstrapResult] | None = None
@@ -294,40 +288,27 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
         if entry.get("converged") is False:
             warnings.append(f"nuisance: {name} did not converge")
 
-    estimates_block: dict = {}
-    for name in config.estimators:
-        estimates_block[name] = {
-            str(arm): _estimate_entry(estimates[f"{name}({arm})"], config.level, boot, warnings)
-            for arm in config.arms
-        }
+    def entry_of(label: str, with_test: bool = False) -> dict:
+        return _estimate_entry(estimates[label], config.level, boot, warnings, with_test)
 
-    both_arms = 0 in config.arms and 1 in config.arms
-    ate_block = None
+    estimates_block = {
+        name: {str(arm): entry_of(f"{name}({arm})") for arm in plan.arms}
+        for name in plan.estimators
+    }
+    # The plan says which contrasts it yields; a kind it cannot form is None.
+    contrasts = plan.contrasts()
+    ate_block = {name: entry_of(label) for name, (label, _, _) in contrasts["ate"].items()} or None
     ate_reason = None
-    if both_arms:
-        ate_block = {
-            name: _estimate_entry(estimates[f"ate_{name}"], config.level, boot, warnings)
-            for name in config.estimators
-        }
-    else:
-        ate_reason = "treatment effects need both arms; config requested only " + str(
-            list(config.arms)
-        )
+    if ate_block is None:
+        ate_reason = f"treatment effects need both arms; config requested only {list(plan.arms)}"
 
-    has_delta = "phi" in config.estimators and "chi" in config.estimators
-    benchmarking_block = None
+    benchmarking_block = {
+        str(arm): entry_of(label, with_test=True)
+        for arm, (label, _, _) in contrasts["delta"].items()
+    } or None
     benchmarking_reason = None
-    delta_tests: dict[int, TestResult] = {}
-    if has_delta:
-        benchmarking_block = {}
-        for arm in config.arms:
-            entry = _estimate_entry(
-                estimates[f"delta({arm})"], config.level, boot, warnings, with_test=True
-            )
-            benchmarking_block[str(arm)] = entry
-            delta_tests[arm] = entry["test"]
-    else:
-        missing = [e for e in ("phi", "chi") if e not in config.estimators]
+    if benchmarking_block is None:
+        missing = [e for e in ("phi", "chi") if e not in plan.estimators]
         benchmarking_reason = (
             "benchmarking contrasts the emulation-only and trial-transported "
             f"estimators; config omitted {missing}"
@@ -352,12 +333,12 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
         overlap_block = overlap_summary(d, nu, config.weight_threshold)
 
     alpha = 1.0 - config.level
-    if not has_delta:
+    if benchmarking_block is None:
         verdict = "not-assessed"
         narrative = _NOT_ASSESSED_TEXT
     else:
         # A NaN p-value compares false, so it does not reject.
-        rejected = any(t.p_value < alpha for t in delta_tests.values())
+        rejected = any(e["test"].p_value < alpha for e in benchmarking_block.values())
         verdict = "incompatible" if rejected else "compatible"
         narrative = _DISAGREE_TEXT if rejected else _AGREE_TEXT
 

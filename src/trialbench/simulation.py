@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -41,7 +41,7 @@ from .estimators import (
 from .glm import expit
 from .inference import keyed_seed, run_replicates, sandwich_se
 from .jsonfields import dump, parse
-from .nuisance import fit_nuisances, normalize_drop
+from .nuisance import OUTCOME_KINDS, fit_nuisances, normalize_drop
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,13 @@ class CovariateLaw:
 
 
 @dataclass(frozen=True)
-class ConfoundingViolation:
-    """Unmeasured u_c -> emulation treatment and outcome."""
+class _Violation:
+    """An unmeasured binary u, present with probability ``u_prob``, that
+    moves the outcome and one other part of the law (the subclass's two
+    effects, after ``u_prob``). The condition it breaks fails only when both
+    effects are nonzero."""
 
     u_prob: float = 0.5
-    effect_on_treatment: float = 1.0
-    effect_on_y: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.u_prob < 1.0):
@@ -88,24 +89,23 @@ class ConfoundingViolation:
 
     @property
     def active(self) -> bool:
-        return self.effect_on_treatment != 0.0 and self.effect_on_y != 0.0
+        return 0.0 not in astuple(self)[1:]
 
 
 @dataclass(frozen=True)
-class TransportViolation:
-    """Unmeasured u_t -> study participation and outcome."""
+class ConfoundingViolation(_Violation):
+    """Unmeasured u_c -> emulation treatment and outcome."""
 
-    u_prob: float = 0.5
-    effect_on_participation: float = 1.0
+    effect_on_treatment: float = 1.0
     effect_on_y: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.u_prob < 1.0):
-            raise ConfigError("u_prob must be inside (0, 1)")
 
-    @property
-    def active(self) -> bool:
-        return self.effect_on_participation != 0.0 and self.effect_on_y != 0.0
+@dataclass(frozen=True)
+class TransportViolation(_Violation):
+    """Unmeasured u_t -> study participation and outcome."""
+
+    effect_on_participation: float = 1.0
+    effect_on_y: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,17 @@ class ScenarioConfig:
             raise ConfigError("trial_arm_prob must be inside (0, 1)")
         if self.noise_sd < 0.0:
             raise ConfigError("noise_sd must be non-negative")
-        if self.outcome_kind not in ("continuous", "binary"):
-            raise ConfigError("outcome_kind must be continuous or binary")
+        if self.outcome_kind not in OUTCOME_KINDS:
+            raise ConfigError(f"'outcome_kind' must be one of {list(OUTCOME_KINDS)}")
 
     @property
     def k(self) -> int:
         return self.covariates.k
+
+    @property
+    def conditions(self) -> tuple[bool, bool]:
+        """Whether (emulation exchangeability, transport) hold under the law."""
+        return tuple(v is None or not v.active for v in (self.confounding, self.transport))
 
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(f"X{j + 1}" for j in range(self.k))
@@ -374,8 +379,7 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
 
     # Restriction check: E[y | x, s, a] equal across studies for every (x, a).
     max_gap = 0.0
-    xs = np.unique(x, axis=0)
-    for xv in xs:
+    for xv in itertools.product((0.0, 1.0), repeat=cfg.k):
         cell = np.all(x == xv, axis=1)
         for a in (0.0, 1.0):
             means = {}
@@ -390,12 +394,13 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
                 means[s] = float(w @ cfg.outcome_mean_given(x[cell], a, uc[cell], ut[cell]))
             max_gap = max(max_gap, abs(means[1] - means[0]))
 
+    exchangeable, transports = cfg.conditions
     return Truths(
         mean0=mean0,
         mean1=mean1,
         ate=mean1 - mean0,
-        condition_exchangeability=cfg.confounding is None or not cfg.confounding.active,
-        condition_transport=cfg.transport is None or not cfg.transport.active,
+        condition_exchangeability=exchangeable,
+        condition_transport=transports,
         restriction_holds=max_gap < 1e-12,
         method="enumeration",
     )
@@ -476,14 +481,14 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
     spread = sums[2] - 2.0 * gap * sums[1] + gap**2 * total_sq
     errors = np.sqrt(np.maximum(spread, 0.0)) / total
     (mean0, mean1, ate), (err0, err1, err_ate) = means.tolist(), errors.tolist()
+    exchangeable, transports = cfg.conditions
     return Truths(
         mean0=mean0,
         mean1=mean1,
         ate=ate,
-        condition_exchangeability=cfg.confounding is None or not cfg.confounding.active,
-        condition_transport=cfg.transport is None or not cfg.transport.active,
-        restriction_holds=(cfg.confounding is None or not cfg.confounding.active)
-        and (cfg.transport is None or not cfg.transport.active),
+        condition_exchangeability=exchangeable,
+        condition_transport=transports,
+        restriction_holds=exchangeable and transports,
         method="importance",
         mc_error=(err0, err1, err_ate),
     )
@@ -548,7 +553,6 @@ def replicate_estimates(
     plan: AnalysisPlan,
     *,
     restriction: bool = False,
-    restriction_threshold: float = 0.05,
 ) -> dict[str, float]:
     """One replicate: generate, fit, estimate. Keyed RNG stream per index.
 
@@ -565,13 +569,7 @@ def replicate_estimates(
         out[f"{label}.se"] = sandwich_se(est)
     if restriction:
         for arm in plan.arms:
-            result = restriction_test(
-                d,
-                arm,
-                outcome_kind=cfg.outcome_kind,
-                threshold=restriction_threshold,
-                ridge=plan.ridge,
-            )
+            result = restriction_test(d, arm, outcome_kind=cfg.outcome_kind, ridge=plan.ridge)
             out[f"restriction_p({arm})"] = result.test.p_value
     return out
 
@@ -609,6 +607,9 @@ def run_monte_carlo(
     """
     if reps < 2:
         raise ConfigError("need at least 2 replicates")
+    # The replicates return p-values; only this driver reads the threshold.
+    if restriction and not 0.0 < restriction_threshold < 1.0:
+        raise ValueError(f"threshold must be inside (0, 1), got {restriction_threshold!r}")
     # Check the misspecified model and covariate names before any work.
     misspec_echo = {
         name: list(cols)
@@ -622,7 +623,6 @@ def run_monte_carlo(
         drop=dict(misspec) if isinstance(misspec, Mapping) else misspec,
     )
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    want_delta = "phi" in plan.estimators and "chi" in plan.estimators
 
     stop = threading.Event()
     outcome: list = []  # the truths, or what computing them raised
@@ -638,15 +638,7 @@ def run_monte_carlo(
     worker.start()
     try:
         records, failures = run_replicates(
-            lambda i: replicate_estimates(
-                cfg,
-                n,
-                seed,
-                i,
-                plan,
-                restriction=restriction,
-                restriction_threshold=restriction_threshold,
-            ),
+            lambda i: replicate_estimates(cfg, n, seed, i, plan, restriction=restriction),
             reps,
             "simulation",
         )
@@ -683,13 +675,9 @@ def run_monte_carlo(
             )
 
     delta_rejection: dict[int, float] = {}
-    if want_delta:
-        for arm in plan.arms:
-            label = f"delta({arm})"
-            rejected = [
-                abs(r[label] / r[f"{label}.se"]) > z for r in records if r[f"{label}.se"] > 0
-            ]
-            delta_rejection[arm] = float(np.mean(rejected)) if rejected else float("nan")
+    for arm, (label, _, _) in plan.contrasts()["delta"].items():
+        rejected = [abs(r[label] / r[f"{label}.se"]) > z for r in records if r[f"{label}.se"] > 0]
+        delta_rejection[arm] = float(np.mean(rejected)) if rejected else float("nan")
 
     restriction_rejection: dict[int, float] | None = None
     if restriction:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,52 @@ def test_analyze_run_leaves_out_numpy_ma(tmp_path, write_config):
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
     assert fresh_python(code).strip() == "[]"
+
+
+def test_binary_law_simulate_leaves_out_numpy_ma(tmp_path, write_config):
+    # The enumeration truths listed the covariate patterns with
+    # np.unique(axis=0), which imports numpy.ma (about 13 ms) on every
+    # binary-law simulate.
+    payload = {"scenario": "D1", "reps": 3, "n": [300, 300], "output": str(tmp_path / "s.json")}
+    config = write_config(payload)
+    code = (
+        "import sys, trialbench.cli; "
+        f"assert trialbench.cli.main(['simulate', {config!r}, '--quiet']) == 0; "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    assert fresh_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [[10**13, 10**13], [10**9, 10**9]])
+@pytest.mark.parametrize("scenario", ["D1", "gaussian"])
+def test_impossible_study_size_exits_2_naming_n_without_allocating(
+    tmp_path, write_config, capsys, n, scenario
+):
+    # One replicate of these sizes would need hundreds of GiB or more; the
+    # first draw used to end in a MemoryError, exit 5.
+    if scenario == "gaussian":
+        scenario = {
+            "covariates": {"kind": "gaussian", "dim": 1},
+            "participation": [-0.4, 0.8],
+            "trial_arm_prob": 0.5,
+            "emulation_propensity": [-0.2, 0.6],
+            "outcome_intercept": 1.0,
+            "outcome_x": [1.0],
+            "outcome_treatment": 2.0,
+            "outcome_tx": [1.0],
+        }
+    payload = {"scenario": scenario, "reps": 2, "n": n, "output": str(tmp_path / "s.json")}
+    config = write_config(payload)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", config, "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "'n'" in _config_error(capsys)["message"]
+    assert peak < 2**20
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_report_that_breaks_the_schema_exits_5_with_a_one_line_error(

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialbench import ESTIMATOR_NAMES, MODEL_NAMES, ConfigError, ScenarioConfig, truth_table
+from trialbench import (
+    ESTIMATOR_NAMES,
+    MODEL_NAMES,
+    AnalysisPlan,
+    ConfigError,
+    ScenarioConfig,
+    d1,
+    truth_table,
+)
 from trialbench.cli import main
 from trialbench.config import AnalysisConfig, SimulationConfig, ValidateConfig
 from trialbench.jsonfields import dump
 from trialbench.scenarios import PRESETS
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, REPO_ROOT
 
 SCHEMA = {"s": "S", "a": "A", "y": "Y", "x": ["X1"]}
 
@@ -145,6 +153,74 @@ def test_replace_runs_the_range_checks():
         dataclasses.replace(config, bootstrap=1)
     with pytest.raises(ConfigError, match="'level'"):
         dataclasses.replace(config, level=1.0)
+
+
+# Plan requests, valid and not, each of its key's JSON type.
+plan_requests = st.fixed_dictionaries(
+    {},
+    optional={
+        "estimators": st.lists(st.sampled_from([*ESTIMATOR_NAMES, "rho", "PHI"]), max_size=4),
+        "arms": st.lists(st.integers(-1, 2), max_size=3),
+        "outcome_kind": st.sampled_from(["continuous", "binary", "count", "Binary"]),
+        "ridge": st.floats() | st.integers(-3, 3),
+    },
+)
+
+
+def _plan_refuses(request: dict) -> bool:
+    try:
+        AnalysisPlan(**{"outcome_kind": "continuous", **request})
+    except ValueError:
+        return True
+    return False
+
+
+def _config_refuses(cls, raw: dict, request: dict) -> bool:
+    try:
+        cls.from_dict(raw)
+    except ConfigError as exc:
+        assert any(repr(key) in str(exc) for key in request)
+        return True
+    return False
+
+
+@round_trip
+@given(plan_requests)
+def test_analyze_config_refuses_exactly_what_the_plan_refuses(request):
+    raw = {"input": "d.csv", "schema": SCHEMA, **request}
+    assert _config_refuses(AnalysisConfig, raw, request) == _plan_refuses(request)
+
+
+@round_trip
+@given(plan_requests)
+def test_simulate_config_refuses_exactly_what_the_plan_refuses(request):
+    # A simulate config takes its outcome kind from the scenario law.
+    raw = {"scenario": "D1", "reps": 2, "n": [50, 50]}
+    raw |= {key: value for key, value in request.items() if key != "outcome_kind"}
+    if "outcome_kind" in request:
+        raw["scenario"] = d1().to_dict() | {"outcome_kind": request["outcome_kind"]}
+    assert _config_refuses(SimulationConfig, raw, request) == _plan_refuses(request)
+
+
+def test_replicate_budget_takes_the_sizes_in_use_and_refuses_beyond():
+    gaussian = {
+        "covariates": {"kind": "gaussian", "dim": 4},
+        "participation": [0.0] * 5,
+        "trial_arm_prob": 0.5,
+        "emulation_propensity": [0.0] * 5,
+        "outcome_intercept": 0.0,
+        "outcome_x": [0.0] * 4,
+        "outcome_treatment": 0.0,
+        "outcome_tx": [0.0] * 4,
+    }
+    # The largest sizes the round-trip properties draw.
+    for scenario in ("D1", gaussian):
+        SimulationConfig.from_dict({"scenario": scenario, "reps": 2, "n": [10**7] * 2})
+    for path in sorted((REPO_ROOT / "configs").glob("simulate_*.json")):
+        SimulationConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    for scenario in ("D1", gaussian):
+        with pytest.raises(ConfigError, match="'n' .* GiB budget"):
+            SimulationConfig.from_dict({"scenario": scenario, "reps": 2, "n": [10**9, 10]})
 
 
 def _inline(**changes) -> dict:

@@ -219,3 +219,37 @@ def test_plan_rejects_bad_requests():
         AnalysisPlan(outcome_kind="continuous", arms=(2,))
     with pytest.raises(ValueError):
         AnalysisPlan(outcome_kind="continuous", estimators=("phi", "phi"))
+
+
+@pytest.mark.parametrize(
+    "request_, key",
+    [
+        ({"estimators": ("phi", "rho")}, "estimators"),
+        ({"arms": (1, 1)}, "arms"),
+        ({"arms": (True, 0)}, "arms"),
+        ({"outcome_kind": "count"}, "outcome_kind"),
+        ({"ridge": float("nan")}, "ridge"),
+        ({"ridge": -1.0}, "ridge"),
+        ({"ridge": float("inf")}, "ridge"),
+    ],
+)
+def test_plan_error_names_the_key(request_, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        AnalysisPlan(**{"outcome_kind": "continuous", **request_})
+
+
+@pytest.mark.parametrize(
+    "estimators, arms, ate, delta",
+    [
+        (("phi", "chi", "psi"), (0, 1), ["phi", "chi", "psi"], [0, 1]),
+        (("psi", "chi"), (1, 0), ["psi", "chi"], []),
+        (("chi", "phi"), (1,), [], [1]),
+        (("psi",), (0,), [], []),
+    ],
+)
+def test_plan_contrasts_follow_its_arms_and_estimators(estimators, arms, ate, delta):
+    contrasts = AnalysisPlan("continuous", estimators, arms).contrasts()
+    assert list(contrasts["ate"]) == ate
+    assert list(contrasts["delta"]) == delta
+    assert contrasts["ate"].get("chi") in (None, ("ate_chi", "chi(1)", "chi(0)"))
+    assert contrasts["delta"].get(1) in (None, ("delta(1)", "phi(1)", "chi(1)"))

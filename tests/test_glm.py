@@ -74,6 +74,16 @@ def test_complete_separation_raises_and_names_iteration():
         fit_logistic(add_intercept(x), y)
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), -1.0, float("inf")])
+def test_ridge_that_is_not_a_finite_number_at_least_0_is_refused(ridge):
+    # A NaN ridge used to switch off both the penalty and the separation
+    # check: these separated data then gave a "converged" fit.
+    x = np.array([[0.0], [0.0], [1.0], [1.0]] * 5)
+    y = x[:, 0].copy()
+    with pytest.raises(ValueError, match="'ridge' must be a finite number >= 0"):
+        fit_logistic(add_intercept(x), y, ridge=ridge)
+
+
 def test_ridge_makes_separated_fit_finite():
     x = np.array([[0.0], [0.0], [1.0], [1.0]] * 5)
     y = x[:, 0].copy()

@@ -304,6 +304,41 @@ def test_run_monte_carlo_checks_misspec_before_the_truths(monkeypatch):
         run_monte_carlo(gaussian_scenario(), reps=2, n=(50, 50), seed=1, misspec=["outcome_sX"])
 
 
+
+@pytest.mark.parametrize("ridge", [float("nan"), -1.0])
+def test_run_monte_carlo_refuses_a_bad_ridge_before_any_work(monkeypatch, ridge):
+    def no_work(*args, **kwargs):
+        pytest.fail("the study ran with a ridge the plan refuses")
+
+    for name in ("true_values", "generate", "fit_nuisances"):
+        monkeypatch.setattr(simulation, name, no_work)
+    with pytest.raises(ValueError, match="'ridge'"):
+        run_monte_carlo(d1(), reps=2, n=(50, 50), seed=1, ridge=ridge)
+
+
+@pytest.mark.parametrize("violation", [ConfoundingViolation, TransportViolation])
+def test_violations_share_their_u_prob_check_and_active_rule(violation):
+    other = "effect_on_treatment" if violation is ConfoundingViolation else "effect_on_participation"
+    assert violation().active
+    assert not violation(**{other: 0.0}).active
+    assert not violation(effect_on_y=0.0).active
+    assert violation(**{other: -0.5}, effect_on_y=2.0).active
+    for u_prob in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="u_prob"):
+            violation(u_prob=u_prob)
+
+
+def test_scenario_conditions_hold_where_no_violation_is_active():
+    assert d1().conditions == (True, True)
+    assert truth_table("FT").conditions == (False, True)
+    assert truth_table("TF").conditions == (True, False)
+    assert truth_table("FF").conditions == (False, False)
+    inert = d1(confounding=ConfoundingViolation(effect_on_y=0.0))
+    assert inert.conditions == (True, True)
+    truths = true_values(inert)
+    assert (truths.condition_exchangeability, truths.restriction_holds) == (True, True)
+
+
 TRUTHS_MEMORY = """
 import resource
 from trialbench import CovariateLaw, ScenarioConfig, true_values

@@ -172,6 +172,33 @@ def test_every_definition_is_named_outside_itself():
     assert unreferenced_definitions(defining, others) == []
 
 
+# Definitions in the package that only tests name, each with its reason. A
+# new definition that only a test calls fails the test below by name: move
+# it into the tests, or give it a caller in the package.
+TEST_ONLY = {
+    "data.py: subset": "benchmark wrap point (perfbench/spans.py)",
+    "glm.py: fit_logistic": "benchmark wrap point (perfbench/spans.py)",
+    "glm.py: fit_linear": "benchmark wrap point (perfbench/spans.py)",
+    "inference.py: bootstrap_replicate": "benchmark wrap point (perfbench/spans.py)",
+    "estimators.py: run_plan": "benchmark wrap point (perfbench/spans.py)",
+    "estimators.py: estimate_phi": "called by acceptance criterion 1",
+    "estimators.py: estimate_chi": "called by acceptance criterion 1",
+    "estimators.py: estimate_psi": "called by acceptance criterion 1",
+    "estimators.py: contrast": "public API",
+    "data.py: save_dataset": "public API",
+    "estimators.py: if_values": "test oracle: one influence value per row",
+    "simulation.py: series_for": "test oracle: one series of a Monte Carlo report",
+}
+
+
+def test_only_the_allowlisted_definitions_are_named_by_tests_alone():
+    defining = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    found = {
+        re.sub(r" line [0-9]+:", ":", entry) for entry in unreferenced_definitions(defining, [])
+    }
+    assert found == set(TEST_ONLY)
+
+
 def _perfbench_spans():
     """perfbench/spans.py as a module, run from its source (stdlib imports
     only) so that nothing, bytecode included, is written next to it."""
