@@ -53,6 +53,9 @@ def _check_plan(cfg: AnalysisConfig | SimulationConfig, where: str) -> None:
     for key in ("level", "restriction_threshold"):
         if not 0.0 < getattr(cfg, key) < 1.0:
             raise ConfigError(f"{where}: {key!r} must be inside (0, 1), got {getattr(cfg, key)}")
+    # np.random.SeedSequence takes non-negative integers only.
+    if cfg.seed < 0:
+        raise ConfigError(f"{where}: 'seed' must be a non-negative integer, got {cfg.seed}")
 
 
 @dataclass(frozen=True)

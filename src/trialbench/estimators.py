@@ -51,32 +51,45 @@ class EstimateWithIF:
     ``alpha[j] * y + beta[j]``, y the row's outcome; ``if_values`` expands
     them to one per dataset row. ``n_effective`` is the emulation-sample
     count the functional standardizes over; contrasts carry the smaller of
-    their parents'. Construction enforces that the estimate is finite and
+    their parents'. Construction checks that the estimate is finite and
     that the influence values average to zero within ``tolerance``,
     1e-8 (1 + |value|); a contrast's is the sum of its parents', which
     ``contrast`` passes as the private ``_budget``.
+
+    On a stacked cell table (see CellTable.stacked) the estimate is one per
+    weight vector: every field but ``label`` and ``table`` has a leading
+    axis, and ``errors`` holds per weight vector the first error its
+    analysis met, or None. A failed check is then recorded there instead of
+    raised. A single estimate has ``errors`` None and raises.
     """
 
     label: str
-    value: float
+    value: float | np.ndarray
     table: CellTable
     alpha: np.ndarray
     beta: np.ndarray
-    n_effective: int
-    _budget: float = field(default=0.0, repr=False, compare=False)
-    tolerance: float = field(init=False, repr=False, compare=False)
+    n_effective: int | np.ndarray
+    _budget: float | np.ndarray = field(default=0.0, repr=False, compare=False)
+    errors: list | None = field(default=None, repr=False, compare=False)
+    tolerance: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "n_effective", int(self.n_effective))
+        stacked = self.errors is not None
+        if not stacked:
+            object.__setattr__(self, "value", float(self.value))
+            object.__setattr__(self, "n_effective", int(self.n_effective))
         # A parents' budget never falls below the estimate's own.
-        object.__setattr__(self, "tolerance", max(float(_tolerance(self.value)), self._budget))
-        if not np.isfinite(self.value):
-            raise _not_finite(self.label)
+        tolerance = np.maximum(_tolerance(self.value), self._budget)
+        object.__setattr__(self, "tolerance", tolerance if stacked else float(tolerance))
+        errors = self.errors if stacked else [None]
         t = self.table
-        center = _center(self.alpha, self.beta, t.count, t.y_sum)
-        if center > self.tolerance:
-            raise _off_center(self.label, center)
+        # A failed row may hold non-finite values; its slot is already filled.
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = np.atleast_1d(_center(self.alpha, self.beta, t.count, t.y_sum))
+        record(errors, ~np.isfinite(np.atleast_1d(self.value)), lambda r: _not_finite(self.label))
+        record(errors, center > self.tolerance, lambda r: _off_center(self.label, center[r]))
+        if not stacked and errors[0] is not None:
+            raise errors[0]
 
     @property
     def if_values(self) -> np.ndarray:
@@ -84,37 +97,9 @@ class EstimateWithIF:
         inverse = self.table.inverse
         return self.alpha[inverse] * self.table.y_rows + self.beta[inverse]
 
-
-@dataclass(frozen=True)
-class EstimateStack:
-    """Estimates of one quantity on a stacked cell table (see
-    CellTable.stacked), one per weight vector: the fields of EstimateWithIF
-    with a leading axis, and per weight vector the first error its analysis
-    met, or None. ``check`` records a failure of EstimateWithIF's
-    construction checks instead of raising it.
-    """
-
-    label: str
-    value: np.ndarray
-    table: CellTable
-    alpha: np.ndarray
-    beta: np.ndarray
-    n_effective: np.ndarray
-    tolerance: np.ndarray
-    errors: list
-
-    def check(self) -> None:
-        """Record a failure of EstimateWithIF's construction checks per row."""
-        record(self.errors, ~np.isfinite(self.value), lambda r: _not_finite(self.label))
-        t = self.table
-        # A failed row may hold non-finite values; its slot is already filled.
-        with np.errstate(over="ignore", invalid="ignore"):
-            center = _center(self.alpha, self.beta, t.count, t.y_sum)
-        record(self.errors, center > self.tolerance, lambda r: _off_center(self.label, center[r]))
-
     def only(self, table: CellTable) -> EstimateWithIF:
-        """The estimate of a stack of one, on the unstacked ``table``; raises
-        the error it met instead."""
+        """The single estimate of a stack of one, on the unstacked ``table``;
+        raises the error it met instead."""
         if self.errors[0] is not None:
             raise self.errors[0]
         return EstimateWithIF(
@@ -124,7 +109,7 @@ class EstimateStack:
             alpha=self.alpha[0],
             beta=self.beta[0],
             n_effective=self.n_effective[0],
-            _budget=float(self.tolerance[0]),
+            _budget=self.tolerance[0],
         )
 
 
@@ -187,7 +172,7 @@ def aipw_weighting(
     return stratum, in_stratum & (treatment == a), weight
 
 
-def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateStack:
+def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
     """One AIPW estimate per weight vector of the stacked table ``t``, with
     its influence values.
 
@@ -230,14 +215,13 @@ def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> 
     fitted = count * g
     value = (np.vecdot(fitted, in_s0) + np.vecdot(w, y_sum - fitted)) / n0
     scale = (count.sum(axis=1) / n0)[:, None]
-    return EstimateStack(
+    return EstimateWithIF(
         label=f"{name}({a})",
         value=value,
         table=t,
         alpha=scale * w,
         beta=scale * (np.where(s0, g - value[:, None], 0.0) - w * g),
         n_effective=n0,
-        tolerance=_tolerance(value),
         errors=errors,
     )
 
@@ -276,7 +260,8 @@ def contrast(
     Both estimates must come from the same cell table, and so from the
     same dataset. The mean of the differenced influence values may lie as
     far from zero as the parents' may together: its rounding error grows
-    with the size of the parents, not of their difference.
+    with the size of the parents, not of their difference. Of two stacks,
+    each weight vector keeps the first error either parent met.
     """
     if e1.table is not e2.table:
         raise IncompatibleEstimatesError(
@@ -288,8 +273,9 @@ def contrast(
         table=e1.table,
         alpha=e1.alpha - e2.alpha,
         beta=e1.beta - e2.beta,
-        n_effective=min(e1.n_effective, e2.n_effective),
+        n_effective=np.minimum(e1.n_effective, e2.n_effective),
         _budget=e1.tolerance + e2.tolerance,
+        errors=None if e1.errors is None else [f or g for f, g in zip(e1.errors, e2.errors)],
     )
 
 
@@ -355,36 +341,22 @@ def run_plan(d: Dataset, plan: AnalysisPlan) -> dict[str, EstimateWithIF]:
 
 def run_plan_with(
     d: Dataset | CellTable, nu: NuisanceSet, plan: AnalysisPlan
-) -> dict[str, EstimateWithIF] | dict[str, EstimateStack]:
+) -> dict[str, EstimateWithIF]:
     """Same as run_plan but on an already fitted nuisance bundle.
 
     The estimates run as a stack of one, and the first error met, in the
     order of the returned mapping, is raised here. ``d`` may also be a
     reweighted cell table, such as a chunk of bootstrap replicates', with
-    ``nu`` fitted on it: every quantity is then an EstimateStack, one
-    estimate per weight vector, and a failed one is recorded, not raised.
+    ``nu`` fitted on it: every quantity is then a stacked estimate, one per
+    weight vector, and a failed one is recorded, not raised.
     """
     table = cell_table(d, nu.outcome_kind)
     t = table.stacked()
-    out: dict[str, EstimateStack] = {}
+    out: dict[str, EstimateWithIF] = {}
     for name in plan.estimators:
         for arm in plan.arms:
             out[f"{name}({arm})"] = _estimate(t, nu, name, arm, plan.hajek)
     for kind in plan.contrasts().values():
         for label, first, second in kind.values():
-            e1, e2 = out[first], out[second]
-            out[label] = EstimateStack(
-                label=label,
-                value=e1.value - e2.value,
-                table=t,
-                alpha=e1.alpha - e2.alpha,
-                beta=e1.beta - e2.beta,
-                n_effective=np.minimum(e1.n_effective, e2.n_effective),
-                tolerance=e1.tolerance + e2.tolerance,
-                errors=[f or g for f, g in zip(e1.errors, e2.errors)],
-            )
-    if not table.reweighted:
-        return {label: e.only(table) for label, e in out.items()}
-    for e in out.values():
-        e.check()
-    return out
+            out[label] = contrast(out[first], out[second], label)
+    return out if table.reweighted else {label: e.only(table) for label, e in out.items()}

@@ -165,25 +165,32 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_replicates(
     task: Callable[[int], dict[str, float]], count: int, what: str
-) -> tuple[list[dict[str, float]], int]:
-    """Run ``task(i)`` for i < count and return (results, failure count).
+) -> tuple[dict[str, np.ndarray], int]:
+    """Run ``task(i)`` for i < count and return (columns, failure count):
+    per label, the values of the replicates kept, in replicate order.
 
     A replicate whose fit fails (FitError) is dropped and counted; more than
     count/2 failures aborts, so a run of count >= 1 that returns has at
     least one result.
     """
-    results: list[dict[str, float]] = []
-    failures = 0
+    columns: dict[str, np.ndarray] = {}
+    kept = failures = 0
     for i in range(count):
         try:
-            results.append(task(i))
+            values = task(i)
         except FitError:
             failures += 1
             if failures > count / 2:
                 raise FitError(
                     f"{what} aborted: {failures} of {i + 1} replicates failed to fit"
                 ) from None
-    return results, failures
+            continue
+        if not kept:
+            columns = {label: np.empty(count) for label in values}
+        for label, value in values.items():
+            columns[label][kept] = value
+        kept += 1
+    return {label: column[:kept] for label, column in columns.items()}, failures
 
 
 class _Draws:
@@ -271,14 +278,8 @@ def bootstrap(
             raise out
         return out
 
-    results, failures = run_replicates(replicate, B, "bootstrap")
+    columns, failures = run_replicates(replicate, B, "bootstrap")
     return {
-        label: BootstrapResult(
-            label=label,
-            replicates=np.asarray([r[label] for r in results]),
-            requested=B,
-            failures=failures,
-            seed=seed,
-        )
-        for label in results[0]
+        label: BootstrapResult(label, column, requested=B, failures=failures, seed=seed)
+        for label, column in columns.items()
     }

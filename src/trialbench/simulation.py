@@ -39,7 +39,7 @@ from .estimators import (
     run_plan_with,
 )
 from .glm import expit
-from .inference import keyed_seed, run_replicates, sandwich_se
+from .inference import _check_level, keyed_seed, run_replicates, sandwich_se
 from .jsonfields import dump, parse
 from .nuisance import OUTCOME_KINDS, fit_nuisances, normalize_drop
 
@@ -607,6 +607,7 @@ def run_monte_carlo(
     """
     if reps < 2:
         raise ConfigError("need at least 2 replicates")
+    _check_level(level)
     # The replicates return p-values; only this driver reads the threshold.
     if restriction and not 0.0 < restriction_threshold < 1.0:
         raise ValueError(f"threshold must be inside (0, 1), got {restriction_threshold!r}")
@@ -637,7 +638,7 @@ def run_monte_carlo(
     worker = threading.Thread(target=truths_beside, daemon=True)
     worker.start()
     try:
-        records, failures = run_replicates(
+        columns, failures = run_replicates(
             lambda i: replicate_estimates(cfg, n, seed, i, plan, restriction=restriction),
             reps,
             "simulation",
@@ -651,13 +652,12 @@ def run_monte_carlo(
         # An error of the truths wins, as if they had run before the replicates.
         if isinstance(truths, BaseException) and not isinstance(truths, _TruthsStopped):
             raise truths
-    used = len(records)
+    used = reps - failures
     series: list[SeriesStats] = []
     for name in plan.estimators:
         for arm in plan.arms:
             label = f"{name}({arm})"
-            values = np.asarray([r[label] for r in records])
-            ses = np.asarray([r[f"{label}.se"] for r in records])
+            values, ses = columns[label], columns[f"{label}.se"]
             truth = truths.mean(arm)
             covered = np.abs(values - truth) <= z * ses
             series.append(
@@ -676,14 +676,16 @@ def run_monte_carlo(
 
     delta_rejection: dict[int, float] = {}
     for arm, (label, _, _) in plan.contrasts()["delta"].items():
-        rejected = [abs(r[label] / r[f"{label}.se"]) > z for r in records if r[f"{label}.se"] > 0]
-        delta_rejection[arm] = float(np.mean(rejected)) if rejected else float("nan")
+        ses = columns[f"{label}.se"]
+        tested = ses > 0
+        rejected = np.abs(columns[label][tested] / ses[tested]) > z
+        delta_rejection[arm] = float(np.mean(rejected)) if rejected.size else float("nan")
 
     restriction_rejection: dict[int, float] | None = None
     if restriction:
         restriction_rejection = {}
         for arm in plan.arms:
-            ps = np.asarray([r[f"restriction_p({arm})"] for r in records])
+            ps = columns[f"restriction_p({arm})"]
             restriction_rejection[arm] = float(np.mean(ps < restriction_threshold))
 
     return MCReport(

@@ -305,6 +305,25 @@ def test_simulate_config_rejects_wrong_json_types(tmp_path, write_config, capsys
     assert repr(key) in _config_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_negative_seed_exits_2_naming_seed(tmp_path, write_config, capsys, command):
+    # np.random.SeedSequence refuses a negative seed; its ValueError used to exit 5.
+    payload = json.loads((REPO_ROOT / "configs" / f"{command}_d1.json").read_text(encoding="utf-8"))
+    if command == "simulate":
+        payload.update(reps=2, n=[200, 200])
+    else:
+        payload.update(input=str(FIXTURE_CSV), bootstrap=5)
+    payload.update(seed=-1, output=str(tmp_path / "out.json"))
+    assert main([command, write_config(payload), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "'seed'" in error["message"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_input_csv_exits_3(tmp_path, write_config, capsys):
     payload = analysis_payload(tmp_path, input=str(tmp_path / "absent.csv"))
     assert main(["analyze", write_config(payload), "--quiet"]) == 3

@@ -4,6 +4,7 @@ import pytest
 from trialbench import (
     AnalysisPlan,
     Dataset,
+    EstimateWithIF,
     IncompatibleEstimatesError,
     PositivityError,
     contrast,
@@ -143,6 +144,75 @@ def test_contrast_rejects_mismatched_lengths(fixture_dataset, small_dataset):
     b = estimate_phi(small_dataset, nu_b, 1)
     with pytest.raises(IncompatibleEstimatesError):
         contrast(a, b)
+
+
+# Outcomes whose mean is 0: alpha 1 and beta 0 centre their influence values.
+CENTRED = [1.0, -1.0, 1.0, -1.0]
+
+
+def stacked_estimate(t, value, beta) -> EstimateWithIF:
+    """One estimate per entry of ``value`` on the stacked table ``t``, each
+    with alpha 1 and its row of ``beta``; no error met before construction."""
+    k, m = t.count.shape
+    return EstimateWithIF(
+        label="unit",
+        value=np.asarray(value, dtype=float),
+        table=t,
+        alpha=np.ones((k, m)),
+        beta=np.asarray(beta, dtype=float),
+        n_effective=np.full(k, m),
+        errors=[None] * k,
+    )
+
+
+def test_a_stacked_estimate_records_a_failed_check_in_its_row_only():
+    single = estimate_with_if_values(label="unit", value=0.5, if_values=CENTRED, n_effective=4)
+    t = single.table
+    every_row = np.arange(4)
+    beta = np.zeros((3, 4))
+    beta[2] = 1.0  # the influence values of row 2 average 1
+    e = stacked_estimate(t.resample([every_row] * 3), [0.5, np.nan, 0.5], beta)
+    assert e.errors[0] is None
+    assert str(e.errors[1]) == "unit: estimate is not finite"
+    assert str(e.errors[2]) == "unit: influence values are off-center by 1.000e+00"
+    alone = [stacked_estimate(t.resample([every_row]), [v], [b]) for v, b in zip(e.value, beta)]
+    kept = alone[0].only(t)
+    assert (kept.value, kept.table, kept.n_effective) == (0.5, t, 4)
+    np.testing.assert_array_equal(kept.if_values, single.if_values)
+    for r in (1, 2):
+        with pytest.raises(ValueError) as raised:
+            alone[r].only(t)
+        assert str(raised.value) == str(e.errors[r])
+
+
+def test_contrast_of_two_stacks_keeps_the_first_error_either_parent_met():
+    t = estimate_with_if_values(label="unit", value=0.0, if_values=CENTRED, n_effective=4).table
+    stack = t.resample([np.arange(4), np.arange(4), np.arange(4), [0, 1]])
+    off_center = np.zeros((4, 4))
+    off_center[0] = 1.0
+    first = stacked_estimate(stack, [np.nan, 0.5, 0.5, 0.5], np.zeros((4, 4)))
+    second = stacked_estimate(stack, [0.5, np.inf, 0.25, 0.5], off_center)
+    assert [str(e) for e in second.errors[:2]] == [
+        "unit: influence values are off-center by 1.000e+00",
+        "unit: estimate is not finite",
+    ]
+    diff = contrast(first, second, label="diff")
+    assert diff.errors[:2] == [first.errors[0], second.errors[1]]
+    assert diff.errors[2:] == [None, None]
+    np.testing.assert_array_equal(diff.value[2:], [0.25, 0.0])
+    np.testing.assert_array_equal(diff.n_effective, np.full(4, 4))
+    np.testing.assert_array_equal(diff.tolerance, first.tolerance + second.tolerance)
+
+
+def test_contrast_of_estimates_from_different_tables_is_refused():
+    a = estimate_with_if_values(label="a", value=0.5, if_values=CENTRED, n_effective=4)
+    b = estimate_with_if_values(label="b", value=0.5, if_values=CENTRED, n_effective=4)
+    with pytest.raises(IncompatibleEstimatesError, match="cannot contrast a with b"):
+        contrast(a, b)
+    every_row = np.arange(4)
+    stacks = [stacked_estimate(a.table.resample([every_row]), [0.5], [np.zeros(4)]) for _ in (a, b)]
+    with pytest.raises(IncompatibleEstimatesError):
+        contrast(*stacks)
 
 
 def _degenerate_propensity_nuisances(d: Dataset) -> NuisanceSet:

@@ -284,3 +284,39 @@ def test_rank_verdicts_near_the_m_eps_boundary_equal_the_svd_rule(m):
         assert got == _rank_verdicts(_svd_rank_oracle, design, occupied), f
         verdicts.add(got[0] is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "kind, bad, message",
+    [
+        ("logistic", "weights", "logistic fit: weights must be finite and non-negative"),
+        ("linear", "weights", "linear fit: weights must be finite and non-negative"),
+        ("logistic", "design", "logistic fit: design contains non-finite values"),
+        ("linear", "design", "linear fit: design contains non-finite values"),
+        ("linear", "response", "linear fit: response contains non-finite values"),
+    ],
+)
+def test_a_bad_input_cell_fails_only_the_stack_rows_that_weight_it(kind, bad, message):
+    rng = np.random.default_rng(5)
+    design = add_intercept(rng.normal(size=(8, 1)))
+    response = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=float)
+    if kind == "linear":
+        response += rng.normal(size=8)
+    weights = rng.integers(1, 5, size=(4, 8)).astype(float)
+    if bad == "weights":
+        weights[1, 2], weights[2, 5], weights[3, 0] = np.nan, -1.0, np.inf
+        failing = [1, 2, 3]
+    else:
+        (design if bad == "design" else response)[2, ...] = np.nan
+        weights[[0, 2], 2] = 0.0  # a cell of weight 0 takes no part in the fit
+        failing = [1, 3]
+    fit = glm.fit_logistic_stack if kind == "logistic" else glm.fit_linear_stack
+    model, errors = fit(design, response, weights)
+    assert [r for r, e in enumerate(errors) if e is not None] == failing
+    for r in failing:
+        assert isinstance(errors[r], ValueError) and str(errors[r]) == message
+    for r in sorted(set(range(4)) - set(failing)):
+        alone, (error,) = fit(design, response, weights[r : r + 1])
+        assert error is None
+        for name, value in vars(alone.row(0)).items():
+            np.testing.assert_array_equal(getattr(model.row(r), name), value, strict=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,34 @@ def test_bootstrap_needs_two_replicates(small_dataset):
     plan = AnalysisPlan(outcome_kind="continuous", estimators=("phi",), arms=(1,))
     with pytest.raises(ValueError, match="at least 2"):
         bootstrap(small_dataset, plan, 1, seed=0)
+
+
+def test_run_replicates_gives_the_kept_values_per_label_in_replicate_order():
+    def task(i):
+        if i % 3 == 1:
+            raise DegenerateFitError("forced failure")
+        return {"a": float(i), "b": -float(i)}
+
+    columns, failures = inference.run_replicates(task, 7, "test")
+    assert failures == 2
+    assert list(columns) == ["a", "b"]
+    np.testing.assert_array_equal(columns["a"], [0.0, 2.0, 3.0, 5.0, 6.0])
+    np.testing.assert_array_equal(columns["b"], -columns["a"])
+
+
+def test_run_replicates_holds_one_float_per_value():
+    # One dict per replicate, kept until the end, held about ten times this.
+    count, labels = 20_000, [f"q{j}" for j in range(24)]
+    tracemalloc.start()
+    try:
+        columns, _ = inference.run_replicates(
+            lambda i: {label: i + 0.5 for label in labels}, count, "test"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [column.size for column in columns.values()] == [count] * len(labels)
+    assert peak < 1.5 * count * len(labels) * 8
 
 
 def test_percentile_interval_known_quantiles():

@@ -316,6 +316,18 @@ def test_run_monte_carlo_refuses_a_bad_ridge_before_any_work(monkeypatch, ridge)
         run_monte_carlo(d1(), reps=2, n=(50, 50), seed=1, ridge=ridge)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_run_monte_carlo_refuses_a_level_outside_0_1_before_any_work(monkeypatch, level):
+    # Such a level used to report coverage 0 and delta rejections of 0 or 1.
+    def no_work(*args, **kwargs):
+        pytest.fail("the study ran at a level outside (0, 1)")
+
+    for name in ("true_values", "generate", "fit_nuisances"):
+        monkeypatch.setattr(simulation, name, no_work)
+    with pytest.raises(ValueError, match="confidence level must be inside"):
+        run_monte_carlo(d1(), reps=4, n=(500, 500), seed=1, restriction=False, level=level)
+
+
 @pytest.mark.parametrize("violation", [ConfoundingViolation, TransportViolation])
 def test_violations_share_their_u_prob_check_and_active_rule(violation):
     other = "effect_on_treatment" if violation is ConfoundingViolation else "effect_on_participation"

@@ -184,7 +184,6 @@ TEST_ONLY = {
     "estimators.py: estimate_phi": "called by acceptance criterion 1",
     "estimators.py: estimate_chi": "called by acceptance criterion 1",
     "estimators.py: estimate_psi": "called by acceptance criterion 1",
-    "estimators.py: contrast": "public API",
     "data.py: save_dataset": "public API",
     "estimators.py: if_values": "test oracle: one influence value per row",
     "simulation.py: series_for": "test oracle: one series of a Monte Carlo report",
