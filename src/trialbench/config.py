@@ -16,6 +16,7 @@ from typing import Mapping
 from .data import ColumnSchema
 from .errors import ConfigError
 from .estimators import ESTIMATOR_NAMES, AnalysisPlan
+from .inference import check_seed
 from .jsonfields import dump, parse
 from .scenarios import preset
 from .simulation import ScenarioConfig
@@ -43,19 +44,26 @@ def load_json(path: str) -> dict:
 _ROW_BYTES = {"binary": (80, 20), "gaussian": (320, 32)}
 REPLICATE_BUDGET = 16 * 2**30
 
+# Peak bytes per row of a binary law's support (simulation._binary_cells, which
+# the truths and every draw build whole), as (base, per covariate): tracemalloc
+# peaks of true_values and generate at 12-18 binary covariates were 32 + 24 k
+# per row without violations, 114 + 8 k with both and 220-316 with one; rounded
+# up over all three. The truths thread builds one support beside a replicate's
+# draws from another (a traced peak of 109 MiB for 2^18 rows, each alone 58), so
+# two supports beyond REPLICATE_BUDGET are refused before anything is built.
+_SUPPORT_ROW_BYTES = (120, 24)
+
 
 def _check_plan(cfg: AnalysisConfig | SimulationConfig, where: str) -> None:
     """Checks shared by the configs that run estimators; AnalysisPlan checks the plan."""
     try:
         cfg.plan
+        check_seed(cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     for key in ("level", "restriction_threshold"):
         if not 0.0 < getattr(cfg, key) < 1.0:
             raise ConfigError(f"{where}: {key!r} must be inside (0, 1), got {getattr(cfg, key)}")
-    # np.random.SeedSequence takes non-negative integers only.
-    if cfg.seed < 0:
-        raise ConfigError(f"{where}: 'seed' must be a non-negative integer, got {cfg.seed}")
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,21 @@ class SimulationConfig:
             raise ConfigError(f"{where}: reps must be at least 2")
         if min(self.n) < 1:
             raise ConfigError(f"{where}: study sizes must be positive")
-        base, per_covariate = _ROW_BYTES[self.law.covariates.kind]
-        need = sum(self.n) * (base + per_covariate * self.law.k)
-        if need > REPLICATE_BUDGET:
-            raise ConfigError(
-                f"{where}: 'n' {list(self.n)} needs about {need / 2**30:.3g} GiB per replicate, "
-                f"over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
+        # What a run holds at once: rows, and bytes per row as (base, per covariate).
+        law = self.law
+        held = {f"'n' {list(self.n)}": (sum(self.n), _ROW_BYTES[law.covariates.kind])}
+        if law.covariates.kind == "binary":  # 2^k patterns, times 2 per violation present
+            rows = 2 ** (law.k + sum(v is not None for v in (law.confounding, law.transport)))
+            held[f"'scenario' ({law.k} binary covariates, {rows} support rows)"] = (
+                2 * rows, _SUPPORT_ROW_BYTES
             )
+        for what, (rows, (base, per_covariate)) in held.items():
+            need = rows * (base + per_covariate * law.k)
+            if need > REPLICATE_BUDGET:
+                raise ConfigError(
+                    f"{where}: {what} needs about {need / 2**30:.3g} GiB per replicate, "
+                    f"over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
+                )
         if self.truth_draws < 1000:
             raise ConfigError(f"{where}: truth_draws must be at least 1000")
 

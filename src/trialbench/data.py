@@ -9,7 +9,6 @@ trial fraction n1 / n is a design quantity, not an estimate of anything.
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 from dataclasses import dataclass, field
@@ -129,7 +128,7 @@ class Dataset:
             groups = _group_rows(keys, int(self.n * _MAX_CELL_SHARE))
             first, inverse = groups if groups else (slice(None), np.arange(self.n))
             s = self.s[first]
-            count, y_sum, y_ss = _cell_sums(inverse, self.y, s.size)
+            count, y_sum, y_ss = (sums[None] for sums in _cell_sums(inverse, self.y, s.size))
             cache[split_outcome] = CellTable(
                 x=self.x[first],
                 s=s,
@@ -225,10 +224,11 @@ class CellTable:
     mean (``y_ss``). When rows take too many distinct patterns, every row
     is a cell of its own.
 
-    ``resample`` gives the table of a sequence of resamples of the rows,
+    The four per-cell arrays have a leading axis, one entry per resample of
+    the rows. A dataset's own table is a stack of one resample that draws
+    every row once. ``resample`` gives the table of a sequence of resamples,
     such as a chunk of bootstrap replicates: ``draws[r]`` lists the rows
-    resample r drew, repeats included, and the four per-cell arrays gain a
-    leading axis, one entry per resample.
+    resample r drew, repeats included.
     """
 
     x: np.ndarray
@@ -261,17 +261,6 @@ class CellTable:
         sums = [_cell_sums(self.inverse[rows], self.y_rows[rows], m) for rows in draws]
         count, y_sum, y_ss = (np.array(column) for column in zip(*sums))
         return dataclasses.replace(self, count=count, y_sum=y_sum, y_ss=y_ss, draws=draws)
-
-    def stacked(self) -> "CellTable":
-        """The table with a leading axis on its four per-cell arrays: itself
-        when resampled, else the same cells as a stack of one resample
-        that draws every row once."""
-        if self.reweighted:
-            return self
-        out = copy.copy(self)
-        for name in ("count", "y_sum", "y_mean", "y_ss"):
-            object.__setattr__(out, name, getattr(self, name)[None])
-        return out
 
     def rows_of(self, cells: np.ndarray, r: int = 0) -> np.ndarray:
         """Indices of the dataset rows in the given cells (that resample

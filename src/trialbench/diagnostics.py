@@ -106,12 +106,12 @@ def restriction_test(
     n_base = 1 + t.k
 
     labels = None if outcome_kind == "continuous" else t.y_mean
-    model = only(*fit_cells(t.stacked(), mask, design, labels, f"restriction test arm {a}", ridge))
+    model = only(*fit_cells(t, mask, design, labels, f"restriction test arm {a}", ridge))
     converged = not isinstance(model, LogisticModel) or model.converged
     idx = np.arange(n_base, design.shape[1])
     b = model.coefficients[idx]
     try:
-        sub = coefficient_covariance(model, design, np.compress(mask, t.count))[np.ix_(idx, idx)]
+        sub = coefficient_covariance(model, design, np.compress(mask, t.count[0]))[np.ix_(idx, idx)]
         statistic = float(b @ np.linalg.solve(sub, b))
     except np.linalg.LinAlgError:  # a singular information matrix
         statistic = float("nan")

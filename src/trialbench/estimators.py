@@ -56,7 +56,7 @@ class EstimateWithIF:
     1e-8 (1 + |value|); a contrast's is the sum of its parents', which
     ``contrast`` passes as the private ``_budget``.
 
-    On a stacked cell table (see CellTable.stacked) the estimate is one per
+    On a reweighted cell table (see CellTable.resample) the estimate is one per
     weight vector: every field but ``label`` and ``table`` has a leading
     axis, and ``errors`` holds per weight vector the first error its
     analysis met, or None. A failed check is then recorded there instead of
@@ -98,8 +98,8 @@ class EstimateWithIF:
         return self.alpha[inverse] * self.table.y_rows + self.beta[inverse]
 
     def only(self, table: CellTable) -> EstimateWithIF:
-        """The single estimate of a stack of one, on the unstacked ``table``;
-        raises the error it met instead."""
+        """The single estimate of a stack of one, on ``table``, a dataset's
+        own cell table; raises the error it met instead."""
         if self.errors[0] is not None:
             raise self.errors[0]
         return EstimateWithIF(
@@ -173,7 +173,7 @@ def aipw_weighting(
 
 
 def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
-    """One AIPW estimate per weight vector of the stacked table ``t``, with
+    """One AIPW estimate per weight vector of the table ``t``, with
     its influence values.
 
     value = (sum over s=0 rows of g + sum over weighted rows of w (y - g)) / n0,
@@ -249,7 +249,7 @@ def estimate_psi(
 
 def _estimate_one(d: Dataset, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
     t = cell_table(d, nu.outcome_kind)
-    return _estimate(t.stacked(), nu, name, a, hajek).only(t)
+    return _estimate(t, nu, name, a, hajek).only(t)
 
 
 def contrast(
@@ -350,8 +350,7 @@ def run_plan_with(
     ``nu`` fitted on it: every quantity is then a stacked estimate, one per
     weight vector, and a failed one is recorded, not raised.
     """
-    table = cell_table(d, nu.outcome_kind)
-    t = table.stacked()
+    t = cell_table(d, nu.outcome_kind)
     out: dict[str, EstimateWithIF] = {}
     for name in plan.estimators:
         for arm in plan.arms:
@@ -359,4 +358,4 @@ def run_plan_with(
     for kind in plan.contrasts().values():
         for label, first, second in kind.values():
             out[label] = contrast(out[first], out[second], label)
-    return out if table.reweighted else {label: e.only(table) for label, e in out.items()}
+    return out if t.reweighted else {label: e.only(t) for label, e in out.items()}

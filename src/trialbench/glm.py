@@ -385,18 +385,17 @@ def _stack_of_one(design: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
 
 
 def _penalized_loglik(
-    eta: np.ndarray, wy: np.ndarray, w: np.ndarray, beta: np.ndarray, penalty: np.ndarray | None
+    eta: np.ndarray, wy: np.ndarray, w: np.ndarray, beta: np.ndarray, penalty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the log-likelihood at ``eta``, less the ridge penalty when
-    ``penalty`` is given; and exp(-|eta|), which expit of the same eta reuses."""
+    """Per row, the log-likelihood at ``eta`` less the ridge penalty; and
+    exp(-|eta|), which expit of the same eta reuses."""
     # log L = sum w*[y*eta - log(1 + exp(eta))], with the softplus
     # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)) computed stably.
     e = np.exp(np.copysign(eta, -1.0))
     softplus = np.log1p(e)
     softplus += np.maximum(eta, 0.0)
     ll = np.vecdot(wy, eta) - np.vecdot(w, softplus)
-    if penalty is not None:
-        ll -= 0.5 * (penalty * beta * beta).sum(axis=-1)
+    ll -= 0.5 * (penalty * beta * beta).sum(axis=-1)
     return ll, e
 
 
@@ -477,6 +476,7 @@ def fit_logistic_stack(
     )
 
     count, p = w.shape[0], x.shape[1]
+    # At ridge 0 the penalty is all zeros, whose terms leave every bit as it was.
     penalty = np.zeros(p)
     if ridge > 0.0:
         # Intercept never penalized; the slopes of scaled columns scale back.
@@ -489,7 +489,6 @@ def fit_logistic_stack(
         with np.errstate(over="ignore"):
             penalty[1:] = ridge * (1.0 if scales is None else scales[1:] ** 2)
         np.minimum(penalty, np.finfo(float).max, out=penalty)
-    ridge_penalty = penalty if ridge > 0.0 else None
     wy, free = w * y, ~occupied
     # Only a row whose log-likelihood exceeds this can be separated: a cell
     # of weight v pinned to its label adds more than v log(1 - eps) > -1.01 v eps.
@@ -513,8 +512,7 @@ def fit_logistic_stack(
         residual = w * mu
         np.subtract(wy, residual, out=residual)
         score = _score(x, residual)
-        if ridge > 0.0:
-            score -= penalty * beta
+        score -= penalty * beta
         # A NaN score component shows a non-finite mu, and with it
         # non-finite working weights w mu (1 - mu).
         largest = np.abs(score).max(axis=1)
@@ -532,8 +530,7 @@ def fit_logistic_stack(
         working *= mu
         working *= w
         hessian = _gram(x, working)
-        if ridge > 0.0:
-            hessian += np.diag(penalty)
+        hessian += np.diag(penalty)
         hessian[~live] = identity
         score[~live] = 0.0
         step, singular = _solve(hessian, score)
@@ -549,7 +546,7 @@ def fit_logistic_stack(
                 break
             candidate = start + fraction * step
             eta_new = _linear(x, candidate)
-            ll_new, e_new = _penalized_loglik(eta_new, wy, w, candidate, ridge_penalty)
+            ll_new, e_new = _penalized_loglik(eta_new, wy, w, candidate, penalty)
             up = trying & (ll_new >= least)
             kept = (~up).nonzero()[0]  # these rows keep their fit
             candidate[kept], eta_new[kept], e_new[kept] = beta[kept], eta[kept], e[kept]

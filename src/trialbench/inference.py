@@ -107,13 +107,14 @@ def sandwich_se(e: EstimateWithIF) -> float:
     cell, alpha * y + beta averages alpha * ybar + beta, and its squared
     deviations from that average sum to alpha^2 * y_ss."""
     t = e.table
-    n = float(np.sum(t.count))
+    count, y_mean, y_ss = t.count[0], t.y_mean[0], t.y_ss[0]
+    n = float(np.sum(count))
     if n < 2:
         raise DegenerateTestError(f"{e.label}: need at least 2 rows for a variance")
-    cell_mean = e.alpha * t.y_mean + e.beta
-    dev = cell_mean - float(t.count @ cell_mean) / n
+    cell_mean = e.alpha * y_mean + e.beta
+    dev = cell_mean - float(count @ cell_mean) / n
     with np.errstate(over="ignore"):  # an overflow is caught just below
-        squares = float((e.alpha * e.alpha) @ t.y_ss + t.count @ (dev * dev))
+        squares = float((e.alpha * e.alpha) @ y_ss + count @ (dev * dev))
     if not math.isfinite(squares):
         raise DegenerateTestError(f"{e.label}: sum of squared influence values is not finite")
     return math.sqrt(squares / (n - 1) / n)
@@ -148,6 +149,12 @@ def wald_test(e: EstimateWithIF, null_value: float = 0.0) -> TestResult:
         null=f"{e.label} = {null_value:g}",
         df=None,
     )
+
+
+def check_seed(seed: int | np.random.SeedSequence) -> None:
+    """np.random.SeedSequence takes non-negative integers only."""
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+        raise ValueError(f"'seed' must be a non-negative integer, got {seed}")
 
 
 def keyed_seed(seed: int | np.random.SeedSequence, index: int) -> np.random.SeedSequence:
@@ -265,6 +272,7 @@ def bootstrap(
     """
     if B < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
+    check_seed(seed)
     t = cell_table(d, plan.outcome_kind)
     chunk = max(1, _CHUNK_FLOATS // (t.s.size * (t.k + 1)))
     pending: dict[int, dict[str, float] | Exception] = {}

@@ -176,8 +176,8 @@ def fit_cells(
     tag: str,
     ridge: float = 0.0,
 ) -> tuple[Model, list]:
-    """Fit one model on the cells ``mask`` of the stacked table ``t`` (see
-    CellTable.stacked), once per weight vector, each cell weighted by its count.
+    """Fit one model on the cells ``mask`` of the table ``t``, once per weight
+    vector (resample), each cell weighted by its count.
 
     Given ``labels`` (0/1, one per cell of ``t``, or one row of them per
     weight vector) the fit is logistic; without them it is the linear fit of
@@ -237,8 +237,7 @@ def fit_nuisances(
         raise ConfigError(
             f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}"
         )
-    table = cell_table(d, outcome_kind)
-    t = table.stacked()
+    t = cell_table(d, outcome_kind)
     occupied = t.count > 0
     y = t.y_mean
     if outcome_kind == "binary" and np.any(occupied & (y != 0.0) & (y != 1.0)):
@@ -285,4 +284,4 @@ def fit_nuisances(
         dropped=dropped,
         errors=tuple(errors),
     )
-    return nu if table.reweighted else nu.only()
+    return nu if t.reweighted else nu.only()

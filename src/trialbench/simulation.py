@@ -21,7 +21,6 @@ otherwise.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextvars import ContextVar
 from dataclasses import astuple, dataclass
@@ -39,7 +38,7 @@ from .estimators import (
     run_plan_with,
 )
 from .glm import expit
-from .inference import _check_level, keyed_seed, run_replicates, sandwich_se
+from .inference import _check_level, check_seed, keyed_seed, run_replicates, sandwich_se
 from .jsonfields import dump, parse
 from .nuisance import OUTCOME_KINDS, fit_nuisances, normalize_drop
 
@@ -243,34 +242,28 @@ class Truths:
         return self.mean1 if arm == 1 else self.mean0
 
 
-def _u_levels(violation) -> tuple[float, ...]:
-    return (0.0, 1.0) if violation is not None else (0.0,)
-
-
-def _u_prob(violation, level: float) -> float:
-    if violation is None:
-        return 1.0
-    return violation.u_prob if level == 1.0 else 1.0 - violation.u_prob
-
-
 def _binary_cells(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint support (x, u_c, u_t) with prior weights, binary covariates only."""
-    xs = list(itertools.product((0.0, 1.0), repeat=cfg.k))
-    rows = []
-    for xv in xs:
-        px = 1.0
-        for q, val in zip(cfg.covariates.p, xv):
-            px *= q if val == 1.0 else 1.0 - q
-        for uc in _u_levels(cfg.confounding):
-            for ut in _u_levels(cfg.transport):
-                w = px * _u_prob(cfg.confounding, uc) * _u_prob(cfg.transport, ut)
-                rows.append((*xv, uc, ut, w))
-    arr = np.asarray(rows)
-    x = arr[:, : cfg.k]
-    uc = arr[:, cfg.k]
-    ut = arr[:, cfg.k + 1]
-    w = arr[:, cfg.k + 2]
-    return x, uc, ut, w
+    """Joint support (x, u_c, u_t) with prior weights, binary covariates only.
+
+    The covariate patterns run in lexicographic order, the first covariate
+    slowest. The rows of one pattern are consecutive, one per level of
+    (u_c, u_t) with u_t fastest; an absent violation's u is 0.
+    """
+    k = cfg.k
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    px = np.ones(2**k)
+    for column, q in zip(bits.T, cfg.covariates.p):
+        px *= np.where(column == 1, q, 1.0 - q)
+    (uc, pc), (ut, pt) = (
+        ((0.0,), (1.0,)) if v is None else ((0.0, 1.0), (1.0 - v.u_prob, v.u_prob))
+        for v in (cfg.confounding, cfg.transport)
+    )
+    # Axes (pattern, u_c, u_t); the prior multiplies in that order.
+    prior = px[:, None, None] * np.reshape(pc, (-1, 1)) * np.asarray(pt)
+    uc = np.broadcast_to(np.reshape(uc, (-1, 1)), prior.shape).ravel()
+    ut = np.broadcast_to(np.asarray(ut), prior.shape).ravel()
+    x = np.repeat(bits.astype(float), prior[0].size, axis=0)
+    return x, uc, ut, prior.ravel()
 
 
 def _draw_u(violation, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -338,6 +331,7 @@ def generate(
     n1, n0 = int(n[0]), int(n[1])
     if n1 < 1 or n0 < 1:
         raise ConfigError(f"both study sizes must be positive, got {n!r}")
+    check_seed(seed)
     parts_x: list[np.ndarray] = []
     parts_s: list[np.ndarray] = []
     parts_a: list[np.ndarray] = []
@@ -372,27 +366,21 @@ def generate(
 def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
     x, uc, ut, prior = _binary_cells(cfg)
     p_s1 = expit(cfg.participation_logit(x, ut))
-    w_s0 = prior * (1.0 - p_s1)
-    w_s0 = w_s0 / np.sum(w_s0)
-    mean1 = float(w_s0 @ cfg.outcome_mean_given(x, 1.0, uc, ut))
-    mean0 = float(w_s0 @ cfg.outcome_mean_given(x, 0.0, uc, ut))
-
-    # Restriction check: E[y | x, s, a] equal across studies for every (x, a).
-    max_gap = 0.0
-    for xv in itertools.product((0.0, 1.0), repeat=cfg.k):
-        cell = np.all(x == xv, axis=1)
-        for a in (0.0, 1.0):
-            means = {}
-            for s in (0, 1):
-                if s == 1:
-                    w = prior[cell] * p_s1[cell]  # a independent of (u_c, u_t) in the trial
-                else:
-                    p_a1 = expit(cfg.emulation_treatment_logit(x[cell], uc[cell])).ravel()
-                    pa = p_a1 if a == 1.0 else 1.0 - p_a1
-                    w = prior[cell] * (1.0 - p_s1[cell]) * pa
-                w = w / np.sum(w)
-                means[s] = float(w @ cfg.outcome_mean_given(x[cell], a, uc[cell], ut[cell]))
-            max_gap = max(max_gap, abs(means[1] - means[0]))
+    w0 = prior * (1.0 - p_s1)
+    w_s0 = w0 / np.sum(w0)
+    # Restriction check: E[y | x, s, a] equal across studies for every (x, a),
+    # with one row per covariate pattern (see _binary_cells).
+    by_pattern = (2**cfg.k, -1)
+    w1 = (prior * p_s1).reshape(by_pattern)  # a independent of (u_c, u_t) in the trial
+    p_a1 = expit(cfg.emulation_treatment_logit(x, uc))
+    means, max_gap = [], 0.0
+    for a, pa in ((0.0, 1.0 - p_a1), (1.0, p_a1)):
+        mean = cfg.outcome_mean_given(x, a, uc, ut)
+        means.append(float(w_s0 @ mean))
+        w0a, mean = (w0 * pa).reshape(by_pattern), mean.reshape(by_pattern)
+        gap = np.vecdot(w1, mean) / w1.sum(axis=1) - np.vecdot(w0a, mean) / w0a.sum(axis=1)
+        max_gap = max(max_gap, float(np.abs(gap).max()))
+    mean0, mean1 = means
 
     exchangeable, transports = cfg.conditions
     return Truths(
@@ -502,6 +490,8 @@ def true_values(
     Binary covariates are enumerated exactly; Gaussian covariates use
     ``draws`` importance-weighted samples and report the Monte Carlo error.
     """
+    if draws < 1:
+        raise ValueError(f"'draws' must be at least 1, got {draws}")
     if cfg.covariates.kind == "binary":
         return _enumeration_truths(cfg)
     return _importance_truths(cfg, draws, seed)
@@ -608,6 +598,7 @@ def run_monte_carlo(
     if reps < 2:
         raise ConfigError("need at least 2 replicates")
     _check_level(level)
+    check_seed(seed)
     # The replicates return p-values; only this driver reads the threshold.
     if restriction and not 0.0 < restriction_threshold < 1.0:
         raise ValueError(f"threshold must be inside (0, 1), got {restriction_threshold!r}")

@@ -520,6 +520,42 @@ def test_impossible_study_size_exits_2_naming_n_without_allocating(
     assert not (tmp_path / "s.json").exists()
 
 
+
+def test_impossible_binary_support_exits_2_naming_scenario_without_allocating(
+    tmp_path, write_config, capsys
+):
+    # 2^40 covariate patterns: the truths and every draw would build the whole
+    # support, a tuple at a time before it was built as arrays.
+    k = 40
+    scenario = {
+        "covariates": {"kind": "binary", "p": [0.5] * k},
+        "participation": [0.0] * (k + 1),
+        "trial_arm_prob": 0.5,
+        "emulation_propensity": [0.0] * (k + 1),
+        "outcome_intercept": 1.0,
+        "outcome_x": [0.0] * k,
+        "outcome_treatment": 2.0,
+        "outcome_tx": [0.0] * k,
+        "confounding": {},
+        "transport": {},
+    }
+    payload = {"scenario": scenario, "reps": 2, "n": [100, 100], "output": str(tmp_path / "s.json")}
+    config = write_config(payload)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", config, "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "'scenario'" in error["message"]
+    assert peak < 2**20
+    assert not (tmp_path / "s.json").exists()
+
 def test_report_that_breaks_the_schema_exits_5_with_a_one_line_error(
     tmp_path, write_config, capsys, monkeypatch
 ):

@@ -223,6 +223,30 @@ def test_replicate_budget_takes_the_sizes_in_use_and_refuses_beyond():
             SimulationConfig.from_dict({"scenario": scenario, "reps": 2, "n": [10**9, 10]})
 
 
+
+def binary_law(k: int) -> dict:
+    """A law of k binary covariates with both violations present."""
+    return {
+        "covariates": {"kind": "binary", "p": [0.5] * k},
+        "participation": [0.0] * (k + 1),
+        "trial_arm_prob": 0.5,
+        "emulation_propensity": [0.0] * (k + 1),
+        "outcome_intercept": 0.0,
+        "outcome_x": [0.0] * k,
+        "outcome_treatment": 0.0,
+        "outcome_tx": [0.0] * k,
+        "confounding": {},
+        "transport": {},
+    }
+
+
+def test_binary_support_budget_refuses_the_first_covariate_count_beyond():
+    # Two supports of 2^(k + 2) rows of 120 + 24 k bytes: 9.75 GiB at k = 21,
+    # 20.25 GiB at 22.
+    SimulationConfig.from_dict({"scenario": binary_law(21), "reps": 2, "n": [50, 50]})
+    with pytest.raises(ConfigError, match=r"'scenario' \(22 binary covariates.* GiB budget"):
+        SimulationConfig.from_dict({"scenario": binary_law(22), "reps": 2, "n": [50, 50]})
+
 def _inline(**changes) -> dict:
     """A simulate payload change: the FT scenario inline, keys replaced."""
     return {"scenario": truth_table("FT").to_dict() | changes}

@@ -133,6 +133,15 @@ def test_bootstrap_needs_two_replicates(small_dataset):
         bootstrap(small_dataset, plan, 1, seed=0)
 
 
+def test_bootstrap_refuses_a_negative_seed_before_any_draw(small_dataset, monkeypatch):
+    def no_draws(*args, **kwargs):
+        pytest.fail("a replicate ran with a negative seed")
+
+    monkeypatch.setattr(inference, "bootstrap_chunk", no_draws)
+    plan = AnalysisPlan(outcome_kind="continuous", estimators=("phi",), arms=(1,))
+    with pytest.raises(ValueError, match="'seed'"):
+        bootstrap(small_dataset, plan, 4, seed=-1)
+
 def test_run_replicates_gives_the_kept_values_per_label_in_replicate_order():
     def task(i):
         if i % 3 == 1:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import pathlib
 import subprocess
@@ -328,6 +329,34 @@ def test_run_monte_carlo_refuses_a_level_outside_0_1_before_any_work(monkeypatch
         run_monte_carlo(d1(), reps=4, n=(500, 500), seed=1, restriction=False, level=level)
 
 
+def test_negative_seed_is_refused_before_any_draw(monkeypatch):
+    # numpy's own refusal named no argument, and came after the truths thread began.
+    def no_work(*args, **kwargs):
+        pytest.fail("a draw ran with a negative seed")
+
+    for name in ("true_values", "_draw_stream", "fit_nuisances"):
+        monkeypatch.setattr(simulation, name, no_work)
+    with pytest.raises(ValueError, match="'seed'"):
+        generate(d1(), (100, 100), -1)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="'seed'"):
+        run_monte_carlo(d1(), reps=2, n=(100, 100), seed=-1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("law", [d1(), gaussian_scenario()])
+@pytest.mark.parametrize("draws", [0, -5])
+def test_true_values_refuses_fewer_than_one_draw(monkeypatch, law, draws):
+    # A Gaussian law with no draws divided 0 by 0, then subtracted None.
+    def no_work(*args, **kwargs):
+        pytest.fail("the truths ran without a draw")
+
+    for name in ("_enumeration_truths", "_importance_truths"):
+        monkeypatch.setattr(simulation, name, no_work)
+    with pytest.raises(ValueError, match="'draws'"):
+        true_values(law, draws=draws)
+
+
 @pytest.mark.parametrize("violation", [ConfoundingViolation, TransportViolation])
 def test_violations_share_their_u_prob_check_and_active_rule(violation):
     other = "effect_on_treatment" if violation is ConfoundingViolation else "effect_on_participation"
@@ -350,6 +379,164 @@ def test_scenario_conditions_hold_where_no_violation_is_active():
     truths = true_values(inert)
     assert (truths.condition_exchangeability, truths.restriction_holds) == (True, True)
 
+def loop_binary_cells(cfg):
+    """The support built one tuple at a time, the oracle of _binary_cells."""
+
+    def levels(violation):
+        return (0.0, 1.0) if violation is not None else (0.0,)
+
+    def prob(violation, level):
+        if violation is None:
+            return 1.0
+        return violation.u_prob if level == 1.0 else 1.0 - violation.u_prob
+
+    rows = []
+    for xv in itertools.product((0.0, 1.0), repeat=cfg.k):
+        px = 1.0
+        for q, val in zip(cfg.covariates.p, xv):
+            px *= q if val == 1.0 else 1.0 - q
+        for uc in levels(cfg.confounding):
+            for ut in levels(cfg.transport):
+                w = px * prob(cfg.confounding, uc) * prob(cfg.transport, ut)
+                rows.append((*xv, uc, ut, w))
+    arr = np.asarray(rows)
+    return arr[:, : cfg.k], arr[:, cfg.k], arr[:, cfg.k + 1], arr[:, cfg.k + 2]
+
+
+def loop_enumeration_truths(cfg):
+    """The enumeration truths with the restriction checked one covariate
+    pattern, arm and study at a time, the oracle of _enumeration_truths."""
+    x, uc, ut, prior = loop_binary_cells(cfg)
+    p_s1 = glm.expit(cfg.participation_logit(x, ut))
+    w_s0 = prior * (1.0 - p_s1)
+    w_s0 = w_s0 / np.sum(w_s0)
+    mean1 = float(w_s0 @ cfg.outcome_mean_given(x, 1.0, uc, ut))
+    mean0 = float(w_s0 @ cfg.outcome_mean_given(x, 0.0, uc, ut))
+    max_gap = 0.0
+    for xv in itertools.product((0.0, 1.0), repeat=cfg.k):
+        cell = np.all(x == xv, axis=1)
+        for a in (0.0, 1.0):
+            means = {}
+            for s in (0, 1):
+                if s == 1:
+                    w = prior[cell] * p_s1[cell]
+                else:
+                    p_a1 = glm.expit(cfg.emulation_treatment_logit(x[cell], uc[cell])).ravel()
+                    pa = p_a1 if a == 1.0 else 1.0 - p_a1
+                    w = prior[cell] * (1.0 - p_s1[cell]) * pa
+                w = w / np.sum(w)
+                means[s] = float(w @ cfg.outcome_mean_given(x[cell], a, uc[cell], ut[cell]))
+            max_gap = max(max_gap, abs(means[1] - means[0]))
+    exchangeable, transports = cfg.conditions
+    return simulation.Truths(
+        mean0=mean0,
+        mean1=mean1,
+        ate=mean1 - mean0,
+        condition_exchangeability=exchangeable,
+        condition_transport=transports,
+        restriction_holds=max_gap < 1e-12,
+        method="enumeration",
+    )
+
+
+def random_binary_law(seed: int) -> ScenarioConfig:
+    """A law of 1 to 6 binary covariates; each violation absent, active, or
+    present with one of its two effects 0."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+
+    def coefficients(size):
+        return tuple(float(v) for v in rng.normal(0.0, 0.7, size))
+
+    def violation(cls):
+        form = int(rng.integers(3))
+        if form == 0:
+            return None
+        effects = list(coefficients(2))
+        if form == 2:
+            effects[int(rng.integers(2))] = 0.0
+        return cls(float(rng.uniform(0.1, 0.9)), *effects)
+
+    return ScenarioConfig(
+        covariates=CovariateLaw(kind="binary", p=tuple(float(q) for q in rng.uniform(0.1, 0.9, k))),
+        participation=coefficients(k + 1),
+        trial_arm_prob=float(rng.uniform(0.2, 0.8)),
+        emulation_propensity=coefficients(k + 1),
+        outcome_intercept=coefficients(1)[0],
+        outcome_x=coefficients(k),
+        outcome_treatment=coefficients(1)[0],
+        outcome_tx=coefficients(k),
+        outcome_kind=("continuous", "binary")[int(rng.integers(2))],
+        confounding=violation(ConfoundingViolation),
+        transport=violation(TransportViolation),
+    )
+
+
+ORACLE_LAWS = {
+    **PRESETS,
+    **{f"random-{seed}": (lambda seed=seed: random_binary_law(seed)) for seed in range(60)},
+}
+
+
+@pytest.mark.parametrize("law", list(ORACLE_LAWS))
+def test_binary_support_equals_the_nested_loops_bit_for_bit(monkeypatch, law):
+    cfg = ORACLE_LAWS[law]()
+    assert repr(true_values(cfg)) == repr(loop_enumeration_truths(cfg))
+    built = generate(cfg, (300, 400), seed=11)
+    monkeypatch.setattr(simulation, "_binary_cells", loop_binary_cells)
+    looped = generate(cfg, (300, 400), seed=11)
+    for column in ("x", "s", "a", "y"):
+        got, want = getattr(built, column), getattr(looped, column)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
+
+
+def test_random_oracle_laws_cover_every_violation_form_and_outcome_kind():
+    laws = [ORACLE_LAWS[f"random-{seed}"]() for seed in range(60)]
+    assert {law.outcome_kind for law in laws} == {"continuous", "binary"}
+    for name in ("confounding", "transport"):
+        forms = {
+            None if v is None else v.active for v in (getattr(law, name) for law in laws)
+        }
+        assert forms == {None, True, False}, name
+    assert {t.restriction_holds for t in map(true_values, laws)} == {True, False}
+
+
+WIDE_BINARY_TRUTHS = """
+from trialbench import ConfoundingViolation, CovariateLaw, ScenarioConfig, TransportViolation
+from trialbench import true_values
+
+k = 16
+law = ScenarioConfig(
+    covariates=CovariateLaw(kind="binary", p=tuple(0.3 + 0.02 * j for j in range(k))),
+    participation=(-0.4, *(0.1 * (-1) ** j for j in range(k))),
+    trial_arm_prob=0.5,
+    emulation_propensity=(-0.2, *(0.05 * j / k for j in range(k))),
+    outcome_intercept=1.0,
+    outcome_x=tuple(0.2 for _ in range(k)),
+    outcome_treatment=2.0,
+    outcome_tx=tuple(0.1 for _ in range(k)),
+    confounding=ConfoundingViolation(),
+    transport=TransportViolation(),
+)
+print(true_values(law).restriction_holds)
+"""
+
+
+def test_binary_truths_of_sixteen_covariates_run_in_bounded_time():
+    # 2**18 support rows. Checking the restriction one pattern at a time cost
+    # about 3.4 times more per covariate, 3.7-4.0 s at 12 covariates (one BLAS
+    # thread, 2 vCPUs), which puts 16 at minutes; as arrays it takes 0.1 s.
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", WIDE_BINARY_TRUTHS],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "False"
 
 TRUTHS_MEMORY = """
 import resource
