@@ -50,7 +50,8 @@ REPLICATE_BUDGET = 16 * 2**30
 # per row without violations, 114 + 8 k with both and 220-316 with one; rounded
 # up over all three. The truths thread builds one support beside a replicate's
 # draws from another (a traced peak of 109 MiB for 2^18 rows, each alone 58), so
-# two supports beyond REPLICATE_BUDGET are refused before anything is built.
+# two supports and a replicate's rows beyond REPLICATE_BUDGET together are
+# refused before anything is built.
 _SUPPORT_ROW_BYTES = (120, 24)
 
 
@@ -130,21 +131,23 @@ class SimulationConfig:
             raise ConfigError(f"{where}: reps must be at least 2")
         if min(self.n) < 1:
             raise ConfigError(f"{where}: study sizes must be positive")
-        # What a run holds at once: rows, and bytes per row as (base, per covariate).
+        # What a run holds at once: a replicate's rows and, for a binary law,
+        # two supports of 2^k patterns times 2 per violation present.
         law = self.law
-        held = {f"'n' {list(self.n)}": (sum(self.n), _ROW_BYTES[law.covariates.kind])}
-        if law.covariates.kind == "binary":  # 2^k patterns, times 2 per violation present
+        base, per_covariate = _ROW_BYTES[law.covariates.kind]
+        draws = sum(self.n) * (base + per_covariate * law.k)
+        support, what = 0, f"'n' {list(self.n)}"
+        if law.covariates.kind == "binary":
             rows = 2 ** (law.k + sum(v is not None for v in (law.confounding, law.transport)))
-            held[f"'scenario' ({law.k} binary covariates, {rows} support rows)"] = (
-                2 * rows, _SUPPORT_ROW_BYTES
+            base, per_covariate = _SUPPORT_ROW_BYTES
+            support = 2 * rows * (base + per_covariate * law.k)
+            if support > draws:
+                what = f"'scenario' ({law.k} binary covariates, {rows} support rows)"
+        if draws + support > REPLICATE_BUDGET:
+            raise ConfigError(
+                f"{where}: {what} takes the most of the {(draws + support) / 2**30:.3g} GiB "
+                f"a replicate needs, over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
             )
-        for what, (rows, (base, per_covariate)) in held.items():
-            need = rows * (base + per_covariate * law.k)
-            if need > REPLICATE_BUDGET:
-                raise ConfigError(
-                    f"{where}: {what} needs about {need / 2**30:.3g} GiB per replicate, "
-                    f"over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
-                )
         if self.truth_draws < 1000:
             raise ConfigError(f"{where}: truth_draws must be at least 1000")
 

@@ -332,33 +332,24 @@ def generate(
     if n1 < 1 or n0 < 1:
         raise ConfigError(f"both study sizes must be positive, got {n!r}")
     check_seed(seed)
-    parts_x: list[np.ndarray] = []
-    parts_s: list[np.ndarray] = []
-    parts_a: list[np.ndarray] = []
-    parts_y: list[np.ndarray] = []
+    parts = []  # (x, s, a, y) of each study
     for stream, (s, size) in enumerate(((1, n1), (0, n0))):
         rng = np.random.default_rng(keyed_seed(seed, stream))
         x, uc, ut = _draw_stream(cfg, s, size, rng)
-        if s == 1:
-            a = (rng.random(size) < cfg.trial_arm_prob).astype(np.int64)
-        else:
-            p_a = expit(cfg.emulation_treatment_logit(x, uc))
-            a = (rng.random(size) < p_a).astype(np.int64)
+        p_a = cfg.trial_arm_prob if s == 1 else expit(cfg.emulation_treatment_logit(x, uc))
+        a = (rng.random(size) < p_a).astype(np.int64)
         loc = cfg.outcome_location(x, a.astype(float), uc, ut)
         if cfg.outcome_kind == "continuous":
             y = loc + cfg.noise_sd * rng.standard_normal(size)
         else:
             y = (rng.random(size) < expit(loc)).astype(float)
-        parts_x.append(x)
-        parts_s.append(np.full(size, s, dtype=np.int64))
-        parts_a.append(a)
-        parts_y.append(y)
-
+        parts.append((x, np.full(size, s, dtype=np.int64), a, y))
+    x, s, a, y = zip(*parts)
     return Dataset(
-        x=np.vstack(parts_x),
-        s=np.concatenate(parts_s),
-        a=np.concatenate(parts_a),
-        y=np.concatenate(parts_y),
+        x=np.vstack(x),
+        s=np.concatenate(s),
+        a=np.concatenate(a),
+        y=np.concatenate(y),
         covariate_names=cfg.covariate_names(),
     )
 
@@ -369,17 +360,21 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
     w0 = prior * (1.0 - p_s1)
     w_s0 = w0 / np.sum(w0)
     # Restriction check: E[y | x, s, a] equal across studies for every (x, a),
-    # with one row per covariate pattern (see _binary_cells).
+    # with one row per covariate pattern (see _binary_cells). A pattern that
+    # one study never sees (its weights round to 0) has no gap.
     by_pattern = (2**cfg.k, -1)
     w1 = (prior * p_s1).reshape(by_pattern)  # a independent of (u_c, u_t) in the trial
+    n1 = w1.sum(axis=1)
     p_a1 = expit(cfg.emulation_treatment_logit(x, uc))
     means, max_gap = [], 0.0
     for a, pa in ((0.0, 1.0 - p_a1), (1.0, p_a1)):
         mean = cfg.outcome_mean_given(x, a, uc, ut)
         means.append(float(w_s0 @ mean))
         w0a, mean = (w0 * pa).reshape(by_pattern), mean.reshape(by_pattern)
-        gap = np.vecdot(w1, mean) / w1.sum(axis=1) - np.vecdot(w0a, mean) / w0a.sum(axis=1)
-        max_gap = max(max_gap, float(np.abs(gap).max()))
+        n0 = w0a.sum(axis=1)
+        seen = (n1 > 0.0) & (n0 > 0.0)
+        gap = np.vecdot(w1, mean)[seen] / n1[seen] - np.vecdot(w0a, mean)[seen] / n0[seen]
+        max_gap = max(max_gap, float(np.abs(gap).max(initial=0.0)))
     mean0, mean1 = means
 
     exchangeable, transports = cfg.conditions

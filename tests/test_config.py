@@ -247,6 +247,18 @@ def test_binary_support_budget_refuses_the_first_covariate_count_beyond():
     with pytest.raises(ConfigError, match=r"'scenario' \(22 binary covariates.* GiB budget"):
         SimulationConfig.from_dict({"scenario": binary_law(22), "reps": 2, "n": [50, 50]})
 
+
+def test_budget_sums_the_support_and_the_rows_each_of_which_fits_alone():
+    # At k = 21 rows take 500 bytes each, and the two supports 9.75 GiB with
+    # both violations, 2.44 GiB with none. 18 and 24 million rows fit beside
+    # the small supports, not beside the large; the larger share is named.
+    law = binary_law(21)
+    without_violations = {key: law[key] for key in law if key not in ("confounding", "transport")}
+    for n, named in (([9 * 10**6] * 2, "'scenario'"), ([12 * 10**6] * 2, "'n'")):
+        SimulationConfig.from_dict({"scenario": without_violations, "reps": 2, "n": n})
+        with pytest.raises(ConfigError, match=f"^simulate config: {named}"):
+            SimulationConfig.from_dict({"scenario": binary_law(21), "reps": 2, "n": n})
+
 def _inline(**changes) -> dict:
     """A simulate payload change: the FT scenario inline, keys replaced."""
     return {"scenario": truth_table("FT").to_dict() | changes}

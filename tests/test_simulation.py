@@ -424,9 +424,10 @@ def loop_enumeration_truths(cfg):
                     p_a1 = glm.expit(cfg.emulation_treatment_logit(x[cell], uc[cell])).ravel()
                     pa = p_a1 if a == 1.0 else 1.0 - p_a1
                     w = prior[cell] * (1.0 - p_s1[cell]) * pa
-                w = w / np.sum(w)
+                with np.errstate(invalid="ignore"):  # a study that never sees the cell
+                    w = w / np.sum(w)
                 means[s] = float(w @ cfg.outcome_mean_given(x[cell], a, uc[cell], ut[cell]))
-            max_gap = max(max_gap, abs(means[1] - means[0]))
+            max_gap = max(max_gap, abs(means[1] - means[0]))  # max skips a nan gap
     exchangeable, transports = cfg.conditions
     return simulation.Truths(
         mean0=mean0,
@@ -472,9 +473,33 @@ def random_binary_law(seed: int) -> ScenarioConfig:
     )
 
 
+def saturated_law(which: str) -> ScenarioConfig:
+    """A law of 3 binary covariates with a logit of 40 on X1, where expit is
+    exactly 1: in participation with the transport violation active, or in
+    the emulation propensity with confounding active. The emulation never
+    sees X1 = 1, or never leaves it untreated; the other patterns break
+    the restriction."""
+    logit = (0.0, 40.0, -0.2, 0.1)
+    other = (0.1, 0.3, -0.2, 0.1)
+    return ScenarioConfig(
+        covariates=CovariateLaw(kind="binary", p=(0.4, 0.5, 0.6)),
+        participation=logit if which == "participation" else other,
+        trial_arm_prob=0.5,
+        emulation_propensity=logit if which == "propensity" else other,
+        outcome_intercept=1.0,
+        outcome_x=(0.5, -0.4, 0.3),
+        outcome_treatment=2.0,
+        outcome_tx=(0.2, 0.1, -0.1),
+        confounding=ConfoundingViolation() if which == "propensity" else None,
+        transport=TransportViolation() if which == "participation" else None,
+    )
+
+
 ORACLE_LAWS = {
     **PRESETS,
     **{f"random-{seed}": (lambda seed=seed: random_binary_law(seed)) for seed in range(60)},
+    **{f"saturated-{which}": (lambda which=which: saturated_law(which))
+       for which in ("participation", "propensity")},
 }
 
 
@@ -499,6 +524,13 @@ def test_random_oracle_laws_cover_every_violation_form_and_outcome_kind():
         }
         assert forms == {None, True, False}, name
     assert {t.restriction_holds for t in map(true_values, laws)} == {True, False}
+
+
+@pytest.mark.parametrize("which", ["participation", "propensity"])
+def test_a_pattern_one_study_never_sees_leaves_the_other_gaps_standing(which):
+    truths = true_values(saturated_law(which))
+    assert np.isfinite([truths.mean0, truths.mean1]).all()
+    assert not truths.restriction_holds
 
 
 WIDE_BINARY_TRUTHS = """
