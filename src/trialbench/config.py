@@ -30,6 +30,8 @@ def load_json(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return raw
@@ -40,7 +42,9 @@ def load_json(path: str) -> dict:
 # (80k, 80k) rows were 67 + 16.6 k for k binary covariates and 312 + 25 k for k
 # Gaussian ones, whose accept-reject draws hold a proposal batch four times the
 # study size; rounded up. A simulate config whose replicate would need more than
-# REPLICATE_BUDGET is refused before anything is drawn.
+# REPLICATE_BUDGET is refused before anything is drawn, and so is a replicate
+# count whose records (run_replicates keeps 8 bytes per value per replicate)
+# would.
 _ROW_BYTES = {"binary": (80, 20), "gaussian": (320, 32)}
 REPLICATE_BUDGET = 16 * 2**30
 
@@ -67,6 +71,20 @@ def _check_plan(cfg: AnalysisConfig | SimulationConfig, where: str) -> None:
             raise ConfigError(f"{where}: {key!r} must be inside (0, 1), got {getattr(cfg, key)}")
 
 
+def _check_records(where: str, key: str, count: int, values: int) -> None:
+    need = 8 * values * count
+    if need > REPLICATE_BUDGET:
+        raise ConfigError(
+            f"{where}: {key!r} {count} needs {need / 2**30:.3g} GiB of replicate records "
+            f"({values} values each), over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
+        )
+
+
+def _quantities(plan: AnalysisPlan) -> int:
+    """Estimates per replicate: each estimator and arm, and each contrast."""
+    return len(plan.estimators) * len(plan.arms) + sum(map(len, plan.contrasts().values()))
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     input: str
@@ -91,6 +109,7 @@ class AnalysisConfig:
         _check_plan(self, where)
         if self.bootstrap < 0 or self.bootstrap == 1:
             raise ConfigError(f"{where}: bootstrap needs at least 2 replicates (or 0 to disable)")
+        _check_records(where, "bootstrap", self.bootstrap, _quantities(self.plan))
         if not self.weight_threshold > 0.0:
             raise ConfigError(f"{where}: weight_threshold must be positive")
 
@@ -129,6 +148,9 @@ class SimulationConfig:
         _check_plan(self, where)  # an unknown preset fails here, not after the truths
         if self.reps < 2:
             raise ConfigError(f"{where}: reps must be at least 2")
+        # Each estimate and its standard error, and a restriction p-value per arm.
+        values = 2 * _quantities(self.plan) + self.restriction * len(self.arms)
+        _check_records(where, "reps", self.reps, values)
         if min(self.n) < 1:
             raise ConfigError(f"{where}: study sizes must be positive")
         # What a run holds at once: a replicate's rows and, for a binary law,

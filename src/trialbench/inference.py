@@ -171,32 +171,38 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def run_replicates(
-    task: Callable[[int], dict[str, float]], count: int, what: str
+    chunk: Callable[[range], list[dict[str, float] | Exception]], count: int, size: int, what: str
 ) -> tuple[dict[str, np.ndarray], int]:
-    """Run ``task(i)`` for i < count and return (columns, failure count):
-    per label, the values of the replicates kept, in replicate order.
+    """Run replicates 0 .. count - 1 through ``chunk``, ``size`` indices at a
+    time: per label the kept values in replicate order, and the failure count.
 
-    A replicate whose fit fails (FitError) is dropped and counted; more than
-    count/2 failures aborts, so a run of count >= 1 that returns has at
-    least one result.
-    """
+    ``chunk(indices)`` gives each index its values or its error. A FitError,
+    or one that ``chunk`` raises for all its indices, drops and counts a
+    replicate, and any other error is raised. More than count/2 failures, or
+    fewer than two replicates left to keep, aborts."""
     columns: dict[str, np.ndarray] = {}
     kept = failures = 0
-    for i in range(count):
+    for start in range(0, count, size):
+        indices = range(start, min(start + size, count))
         try:
-            values = task(i)
-        except FitError:
-            failures += 1
-            if failures > count / 2:
-                raise FitError(
-                    f"{what} aborted: {failures} of {i + 1} replicates failed to fit"
-                ) from None
-            continue
-        if not kept:
-            columns = {label: np.empty(count) for label in values}
-        for label, value in values.items():
-            columns[label][kept] = value
-        kept += 1
+            results = chunk(indices)
+        except FitError as exc:
+            results = [exc] * len(indices)
+        for i, values in zip(indices, results):
+            if isinstance(values, Exception):
+                if not isinstance(values, FitError):
+                    raise values
+                failures += 1
+                if failures > count / 2 or count - failures < 2:
+                    raise FitError(
+                        f"{what} aborted: {failures} of {i + 1} replicates failed to fit"
+                    )
+                continue
+            if not kept:
+                columns = {label: np.empty(count) for label in values}
+            for label, value in values.items():
+                columns[label][kept] = value
+            kept += 1
     return {label: column[:kept] for label, column in columns.items()}, failures
 
 
@@ -264,29 +270,21 @@ def bootstrap(
 
     Replicates are fitted in chunks by bootstrap_chunk, which records the
     first error each replicate's analysis met, the error bootstrap_replicate
-    would raise for it alone; that error is raised here. Fit failures
-    (separation, positivity, degenerate strata) are dropped and counted, and
-    more than B/2 of them aborts. Results are bit-identical for a given
-    (d, plan, B, seed) regardless of execution order and chunking, because
-    each replicate owns an index-keyed RNG stream and is fitted row by row.
+    would raise for it alone. run_replicates drops and counts fit failures
+    (separation, positivity, degenerate strata), raises any other error, and
+    aborts past B/2 failures or when fewer than two replicates are left to
+    keep. Results are bit-identical for a given (d, plan, B, seed) regardless
+    of execution order and chunking, because each replicate owns an
+    index-keyed RNG stream and is fitted row by row.
     """
     if B < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
     check_seed(seed)
     t = cell_table(d, plan.outcome_kind)
-    chunk = max(1, _CHUNK_FLOATS // (t.s.size * (t.k + 1)))
-    pending: dict[int, dict[str, float] | Exception] = {}
-
-    def replicate(i: int) -> dict[str, float]:
-        if i not in pending:
-            indices = range(i, min(i + chunk, B))
-            pending.update(zip(indices, bootstrap_chunk(d, plan, seed, indices)))
-        out = pending.pop(i)
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-    columns, failures = run_replicates(replicate, B, "bootstrap")
+    size = max(1, _CHUNK_FLOATS // (t.s.size * (t.k + 1)))
+    columns, failures = run_replicates(
+        lambda indices: bootstrap_chunk(d, plan, seed, indices), B, size, "bootstrap"
+    )
     return {
         label: BootstrapResult(label, column, requested=B, failures=failures, seed=seed)
         for label, column in columns.items()

@@ -278,11 +278,12 @@ _MIN_ACCEPTANCE = 1e-6
 
 
 def _draw_stream(
-    cfg: ScenarioConfig, s: int, size: int, rng: np.random.Generator
+    cfg: ScenarioConfig, s: int, size: int, rng: np.random.Generator, support: tuple | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (x, u_c, u_t) from the law conditional on study s."""
-    if cfg.covariates.kind == "binary":
-        x, uc, ut, prior = _binary_cells(cfg)
+    """Draw (x, u_c, u_t) from the law conditional on study s; a binary law
+    draws from its ``support`` (_binary_cells)."""
+    if support is not None:
+        x, uc, ut, prior = support
         p_s1 = expit(cfg.participation_logit(x, ut))
         w = prior * (p_s1 if s == 1 else 1.0 - p_s1)
         w = w / np.sum(w)
@@ -332,10 +333,11 @@ def generate(
     if n1 < 1 or n0 < 1:
         raise ConfigError(f"both study sizes must be positive, got {n!r}")
     check_seed(seed)
+    support = _binary_cells(cfg) if cfg.covariates.kind == "binary" else None  # for both studies
     parts = []  # (x, s, a, y) of each study
     for stream, (s, size) in enumerate(((1, n1), (0, n0))):
         rng = np.random.default_rng(keyed_seed(seed, stream))
-        x, uc, ut = _draw_stream(cfg, s, size, rng)
+        x, uc, ut = _draw_stream(cfg, s, size, rng, support)
         p_a = cfg.trial_arm_prob if s == 1 else expit(cfg.emulation_treatment_logit(x, uc))
         a = (rng.random(size) < p_a).astype(np.int64)
         loc = cfg.outcome_location(x, a.astype(float), uc, ut)
@@ -581,7 +583,7 @@ def run_monte_carlo(
     plus the rejection rate of the benchmarking delta (phi minus chi,
     tested against zero at ``level``) and optionally of the restriction
     test. Replicates whose fits fail are dropped and counted; more than
-    reps/2 failures aborts.
+    reps/2 failures, or fewer than two replicates left to keep, aborts.
 
     The truths (``true_values``) run on one background thread while this
     thread runs the replicates. The two share no data and each keeps its own
@@ -625,9 +627,9 @@ def run_monte_carlo(
     worker.start()
     try:
         columns, failures = run_replicates(
-            lambda i: replicate_estimates(cfg, n, seed, i, plan, restriction=restriction),
-            reps,
-            "simulation",
+            lambda indices: [replicate_estimates(cfg, n, seed, i, plan, restriction=restriction)
+                             for i in indices],
+            reps, 1, "simulation",  # chunks of one replicate
         )
         worker.join()
     finally:

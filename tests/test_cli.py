@@ -251,6 +251,25 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+@pytest.mark.parametrize("form", ["directory", "not utf-8", "deeply nested"])
+def test_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, form):
+    # Each used to escape load_json (IsADirectoryError, UnicodeDecodeError,
+    # RecursionError) and exit 5.
+    path = tmp_path / "config.json"
+    if form == "directory":
+        path.mkdir()
+    elif form == "not utf-8":
+        path.write_bytes(b'{"input": "\xff"}')
+    else:
+        path.write_text("[" * 200_000)
+    assert main(["analyze", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError"
+    assert str(path) in error["message"]
+
+
 def test_invalid_json_config_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -519,6 +538,56 @@ def test_impossible_study_size_exits_2_naming_n_without_allocating(
     assert peak < 2**20
     assert not (tmp_path / "s.json").exists()
 
+
+
+@pytest.mark.parametrize("command, key", [("analyze", "bootstrap"), ("simulate", "reps")])
+def test_impossible_replicate_count_exits_2_naming_it_without_allocating(
+    tmp_path, write_config, capsys, command, key
+):
+    # The replicate records would take 8 bytes per value per replicate,
+    # terabytes here; they used to end in a MemoryError, exit 5.
+    if command == "analyze":
+        payload = analysis_payload(tmp_path, bootstrap=10**12)
+    else:
+        payload = simulation_payload(tmp_path, reps=10**12)
+    config = write_config(payload)
+    tracemalloc.start()
+    try:
+        code = main([command, config, "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError"
+    assert f"'{key}'" in error["message"]
+    assert peak < 2**20
+
+
+def _one_kept_payload(tmp_path, command) -> dict:
+    # Of two replicates, the second fails to fit and one is left; that used
+    # to reach the report with a NaN spread and exit 5.
+    if command == "simulate":
+        return {"scenario": "D1", "reps": 2, "n": [6, 6], "seed": 2, "restriction": False,
+                "output": str(tmp_path / "s.json")}
+    data = tmp_path / "d.csv"
+    trialbench.save_dataset(trialbench.generate(trialbench.d1(), (12, 12), 0), str(data))
+    return analysis_payload(tmp_path, input=str(data), bootstrap=2, seed=0)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_run_that_keeps_one_replicate_exits_4(tmp_path, write_config, capsys, command):
+    code = main([command, write_config(_one_kept_payload(tmp_path, command)), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 4
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "FitError"
+    assert error["message"].endswith("aborted: 1 of 2 replicates failed to fit")
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_impossible_binary_support_exits_2_naming_scenario_without_allocating(

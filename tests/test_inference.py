@@ -142,17 +142,85 @@ def test_bootstrap_refuses_a_negative_seed_before_any_draw(small_dataset, monkey
     with pytest.raises(ValueError, match="'seed'"):
         bootstrap(small_dataset, plan, 4, seed=-1)
 
-def test_run_replicates_gives_the_kept_values_per_label_in_replicate_order():
+
+def _per_index(task):
+    """A chunk producer from a per-index task: its values, or the error it raised."""
+
+    def chunk(indices):
+        results = []
+        for i in indices:
+            try:
+                results.append(task(i))
+            except Exception as exc:  # noqa: BLE001 - handed to run_replicates
+                results.append(exc)
+        return results
+
+    return chunk
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_run_replicates_gives_the_kept_values_per_label_in_replicate_order(size):
+    # The same columns and failure count whatever the chunk size.
     def task(i):
         if i % 3 == 1:
             raise DegenerateFitError("forced failure")
         return {"a": float(i), "b": -float(i)}
 
-    columns, failures = inference.run_replicates(task, 7, "test")
+    seen = []
+
+    def chunk(indices):
+        seen.append(list(indices))
+        return _per_index(task)(indices)
+
+    columns, failures = inference.run_replicates(chunk, 7, size, "test")
     assert failures == 2
     assert list(columns) == ["a", "b"]
     np.testing.assert_array_equal(columns["a"], [0.0, 2.0, 3.0, 5.0, 6.0])
     np.testing.assert_array_equal(columns["b"], -columns["a"])
+    assert seen == [list(range(7))[i : i + size] for i in range(0, 7, size)]
+
+
+def test_run_replicates_fails_each_index_of_a_chunk_that_raises_a_fit_error():
+    def chunk(indices):
+        if 3 in indices:
+            raise DegenerateFitError("forced failure")
+        return [{"a": float(i)} for i in indices]
+
+    columns, failures = inference.run_replicates(chunk, 9, 3, "test")
+    assert failures == 3
+    np.testing.assert_array_equal(columns["a"], [0.0, 1.0, 2.0, 6.0, 7.0, 8.0])
+
+
+def test_run_replicates_raises_an_error_value_that_is_not_a_fit_error():
+    def chunk(indices):
+        return [ValueError("not a fit") if i == 2 else {"a": 1.0} for i in indices]
+
+    with pytest.raises(ValueError, match="not a fit"):
+        inference.run_replicates(chunk, 5, 5, "test")
+
+
+def test_run_replicates_names_the_failing_index_when_it_aborts():
+    def chunk(indices):
+        return [DegenerateFitError("forced failure") for _ in indices]
+
+    with pytest.raises(FitError, match="test aborted: 3 of 3 replicates failed"):
+        inference.run_replicates(chunk, 4, 4, "test")
+    with pytest.raises(FitError, match="test aborted: 4 of 4 replicates failed"):
+        inference.run_replicates(chunk, 7, 2, "test")
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_run_replicates_aborts_when_fewer_than_two_are_left_to_keep(failing):
+    # One failure of two is not past half, but one replicate has no spread.
+    def task(i):
+        if i == failing:
+            raise DegenerateFitError("forced failure")
+        return {"a": 1.0}
+
+    with pytest.raises(FitError, match=f"test aborted: 1 of {failing + 1} replicates failed"):
+        inference.run_replicates(_per_index(task), 2, 2, "test")
+    columns, failures = inference.run_replicates(_per_index(task), 3, 2, "test")
+    assert (columns["a"].size, failures) == (2, 1)
 
 
 def test_run_replicates_holds_one_float_per_value():
@@ -161,7 +229,10 @@ def test_run_replicates_holds_one_float_per_value():
     tracemalloc.start()
     try:
         columns, _ = inference.run_replicates(
-            lambda i: {label: i + 0.5 for label in labels}, count, "test"
+            lambda indices: [{label: i + 0.5 for label in labels} for i in indices],
+            count,
+            1,
+            "test",
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -515,6 +515,20 @@ def test_binary_support_equals_the_nested_loops_bit_for_bit(monkeypatch, law):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
 
 
+def test_generate_builds_a_binary_support_once_for_both_studies(monkeypatch):
+    # The support depends on the law alone; each study used to build its own.
+    built = []
+    binary_cells = simulation._binary_cells
+
+    def counted(cfg):
+        built.append(cfg)
+        return binary_cells(cfg)
+
+    monkeypatch.setattr(simulation, "_binary_cells", counted)
+    generate(d1(), (300, 400), seed=11)
+    assert len(built) == 1
+
+
 def test_random_oracle_laws_cover_every_violation_form_and_outcome_kind():
     laws = [ORACLE_LAWS[f"random-{seed}"]() for seed in range(60)]
     assert {law.outcome_kind for law in laws} == {"continuous", "binary"}
