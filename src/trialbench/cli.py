@@ -8,9 +8,9 @@ Three subcommands, each driven by a single JSON config file:
 * ``validate``: run the structural dataset checks and report them.
 
 Exit codes are stable: 0 success, 2 configuration problem, 3 data problem,
-4 estimation or testing failure, 5 internal error. ``validate`` exits 3
-when the dataset fails a hard check. On failure a one-line JSON object
-describing the error goes to stdout.
+4 estimation or testing failure, 5 internal error, 6 out of memory.
+``validate`` exits 3 when the dataset fails a hard check. On failure a
+one-line JSON object describing the error goes to stdout.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
 EXIT_INTERNAL = 5
+EXIT_MEMORY = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_FIT)
     except TrialbenchError as exc:
         return _fail(exc, EXIT_INTERNAL)
+    except MemoryError as exc:
+        return _fail(exc, EXIT_MEMORY)
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 5
         traceback.print_exc(file=sys.stderr)
         return _fail(exc, EXIT_INTERNAL)

@@ -263,9 +263,9 @@ class CellTable:
         return dataclasses.replace(self, count=count, y_sum=y_sum, y_ss=y_ss, draws=draws)
 
     def rows_of(self, cells: np.ndarray, r: int = 0) -> np.ndarray:
-        """Indices of the dataset rows in the given cells (that resample
-        ``r`` drew, when the table is resampled)."""
-        rows = np.isin(self.inverse, cells)
+        """Indices, in row order, of the dataset rows in the cells the mask
+        ``cells`` marks (that resample ``r`` drew, when the table is resampled)."""
+        rows = cells[self.inverse]
         if self.reweighted:
             rows &= np.bincount(self.draws[r], minlength=rows.size) > 0
         return np.flatnonzero(rows)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, cell_table
 from .errors import DegenerateFitError
-from .estimators import ESTIMATOR_NAMES, aipw_weighting
+from .estimators import ESTIMATOR_NAMES, aipw_weighting, predictions
 from .glm import LogisticModel, add_intercept, coefficient_covariance, only
 from .inference import TestResult, linear_quantiles
 from .nuisance import NuisanceSet, fit_cells
@@ -151,12 +151,8 @@ class QuantileSummary:
     p99: float
     max: float
 
-    @classmethod
-    def of(cls, values: np.ndarray) -> "QuantileSummary":
-        qs = linear_quantiles(values, [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0])
-        return cls(*[float(v) for v in qs])
 
-
+_QUANTILES = [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0]
 _ROWS_SHOWN = 50
 
 
@@ -165,7 +161,7 @@ class WeightDiagnostic:
     n_weighted: int
     count_above: int
     max_weight: float
-    rows_above: tuple[int, ...]  # capped at _ROWS_SHOWN row indices
+    rows_above: tuple[int, ...]  # the first _ROWS_SHOWN row indices
 
 
 @dataclass(frozen=True)
@@ -176,48 +172,41 @@ class OverlapReport:
     max_weight: float
 
 
-def _weight_diagnostic(
-    weights: np.ndarray, rows: np.ndarray, threshold: float
-) -> WeightDiagnostic:
-    above = rows[weights > threshold]
-    return WeightDiagnostic(
-        n_weighted=int(rows.size),
-        count_above=int(above.size),
-        max_weight=float(np.max(weights)) if weights.size else 0.0,
-        rows_above=tuple(int(i) for i in above[:_ROWS_SHOWN]),
-    )
-
-
 def overlap_summary(
     d: Dataset, nu: NuisanceSet, weight_threshold: float = 10.0
 ) -> OverlapReport:
-    """Distribution of fitted probabilities and of each estimator's weights.
+    """Distribution of fitted probabilities and of each estimator's weights
+    over the dataset's rows, taken per cell of its cell table, with each cell
+    counted by its rows, from the estimators' own predictions and weights.
 
     Weight families are keyed by estimator and arm: "phi(a)" uses
     1 / e_a on emulation arm-a rows, "chi(a)" the participation odds over
     the trial propensity on trial arm-a rows, "psi(a)" the pooled-propensity
-    weights (1 - p) / e_a on all arm-a rows.
+    weights (1 - p) / e_a on all arm-a rows. ``rows_above`` holds the first
+    rows above the threshold, in row order.
     """
-    if weight_threshold <= 0.0:
+    if not weight_threshold > 0.0:
         raise ValueError("weight threshold must be positive")
-    s0 = d.s == 0
-    s1 = d.s == 1
-    p = nu.participation_prob(d.x)
-
-    probabilities = {
-        "participation": QuantileSummary.of(p),
-        "propensity_s0": QuantileSummary.of(nu.treatment_prob(d.x[s0], 1, "s0")),
-        "propensity_s1": QuantileSummary.of(nu.treatment_prob(d.x[s1], 1, "s1")),
-        "propensity_pooled": QuantileSummary.of(nu.treatment_prob(d.x, 1, "pooled")),
-    }
+    t = cell_table(d, nu.outcome_kind)
+    count = t.count[0]
+    pred = predictions(t, nu, ESTIMATOR_NAMES, ())  # no outcome model
+    cells = {"propensity_s0": t.s == 0, "propensity_s1": t.s == 1}  # else every cell
+    probabilities = {}
+    for model in ("participation", "propensity_s0", "propensity_s1", "propensity_pooled"):
+        qs = linear_quantiles(pred[model], _QUANTILES, np.where(cells.get(model, True), count, 0.0))
+        probabilities[model] = QuantileSummary(*qs.tolist())
 
     weights: dict[str, WeightDiagnostic] = {}
     for arm in (0, 1):
         for name in ESTIMATOR_NAMES:
-            stratum, weighted, weight = aipw_weighting(name, arm, d.s, d.a)
-            rows = np.flatnonzero(weighted)
-            w = weight(nu.treatment_prob(d.x[rows], arm, stratum), p[rows])
-            weights[f"{name}({arm})"] = _weight_diagnostic(w, rows, weight_threshold)
+            weighted, _, _, w = aipw_weighting(t, pred, name, arm)
+            rows = t.rows_of(weighted & (w > weight_threshold))
+            weights[f"{name}({arm})"] = WeightDiagnostic(
+                n_weighted=int(count @ weighted),
+                count_above=int(rows.size),
+                max_weight=float(np.where(weighted, w, 0.0).max()),  # weights are > 0
+                rows_above=tuple(int(i) for i in rows[:_ROWS_SHOWN]),
+            )
 
     return OverlapReport(
         probabilities=probabilities,

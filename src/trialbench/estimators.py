@@ -30,7 +30,7 @@ first-order approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def _positivity_check(
         return
 
     def error(r: int) -> PositivityError:
-        bad = t.rows_of(np.flatnonzero(bad_cells[r]), r)
+        bad = t.rows_of(bad_cells[r], r)
         shown = ", ".join(str(int(i)) for i in bad[:20])
         suffix = "" if bad.size <= 20 else f" (and {bad.size - 20} more)"
         return PositivityError(
@@ -153,7 +153,7 @@ def _positivity_check(
 
 
 # Per estimator: the stratum of its outcome and propensity models (its
-# weighted rows are that stratum's rows at the arm), the propensity's name in
+# weighted cells are that stratum's cells at the arm), the propensity's name in
 # error messages, and the weight from the propensity e and participation p.
 _AIPW = {
     "phi": ("s0", "emulation propensity", lambda e, p: 1.0 / e),
@@ -162,45 +162,63 @@ _AIPW = {
 }
 
 
+def predictions(t: CellTable, nu: NuisanceSet, names: Sequence[str], arms: Sequence[int]) -> dict:
+    """Each model the estimators ``names`` read, predicted once on the cells of
+    ``t`` and keyed by its name: "propensity_<stratum>" (of a = 1), the
+    "participation" unless phi alone is named, and by (stratum, arm) the
+    outcome means at ``arms``."""
+    strata = [_AIPW[name][0] for name in names]
+    pred = {f"propensity_{s}": nu.treatment_prob(t.x, 1, s) for s in strata}
+    pred |= {(s, a): nu.outcome_mean(t.x, a, s) for s in strata for a in arms}
+    if set(names) != {"phi"}:
+        pred["participation"] = nu.participation_prob(t.x)
+    return pred
+
+
 def aipw_weighting(
-    name: str, a: int, s: np.ndarray, treatment: np.ndarray
-) -> tuple[str, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """Estimator ``name`` at arm ``a``: the stratum of its propensity, the mask
-    of its weighted rows among rows (s, treatment), and its weight w(e, p)."""
+    t: CellTable, pred: dict, name: str, a: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Estimator ``name`` at arm ``a`` on the cells of ``t``, from their
+    predictions ``pred``: the mask of its weighted cells, the propensity e
+    of arm a and the participation p (None when not predicted), and its
+    weight w(e, p) in every cell; phi's weight does not read p."""
     stratum, _, weight = _AIPW[name]
-    in_stratum = {"s0": s == 0, "s1": s == 1, "pooled": True}[stratum]
-    return stratum, in_stratum & (treatment == a), weight
+    in_stratum = {"s0": t.s == 0, "s1": t.s == 1, "pooled": True}[stratum]
+    e1 = pred[f"propensity_{stratum}"]
+    e = e1 if a == 1 else 1.0 - e1
+    p = pred.get("participation")
+    # The weight can overflow off the weighted cells, where it is not used.
+    with np.errstate(over="ignore"):
+        return in_stratum & (t.a == a), e, p, weight(e, p)
 
 
-def _estimate(t: CellTable, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
-    """One AIPW estimate per weight vector of the table ``t``, with
-    its influence values.
+def _estimate(
+    t: CellTable, pred: dict, errors: Sequence, name: str, a: int, hajek: bool
+) -> EstimateWithIF:
+    """One AIPW estimate per weight vector of the table ``t``, with its
+    influence values, from the predictions ``pred`` on its cells.
 
     value = (sum over s=0 rows of g + sum over weighted rows of w (y - g)) / n0,
     each row counted with its weight, g and w per cell; w is 0 off the
     weighted rows. phi, chi and psi differ only in the entries of _AIPW. A
     row's influence value is (n/n0) [w (y - g) + (g - value) 1{s=0}].
     Every weight vector gets its own estimate, row by row; those whose
-    nuisance fits failed are carried along as failed.
+    nuisance fits failed (``errors``) are carried along as failed.
     """
-    stratum, weighted, weight = aipw_weighting(name, a, t.s, t.a)
+    weighted, e, p, weight = aipw_weighting(t, pred, name, a)
+    g = pred[_AIPW[name][0], a]
     s0 = t.s == 0
     count, y_sum = t.count, t.y_sum
-    g = nu.outcome_mean(t.x, a, stratum)
-    e = nu.treatment_prob(t.x, a, stratum)
-    p = nu.participation_prob(t.x)
     in_s0 = s0.astype(float)
     n0 = np.vecdot(count, in_s0)
-    errors = list(nu.errors)
+    errors = list(errors)
     live = weighted & (count > 0)
     if name == "chi":
         _positivity_check(t, p, live, f"chi({a}): participation probability", errors)
     _positivity_check(t, e, live, f"{name}({a}): {_AIPW[name][1]} for arm {a}", errors)
     if any(errors):
         live &= np.array([err is None for err in errors])[:, None]
-    # The weight can overflow off the weighted cells, where it is not used.
-    with np.errstate(over="ignore"):
-        w = np.where(live, weight(e, p), 0.0)
+    w = np.where(live, weight, 0.0)
     if hajek:
         total = np.vecdot(count, w)
         record(
@@ -249,7 +267,7 @@ def estimate_psi(
 
 def _estimate_one(d: Dataset, nu: NuisanceSet, name: str, a: int, hajek: bool) -> EstimateWithIF:
     t = cell_table(d, nu.outcome_kind)
-    return _estimate(t, nu, name, a, hajek).only(t)
+    return _estimate(t, predictions(t, nu, [name], [a]), nu.errors, name, a, hajek).only(t)
 
 
 def contrast(
@@ -344,17 +362,20 @@ def run_plan_with(
 ) -> dict[str, EstimateWithIF]:
     """Same as run_plan but on an already fitted nuisance bundle.
 
-    The estimates run as a stack of one, and the first error met, in the
-    order of the returned mapping, is raised here. ``d`` may also be a
-    reweighted cell table, such as a chunk of bootstrap replicates', with
-    ``nu`` fitted on it: every quantity is then a stacked estimate, one per
-    weight vector, and a failed one is recorded, not raised.
+    Each model the plan's estimates read, and no other, is predicted once on
+    the table's cells (predictions), and every estimate reads those
+    predictions. The estimates run as a stack of one, and the first error
+    met, in the order of the returned mapping, is raised here. ``d`` may
+    also be a reweighted cell table, such as a chunk of bootstrap
+    replicates', with ``nu`` fitted on it: every quantity is then a stacked
+    estimate, one per weight vector, and a failed one is recorded, not raised.
     """
     t = cell_table(d, nu.outcome_kind)
+    pred = predictions(t, nu, plan.estimators, plan.arms)
     out: dict[str, EstimateWithIF] = {}
     for name in plan.estimators:
         for arm in plan.arms:
-            out[f"{name}({arm})"] = _estimate(t, nu, name, arm, plan.hajek)
+            out[f"{name}({arm})"] = _estimate(t, pred, nu.errors, name, arm, plan.hajek)
     for kind in plan.contrasts().values():
         for label, first, second in kind.values():
             out[label] = contrast(out[first], out[second], label)

@@ -70,7 +70,8 @@ class BootstrapResult:
     def percentile_interval(self, point: float, level: float = 0.95) -> Interval:
         _check_level(level)
         alpha = 1.0 - level
-        lower, upper = linear_quantiles(self.replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
+        reps = self.replicates
+        lower, upper = linear_quantiles(reps, [alpha / 2.0, 1.0 - alpha / 2.0], np.ones(reps.size))
         return Interval(
             estimate=point,
             std_error=self.std_error,
@@ -81,18 +82,22 @@ class BootstrapResult:
         )
 
 
-def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-    """np.quantile(values, qs) by its default (linear) method, with the same
-    bits, from a sorted copy of ``values``; np.quantile calls np.unique, whose
-    first call imports numpy.ma (about 10 ms)."""
-    ordered = np.sort(values)
-    position = (ordered.size - 1) * np.asarray(qs, dtype=float)
+def linear_quantiles(values: np.ndarray, qs: Sequence[float], counts: np.ndarray) -> np.ndarray:
+    """np.quantile(np.repeat(values, counts), qs) by its default (linear)
+    method, with the same bits, from the sorted values and their cumulative
+    counts; np.quantile calls np.unique, whose first call imports numpy.ma."""
+    keep = counts > 0
+    order = np.argsort(values[keep])
+    ordered, ends = values[keep][order], np.cumsum(counts[keep][order])
+    n = ends[-1]
+    position = (n - 1) * np.asarray(qs, dtype=float)
     low = np.floor(position).astype(np.intp)
     high = low + 1
-    top = position >= ordered.size - 1
+    top = position >= n - 1
     low[top] = high[top] = -1
     gamma = position - low
-    a, b = ordered[low], ordered[high]
+    # Repeated value i (-1 the last) is the first whose cumulative count exceeds i.
+    a, b = (ordered[np.searchsorted(ends, i % n, side="right")] for i in (low, high))
     diff = b - a
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 

@@ -647,6 +647,25 @@ def test_report_that_breaks_the_schema_exits_5_with_a_one_line_error(
     assert not (tmp_path / "report.json").exists()
 
 
+def test_memory_error_exits_6_with_a_one_line_error(
+    tmp_path, write_config, capsys, monkeypatch
+):
+    # A stage that runs out of memory, raised here instead of allocated.
+    def out_of_memory(config, d):
+        raise MemoryError("cannot allocate the nuisance designs")
+
+    monkeypatch.setattr(cli, "build_analysis_report", out_of_memory)
+    assert main(["analyze", write_config(analysis_payload(tmp_path)), "--quiet"]) == 6
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {
+        "type": "MemoryError",
+        "message": "cannot allocate the nuisance designs",
+        "exit_code": 6,
+    }
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_report_version_is_the_version_pyproject_reads(tmp_path, write_config):
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trialbench import (
@@ -12,7 +12,7 @@ from trialbench import (
     truth_table,
 )
 from trialbench import diagnostics
-from trialbench.errors import DegenerateFitError
+from trialbench.errors import DegenerateFitError, FitError
 
 
 def swap_studies(d: Dataset) -> Dataset:
@@ -93,6 +93,44 @@ def test_restriction_needs_both_study_cells(small_dataset):
         restriction_test(pruned, 1, outcome_kind="continuous")
 
 
+QS = [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0]
+
+
+def row_overlap(d: Dataset, nu, weight_threshold: float) -> diagnostics.OverlapReport:
+    """The overlap summary computed row by row: every model is predicted on
+    all rows and then masked, each weight recomputed from its formula."""
+    p = nu.participation_prob(d.x)
+    e1 = {stratum: nu.treatment_prob(d.x, 1, stratum) for stratum in ("s0", "s1", "pooled")}
+    in_stratum = {"s0": d.s == 0, "s1": d.s == 1, "pooled": np.ones(d.n, dtype=bool)}
+
+    def summary(values):
+        return diagnostics.QuantileSummary(*[float(v) for v in np.quantile(values, QS)])
+
+    probabilities = {"participation": summary(p)}
+    for stratum, rows in in_stratum.items():
+        probabilities[f"propensity_{stratum}"] = summary(e1[stratum][rows])
+    weights = {}
+    for arm in (0, 1):
+        for name, stratum in (("phi", "s0"), ("chi", "s1"), ("psi", "pooled")):
+            rows = np.flatnonzero(in_stratum[stratum] & (d.a == arm))
+            e = e1[stratum][rows] if arm == 1 else 1.0 - e1[stratum][rows]
+            pw = p[rows]
+            w = {"phi": 1.0 / e, "chi": (1.0 - pw) / pw / e, "psi": (1.0 - pw) / e}[name]
+            above = rows[w > weight_threshold]
+            weights[f"{name}({arm})"] = diagnostics.WeightDiagnostic(
+                n_weighted=int(rows.size),
+                count_above=int(above.size),
+                max_weight=float(np.max(w)) if w.size else 0.0,
+                rows_above=tuple(int(i) for i in above[:50]),
+            )
+    return diagnostics.OverlapReport(
+        probabilities=probabilities,
+        weights=weights,
+        weight_threshold=weight_threshold,
+        max_weight=max(w.max_weight for w in weights.values()),
+    )
+
+
 def test_overlap_quantiles_are_monotone(fixture_dataset):
     nu = fit_nuisances(fixture_dataset, outcome_kind="continuous")
     report = overlap_summary(fixture_dataset, nu)
@@ -119,6 +157,7 @@ def test_overlap_quantiles_are_monotone(fixture_dataset):
 def test_overlap_weights_on_fixture(fixture_dataset):
     nu = fit_nuisances(fixture_dataset, outcome_kind="continuous")
     report = overlap_summary(fixture_dataset, nu, weight_threshold=10.0)
+    assert report == row_overlap(fixture_dataset, nu, 10.0)
     assert sorted(report.weights) == [
         "chi(0)",
         "chi(1)",
@@ -139,6 +178,7 @@ def test_overlap_weights_on_fixture(fixture_dataset):
 def test_overlap_flags_rows_above_threshold(fixture_dataset):
     nu = fit_nuisances(fixture_dataset, outcome_kind="continuous")
     report = overlap_summary(fixture_dataset, nu, weight_threshold=1.0)
+    assert report == row_overlap(fixture_dataset, nu, 1.0)
     flagged = report.weights["phi(1)"]
     assert flagged.count_above > 0
     assert 0 < len(flagged.rows_above) <= 50
@@ -150,8 +190,37 @@ def test_overlap_flags_rows_above_threshold(fixture_dataset):
 
 def test_overlap_rejects_bad_threshold(fixture_dataset):
     nu = fit_nuisances(fixture_dataset, outcome_kind="continuous")
-    with pytest.raises(ValueError, match="threshold"):
-        overlap_summary(fixture_dataset, nu, weight_threshold=0.0)
+    for threshold in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            overlap_summary(fixture_dataset, nu, weight_threshold=threshold)
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(200, 3000),
+    k=st.integers(1, 8),
+    gaussian=st.booleans(),
+    outcome_kind=st.sampled_from(["continuous", "binary"]),
+    threshold=st.floats(1.0, 6.0),
+)
+def test_overlap_on_cells_equals_the_row_oracle(seed, n, k, gaussian, outcome_kind, threshold):
+    # Binary covariates group rows into cells; Gaussian ones leave each row a
+    # cell of its own.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k)) if gaussian else (rng.random((n, k)) < rng.uniform(0.2, 0.8, k))
+    x = x.astype(float)
+    s = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.normal(0.0, 0.5, k)))).astype(int)
+    a = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.normal(0.0, 0.5, k)))).astype(int)
+    y = x @ rng.normal(size=k) + a + rng.normal(size=n)
+    if outcome_kind == "binary":
+        y = (y > 0.5).astype(float)
+    d = Dataset(x=x, s=s, a=a, y=y, covariate_names=tuple(f"X{j}" for j in range(k)))
+    try:
+        nu = fit_nuisances(d, outcome_kind)
+    except FitError:
+        assume(False)  # a sparse draw that separates or leaves a stratum empty
+    assert overlap_summary(d, nu, threshold) == row_overlap(d, nu, threshold)
 
 
 def test_singular_information_makes_the_restriction_test_indeterminate(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,16 @@ from trialbench import (
     estimate_phi,
     estimate_psi,
     fit_nuisances,
+    generate,
     run_plan,
+    run_plan_with,
+    truth_table,
 )
+from trialbench.config import SimulationConfig
 from trialbench.glm import LinearModel, LogisticModel
 from trialbench.nuisance import NuisanceSet
 
-from conftest import estimate_with_if_values
+from conftest import REPO_ROOT, estimate_with_if_values
 
 
 def nonparametric_standardization(d: Dataset, a: int) -> float:
@@ -323,3 +329,42 @@ def test_plan_contrasts_follow_its_arms_and_estimators(estimators, arms, ate, de
     assert list(contrasts["delta"]) == delta
     assert contrasts["ate"].get("chi") in (None, ("ate_chi", "chi(1)", "chi(0)"))
     assert contrasts["delta"].get(1) in (None, ("delta(1)", "phi(1)", "chi(1)"))
+
+
+def _predicted_models(monkeypatch, d: Dataset, nu: NuisanceSet, plan: AnalysisPlan) -> list:
+    """The models one run_plan_with call predicts, once per prediction."""
+    predicted = []
+    for cls in (LogisticModel, LinearModel):
+
+        def counting(model, x, predict=cls.predict):
+            predicted.append(model)
+            return predict(model, x)
+
+        monkeypatch.setattr(cls, "predict", counting)
+    run_plan_with(d, nu, plan)
+    return predicted
+
+
+def test_run_plan_with_predicts_each_model_it_reads_once(fixture_dataset, monkeypatch):
+    nu = fit_nuisances(fixture_dataset, "continuous")
+    predicted = _predicted_models(monkeypatch, fixture_dataset, nu, AnalysisPlan("continuous"))
+    every = [nu.participation, *nu.propensity.values(), *nu.outcome.values()]
+    assert len(predicted) == 10
+    assert sorted(map(id, predicted)) == sorted(map(id, every))
+
+
+def test_phi_chi_arm_one_plan_predicts_its_five_models(monkeypatch):
+    config = json.loads((REPO_ROOT / "configs" / "simulate_confounded.json").read_text())
+    plan = SimulationConfig.from_dict(config).plan
+    assert (plan.estimators, plan.arms) == (("phi", "chi"), (1,))
+    d = generate(truth_table("FT"), (2_000, 2_000), seed=5)
+    nu = fit_nuisances(d, plan.outcome_kind)
+    predicted = _predicted_models(monkeypatch, d, nu, plan)
+    read = [
+        nu.participation,
+        nu.propensity["s0"],
+        nu.propensity["s1"],
+        nu.outcome[("s0", 1)],
+        nu.outcome[("s1", 1)],
+    ]
+    assert sorted(map(id, predicted)) == sorted(map(id, read))

@@ -261,8 +261,16 @@ finite = st.floats(-1e300, 1e300).map(lambda v: v + 0.0)
     values=st.lists(finite, min_size=1, max_size=60)
     | st.lists(st.sampled_from((0.0, 1.0, 2.5, -3.0)), min_size=1, max_size=60),
     qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_linear_quantiles_give_the_bits_of_np_quantile(values, qs):
+def test_linear_quantiles_give_the_bits_of_np_quantile(values, qs, seed):
     values = np.array(values)
     qs = qs + [0.0, 0.025, 0.5, 0.975, 1.0]
-    assert inference.linear_quantiles(values, qs).tobytes() == np.quantile(values, qs).tobytes()
+    quantiles = inference.linear_quantiles(values, qs, np.ones(values.size))
+    assert quantiles.tobytes() == np.quantile(values, qs).tobytes()
+    # Random counts, a count of 0 leaving its value out, against the repeated values.
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 5, values.size)
+    counts[rng.integers(values.size)] += 1
+    quantiles = inference.linear_quantiles(values, qs, counts.astype(float))
+    assert quantiles.tobytes() == np.quantile(np.repeat(values, counts), qs).tobytes()
