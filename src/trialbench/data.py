@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParseError, SchemaError
+from .errors import ConfigError, DataError, DomainError, ParseError, SchemaError
+
+OUTCOME_KINDS = ("continuous", "binary")
 
 
 @dataclass(frozen=True)
@@ -294,10 +296,16 @@ def _cell_sums(
 def cell_table(d: Dataset | CellTable, outcome_kind: str) -> CellTable:
     """The cells an analysis runs on: a binary outcome is part of the key, as
     its logistic fits need one 0/1 label per cell. A table, such as a
-    table reweighted for a chunk of bootstrap replicates, is returned as it is."""
-    if isinstance(d, CellTable):
-        return d
-    return d.cells(outcome_kind == "binary")
+    table reweighted for a chunk of bootstrap replicates, is returned as it is.
+    Raises ConfigError for an unknown ``outcome_kind``, and DomainError when
+    it is binary and an occupied cell's outcome is not 0 or 1."""
+    if outcome_kind not in OUTCOME_KINDS:
+        raise ConfigError(f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}")
+    t = d if isinstance(d, CellTable) else d.cells(outcome_kind == "binary")
+    y = t.y_mean
+    if outcome_kind == "binary" and np.any((t.count > 0) & (y != 0.0) & (y != 1.0)):
+        raise DomainError("outcome_kind is 'binary' but the outcome has values outside {0,1}")
+    return t
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CellTable, Dataset, cell_table
+from .data import OUTCOME_KINDS, CellTable, Dataset, cell_table
 from .errors import IncompatibleEstimatesError, PositivityError, record
 from .glm import check_ridge
-from .nuisance import OUTCOME_KINDS, NuisanceSet, fit_nuisances
+from .nuisance import NuisanceSet, fit_nuisances
 
 PROPENSITY_FLOOR = 1e-10
 ESTIMATOR_NAMES = ("phi", "chi", "psi")
@@ -303,7 +303,7 @@ class AnalysisPlan:
     and the Monte Carlo replicates; the one check of these requests.
 
     ``estimators`` is a subset of {"phi", "chi", "psi"}; ``arms`` a subset
-    of {0, 1}; ``outcome_kind`` one of nuisance.OUTCOME_KINDS; ``ridge`` a
+    of {0, 1}; ``outcome_kind`` one of data.OUTCOME_KINDS; ``ridge`` a
     finite number >= 0 (glm.check_ridge). A bad request raises a ValueError
     that names its key. ``contrasts`` says which contrasts the plan yields.
     """

@@ -159,51 +159,50 @@ def _check_rank(design: np.ndarray, occupied: np.ndarray, errors: list, what: st
     np.linalg.matrix_rank rule on those rows (singular values above
     max(singular value) * max(rows, p) * eps).
 
-    When every row occupies every cell and m >= p, a Gram certificate
-    passes a clearly full-rank design without the SVD: the eigenvalues
-    l_min <= l_max of G = X'X, as computed, pass it when
-    l_min > mu * l_max with mu = 2 (m + 1) p eps. Any other design goes to
-    the SVD rule, which alone decides, so the verdicts are the rule's.
+    A Gram certificate passes each clearly full-rank row without the SVD:
+    the eigenvalues l_min <= l_max of the row's G = X'X on its m_r >= p
+    occupied cells, as computed, pass it when l_min > mu * l_max with
+    mu = 2 (m + 1) p eps, m the table's cell count. The rows it does not
+    pass go to the SVD rule, which alone decides them, so the verdicts are
+    the rule's.
 
     The margin. Let s >= t be the largest and smallest singular values of
-    X, the design as _prepare scaled it: an intercept column of ones and
-    other columns of largest magnitude 0 or in [1/16, 16], so s^2 >= m and
-    underflow is negligible. Forming G rounds each entry by at most
-    gamma_m |X|'|X| (unit roundoff eps / 2, so gamma_m <= m eps), and
-    || |X| ||^2 <= ||X||_F^2 <= p s^2: the computed G is X'X plus an error
-    of norm at most m p eps s^2. eigvalsh is backward stable, with an error
-    c eps ||G|| for a small c that depends on p alone. By Weyl's theorem
-    each computed eigenvalue is then within d = (m p + c) eps s^2 (to first
-    order) of the true one, s^2 or t^2 at the ends. A certified design has
+    X, the row's occupied cells of the design as _prepare scaled it: an
+    intercept column of ones and other columns of largest magnitude 0 or in
+    [1/16, 16], so s^2 >= m_r and underflow is negligible. G is formed over
+    all m cells, the unoccupied ones zeroed, which add exact zeros. Forming
+    G rounds each entry by at most gamma_m |X|'|X| (unit roundoff eps / 2,
+    so gamma_m <= m eps), and || |X| ||^2 <= ||X||_F^2 <= p s^2: the
+    computed G is X'X plus an error of norm at most m p eps s^2. eigvalsh
+    is backward stable, with an error c eps ||G|| for a small c that
+    depends on p alone. By Weyl's theorem each computed eigenvalue is then
+    within d = (m p + c) eps s^2 (to first order) of the true one, s^2 or
+    t^2 at the ends. A certified row has
         t^2 >= l_min - d > mu (s^2 - d) - d,
     so t^2 / s^2 > ((m + 2) p - c) eps, again to first order. The SVD's own
     values are within c' eps s of the true ones (c' small, depending on p),
-    so the rule passes whenever t / s > (m + 2 c') eps, that is, whenever
-    t^2 / s^2 > (m + 2 c')^2 eps^2. This follows from the bound above as
-    long as c stays below (m + 2) p - 1, which is at least p^2 + 2p - 1:
-    (m + 2 c')^2 eps is far below 1 for any m below 10^7. So a design the
-    certificate passes is one the rule passes too. The certificate accepts
-    only designs with condition number below about 1 / sqrt(mu) (1.7e5 at
-    m = 20000, p = 4), which the fits' designs are far inside of.
+    so the rule, whose tolerance takes max(m_r, p) <= m, passes whenever
+    t / s > (m + 2 c') eps, that is, whenever t^2 / s^2 > (m + 2 c')^2 eps^2.
+    This follows from the bound above as long as c stays below
+    (m + 2) p - 1, which is at least p^2 + 2p - 1: (m + 2 c')^2 eps is far
+    below 1 for any m below 10^7. So a row the certificate passes is one
+    the rule passes too. The certificate accepts only rows with condition
+    number below about 1 / sqrt(mu) (1.7e5 at m = 20000, p = 4), which the
+    fits' designs are far inside of.
     """
     m, p = design.shape
-    if occupied.all():
-        if m >= p:
-            eigenvalues = np.linalg.eigvalsh(design.T @ design)
-            if eigenvalues[0] > 2.0 * (m + 1) * p * _EPS * eigenvalues[-1]:
-                return
-        # Every row occupies every cell: the design's own singular values
-        # (descending) decide for all of them.
-        values = np.linalg.svd(design, compute_uv=False).tolist()
-        if len(values) == p and values[-1] > values[0] * max(m, p) * _EPS:
-            return
-        deficient = np.ones(len(errors), dtype=bool)
-    else:
-        # Cells of weight 0 are zeroed, which leaves the singular values of
-        # the occupied rows.
-        values = np.linalg.svd(design * occupied[:, :, None], compute_uv=False)
-        tol = values[:, 0] * np.maximum(occupied.sum(axis=1), p) * _EPS
-        deficient = (values > tol[:, None]).sum(axis=1) < p
+    cells = occupied.sum(axis=1)
+    eigenvalues = np.linalg.eigvalsh(_gram(design, occupied.astype(float)))
+    mu = 2.0 * (m + 1) * p * _EPS
+    rest = ((cells < p) | ~(eigenvalues[:, 0] > mu * eigenvalues[:, -1])).nonzero()[0]
+    if rest.size == 0:
+        return
+    # Cells of weight 0 are zeroed, which leaves the singular values of
+    # the occupied rows; a design of no rows has none.
+    values = np.linalg.svd(design * occupied[rest, :, None], compute_uv=False)
+    tol = values.max(axis=1, initial=0.0) * np.maximum(cells[rest], p) * _EPS
+    deficient = np.zeros(len(errors), dtype=bool)
+    deficient[rest] = (values > tol[:, None]).sum(axis=1) < p
     record(errors, deficient, lambda r: _singular(design[occupied[r]], what))
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import CellTable, Dataset, cell_table
-from .errors import ConfigError, DegenerateFitError, DomainError, FitError, record
+from .errors import ConfigError, DegenerateFitError, FitError, record
 from .glm import (
     LogisticModel,
     Model,
@@ -34,7 +34,6 @@ from .glm import (
     fit_logistic_stack,
 )
 
-OUTCOME_KINDS = ("continuous", "binary")
 STRATA = ("s0", "s1", "pooled")
 MODEL_NAMES = (
     "participation",
@@ -233,16 +232,9 @@ def fit_nuisances(
     model is a stack of fits, one per weight vector, and a weight vector
     whose fits fail does not raise: ``errors`` keeps the first error it met.
     """
-    if outcome_kind not in OUTCOME_KINDS:
-        raise ConfigError(
-            f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}"
-        )
     t = cell_table(d, outcome_kind)
     occupied = t.count > 0
     y = t.y_mean
-    if outcome_kind == "binary" and np.any(occupied & (y != 0.0) & (y != 1.0)):
-        raise DomainError("outcome_kind is 'binary' but the outcome has values outside {0,1}")
-
     dropped = normalize_drop(drop, t.covariate_names)
     masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.s.size, dtype=bool)}
     errors = [None] * len(t.count)

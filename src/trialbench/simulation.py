@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import OUTCOME_KINDS, Dataset
 from .diagnostics import restriction_test
 from .errors import ConfigError
 from .estimators import (
@@ -40,7 +40,7 @@ from .estimators import (
 from .glm import expit
 from .inference import _check_level, check_seed, keyed_seed, run_replicates, sandwich_se
 from .jsonfields import dump, parse
-from .nuisance import OUTCOME_KINDS, fit_nuisances, normalize_drop
+from .nuisance import fit_nuisances, normalize_drop
 
 
 @dataclass(frozen=True)

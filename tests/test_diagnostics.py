@@ -12,7 +12,7 @@ from trialbench import (
     truth_table,
 )
 from trialbench import diagnostics
-from trialbench.errors import DegenerateFitError, FitError
+from trialbench.errors import ConfigError, DegenerateFitError, DomainError, FitError
 
 
 def swap_studies(d: Dataset) -> Dataset:
@@ -84,6 +84,11 @@ def test_restriction_rejects_bad_arguments(small_dataset):
         restriction_test(small_dataset, 2, outcome_kind="continuous")
     with pytest.raises(ValueError, match="threshold"):
         restriction_test(small_dataset, 1, outcome_kind="continuous", threshold=0.0)
+    # The outcome checks fit_nuisances makes, not a failed fit.
+    with pytest.raises(ConfigError, match="outcome_kind must be one of"):
+        restriction_test(small_dataset, 1, outcome_kind="continous")
+    with pytest.raises(DomainError, match="values outside"):
+        restriction_test(small_dataset, 1, outcome_kind="binary")
 
 
 def test_restriction_needs_both_study_cells(small_dataset):

@@ -232,12 +232,15 @@ def _rank_verdicts(check, design, occupied):
 
 @st.composite
 def rank_cases(draw):
-    """A design of m >= p rows with an intercept column: independent normal
-    columns, or one column a combination of the others plus noise of
-    relative size 10^-k, or one column a copy of another; then power-of-two
-    column scales, and the cells the fits occupy."""
+    """A design of m rows, fewer than p too, with an intercept column:
+    independent normal columns, or one column a combination of the others
+    plus noise of relative size 10^-k, or one column a copy of another; then
+    power-of-two column scales, and the cells the fits occupy: all of them,
+    about 70% of them, or fewer than p per stack row, and perhaps a stack
+    row with none."""
     p = draw(st.integers(2, 6))
-    m = draw(st.integers(p, 5000))
+    short = draw(st.integers(0, 3)) == 3
+    m = draw(st.integers(1, p - 1) if short else st.integers(p, 5000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     design = add_intercept(rng.standard_normal((m, p - 1)))
     j = draw(st.integers(1, p - 1))
@@ -254,8 +257,15 @@ def rank_cases(draw):
     design[:, 1:] *= np.ldexp(1.0, exponents)
     stack = draw(st.integers(1, 3))
     occupied = np.ones((stack, m), dtype=bool)
-    if draw(st.booleans()):
+    fill = draw(st.sampled_from(["all", "most", "few"]))
+    if fill == "most":
         occupied = rng.random((stack, m)) < 0.7
+    elif fill == "few":
+        occupied[:] = False
+        for row in occupied:
+            row[rng.choice(m, min(m, rng.integers(p)), replace=False)] = True
+    if fill != "all" and draw(st.booleans()):
+        occupied[-1] = False
     return design, occupied
 
 

@@ -266,7 +266,8 @@ def test_stacked_residual_variance_equals_the_stack_of_one():
 
 def test_gaussian_replicate_makes_no_svd_and_a_singular_design_still_does(monkeypatch):
     # The Gram certificate passes every full-rank design of a replicate of
-    # the simulate_gauss workload; a rank-deficient one still reaches the SVD.
+    # the simulate_gauss workload and of a bootstrap chunk whose replicates
+    # leave cells empty; a rank-deficient one still reaches the SVD.
     calls = []
     svd = np.linalg.svd
 
@@ -281,9 +282,24 @@ def test_gaussian_replicate_makes_no_svd_and_a_singular_design_still_does(monkey
     assert "restriction_p(1)" in values
     assert calls == []
 
+    law = ScenarioConfig.from_dict({**GAUSSIAN_LAW, "outcome_kind": "continuous"})
+    d = generate(law, (150, 150), seed=3)
+    plan = AnalysisPlan(outcome_kind="continuous", **ALL_ESTIMATES)
+    table = cell_table(d, "continuous").resample(inference._Draws(d, 8, range(12)))
+    assert (table.count == 0).any(axis=1).all()  # every replicate leaves cells empty
+    assert all(isinstance(v, dict) for v in inference.bootstrap_chunk(d, plan, 8, range(12)))
+    assert calls == []
+    names = (*d.covariate_names, "copy")
+    copied = replace(d, x=np.column_stack([d.x, d.x[:, 2]]), covariate_names=names)
+    for error in inference.bootstrap_chunk(copied, plan, 8, range(12)):
+        assert isinstance(error, SingularDesignError)
+        assert "participation: logistic fit: design column 4 is linearly dependent" in str(error)
+    assert calls
+    calls.clear()
+
     rng = np.random.default_rng(0)
     x = rng.standard_normal((500, 2))
     y = (rng.random(500) < 0.5).astype(float)
     with pytest.raises(SingularDesignError, match="design column 3 is linearly dependent"):
         glm.fit_logistic(add_intercept(np.column_stack([x, x[:, 1]])), y)
-    assert calls[0] == (500, 4)
+    assert calls[0] == (1, 500, 4)
