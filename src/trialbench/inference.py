@@ -65,16 +65,23 @@ class BootstrapResult:
 
     @property
     def std_error(self) -> float:
-        return float(np.std(self.replicates, ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            se = float(np.std(self.replicates, ddof=1))
+        if not math.isfinite(se):
+            raise DegenerateTestError(f"{self.label}: bootstrap standard error is not finite")
+        return se
 
     def percentile_interval(self, point: float, level: float = 0.95) -> Interval:
+        """Percentile interval; its endpoints are finite, because a finite
+        standard error keeps every replicate and their range finite."""
         _check_level(level)
+        se = self.std_error
         alpha = 1.0 - level
         reps = self.replicates
         lower, upper = linear_quantiles(reps, [alpha / 2.0, 1.0 - alpha / 2.0], np.ones(reps.size))
         return Interval(
             estimate=point,
-            std_error=self.std_error,
+            std_error=se,
             lower=float(lower),
             upper=float(upper),
             level=level,

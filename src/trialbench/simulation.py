@@ -181,33 +181,42 @@ class ScenarioConfig:
         loc = self.outcome_location(x, a, uc, ut)
         return expit(loc) if self.outcome_kind == "binary" else loc
 
-    def arm_means(self, x: np.ndarray, uc: np.ndarray | None, ut: np.ndarray | None,
-                  out: np.ndarray) -> None:
-        """Write ``outcome_mean_given`` at a = 0 and at a = 1, bit for bit, and
-        their difference into the three rows of ``out`` (3, len(x)).
+    def truth_terms(self, x: np.ndarray, uc: np.ndarray | None, ut: np.ndarray | None,
+                    out: np.ndarray) -> None:
+        """Write the terms of the importance truths into the four rows of
+        ``out`` (4, len(x)): the weight Pr[S = 0 | x, u_t], then
+        ``outcome_mean_given`` at a = 0 and at a = 1 and their difference,
+        each with the bits it has when computed alone.
 
-        Each product of x is formed once for both arms. The u of an absent
+        Each product of x is formed once for both arms, and one expit serves
+        the weight and, for a binary outcome, both arms. The u of an absent
         violation is ignored and may be None.
         """
-        m0, m1, diff = out
-        np.add(self.outcome_intercept, x @ np.asarray(self.outcome_x), out=m0)
-        np.add(self.outcome_treatment, x @ np.asarray(self.outcome_tx), out=m1)
+        w, m0, m1, diff = out
+        self.participation_logit(x, ut, out=w)
+        np.matmul(x, self.outcome_x, out=m0)
+        m0 += self.outcome_intercept
+        np.matmul(x, self.outcome_tx, out=m1)
+        m1 += self.outcome_treatment
         m1 += m0
         for violation, u in ((self.confounding, uc), (self.transport, ut)):
             if violation is not None:
                 shift = violation.effect_on_y * u
                 m0 += shift
                 m1 += shift
-        if self.outcome_kind == "binary":
-            expit(m0, out=m0)
-            expit(m1, out=m1)
+        logits = out[:3] if self.outcome_kind == "binary" else out[:1]
+        expit(logits, out=logits)
+        np.subtract(1.0, w, out=w)
         np.subtract(m1, m0, out=diff)
 
-    def participation_logit(self, x: np.ndarray, ut: np.ndarray | float) -> np.ndarray:
+    def participation_logit(self, x: np.ndarray, ut: np.ndarray | float,
+                            out: np.ndarray | None = None) -> np.ndarray:
+        """Participation log-odds, into ``out`` (len(x),) when given."""
         coef = np.asarray(self.participation)
-        lp = coef[0] + np.atleast_2d(x) @ coef[1:]
+        lp = np.matmul(np.atleast_2d(x), coef[1:], out=out)
+        lp += coef[0]
         if self.transport is not None:
-            lp = lp + self.transport.effect_on_participation * np.asarray(ut)
+            lp += self.transport.effect_on_participation * np.asarray(ut)
         return lp
 
     def emulation_treatment_logit(self, x: np.ndarray, uc: np.ndarray | float) -> np.ndarray:
@@ -266,11 +275,14 @@ def _binary_cells(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x, uc, ut, prior.ravel()
 
 
-def _draw_u(violation, size: int, rng: np.random.Generator) -> np.ndarray:
-    """The violation's unmeasured binary u; all zeros when there is none."""
+def _draw_u(violation, size: int, rng: np.random.Generator,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The violation's unmeasured binary u, into ``out`` (size,) when given;
+    all zeros when there is none."""
     if violation is None:
         return np.zeros(size)
-    return (rng.random(size) < violation.u_prob).astype(float)
+    u = rng.random(size, out=out)
+    return np.less(u, violation.u_prob, out=u)
 
 
 # Accept-reject draws stop once the acceptance rate is surely below this.
@@ -391,57 +403,67 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
     )
 
 
-# Importance draws are weighted this many rows at a time, so memory stays
-# flat whatever the number of draws.
-_TRUTH_CHUNK = 1 << 18
+# Importance draws are made and weighed this many rows at a time, into
+# buffers allocated once per call, so memory stays flat whatever the number
+# of draws. On run_monte_carlo's truths thread each numpy call hands the
+# interpreter lock to the replicates, which set the wall time, so a block
+# makes about two dozen calls (ScenarioConfig.truth_terms): at 2^16 rows,
+# three expits in place of one cost the benchmark's simulate_gauss command
+# about 4% more wall time. Smaller blocks would save little memory and add
+# handoffs.
+_TRUTH_CHUNK = 1 << 16
 
 
 # The stop signal of the truths that run_monte_carlo runs on a thread of its
-# own: once the Event is set, they end before their next chunk. Other
+# own: once the Event is set, they end before their next block. Other
 # callers of true_values have none.
 _truths_stop: ContextVar[threading.Event | None] = ContextVar("truths_stop", default=None)
 
 
 class _TruthsStopped(Exception):
-    """The truths were stopped between chunks; nothing reads their result."""
+    """The truths were stopped between blocks; nothing reads their result."""
 
 
 def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
-    """Weight prior draws of (x, u_c, u_t) by Pr[S = 0 | x, u_t], chunk by chunk.
+    """Weight prior draws of (x, u_c, u_t) by Pr[S = 0 | x, u_t], block by block.
 
     x comes from ``seed``'s stream and u_c, u_t from child streams of their
-    own. For each v in (y(0), y(1), their difference) the chunks add up
-    w v and, about a shift c (the first chunk's mean), w^2 (v - c) and
+    own. For each v in (y(0), y(1), their difference) the blocks add up
+    w v and, about a shift c (the first block's mean), w^2 (v - c) and
     w^2 (v - c)^2, which give sum w^2 (v - mean)^2 for the Monte Carlo error.
 
-    Each chunk is drawn and weighed in turn on one thread. Each stream has
-    that one consumer and the sums are added in chunk order, so the truths
-    do not depend on what other threads run beside them: the same seed gives
-    the same bits. One chunk of draws is alive at a time. In
-    ``run_monte_carlo``'s truths thread the loop checks its stop signal
-    before each chunk.
+    Each block is drawn and weighed in turn on one thread, into buffers
+    allocated once (the last, shorter block uses their leading parts). A
+    generator fills its draws one element at a time, so the streams do not
+    depend on the block size; only the grouping of the sums does. Each
+    stream has that one consumer and the sums are added in block order, so
+    the truths do not depend on what other threads run beside them: the
+    same seed gives the same bits. In ``run_monte_carlo``'s truths thread
+    the loop checks its stop signal before each block.
     """
     rng = np.random.default_rng(seed)
     rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
-
-    def draw(size: int):
-        return (
-            rng.standard_normal((size, cfg.covariates.dim)),
-            None if cfg.confounding is None else _draw_u(cfg.confounding, size, rng_c),
-            None if cfg.transport is None else _draw_u(cfg.transport, size, rng_t),
-        )
+    block = min(_TRUTH_CHUNK, draws)
+    x_buf = np.empty((block, cfg.covariates.dim))
+    u_buf = np.empty((2, block))  # rows: u_c, u_t
+    terms_buf = np.empty(4 * block)  # (4, size) views: ScenarioConfig.truth_terms
 
     total = total_sq = 0.0
     sums = np.zeros((3, 3))  # rows: w v, w^2 (v - c), w^2 (v - c)^2
-    shift = values = None
-
-    def weigh(x, uc, ut) -> None:
-        nonlocal total, total_sq, shift, values
-        w = cfg.participation_logit(x, ut)
-        np.subtract(1.0, expit(w, out=w), out=w)
-        if values is None or values.shape[1] != len(w):
-            values = np.empty((3, len(w)))  # rows: y(0), y(1), their difference
-        cfg.arm_means(x, uc, ut, out=values)
+    shift = None
+    stop = _truths_stop.get()
+    for start in range(0, draws, block):
+        if stop is not None and stop.is_set():
+            raise _TruthsStopped
+        size = min(block, draws - start)
+        x = rng.standard_normal(out=x_buf[:size])
+        uc, ut = (
+            None if v is None else _draw_u(v, size, gen, u[:size])
+            for v, gen, u in ((cfg.confounding, rng_c, u_buf[0]), (cfg.transport, rng_t, u_buf[1]))
+        )
+        terms = terms_buf[: 4 * size].reshape(4, size)
+        cfg.truth_terms(x, uc, ut, out=terms)
+        w, values = terms[0], terms[1:]  # values rows: y(0), y(1), their difference
         weight = np.sum(w)
         values_w = values @ w
         if shift is None:
@@ -454,13 +476,6 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
         sums[1] += values @ w
         np.square(values, out=values)
         sums[2] += values @ w
-
-    sizes = [min(_TRUTH_CHUNK, draws - start) for start in range(0, draws, _TRUTH_CHUNK)]
-    stop = _truths_stop.get()
-    for size in sizes:
-        if stop is not None and stop.is_set():
-            raise _TruthsStopped
-        weigh(*draw(size))
     means = sums[0] / total
     gap = means - shift
     spread = sums[2] - 2.0 * gap * sums[1] + gap**2 * total_sq
@@ -588,7 +603,7 @@ def run_monte_carlo(
     The truths (``true_values``) run on one background thread while this
     thread runs the replicates. The two share no data and each keeps its own
     random streams, so the report does not depend on their timing. When the
-    replicates raise, the truths stop at their next chunk; the thread is
+    replicates raise, the truths stop at their next block; the thread is
     joined before this returns or raises, and an error of the truths wins
     over the replicates' error, as when the truths ran first.
     """

@@ -251,6 +251,19 @@ def test_percentile_interval_known_quantiles():
     assert br.std_error == pytest.approx(np.std(reps, ddof=1), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "reps", [[1e308, -1e308, 5e307], [-1e308, 1e308], [0.0, np.inf, 1.0], [0.0, np.nan]]
+)
+def test_bootstrap_of_non_finite_spread_is_a_degenerate_test(reps):
+    # Each would otherwise reach the report as null: an overflowing spread,
+    # an overflowing range, an infinite and a missing replicate.
+    br = BootstrapResult("phi(1)", np.array(reps), requested=len(reps), failures=0, seed=1)
+    with pytest.raises(DegenerateTestError, match=r"phi\(1\): bootstrap standard error"):
+        br.std_error
+    with pytest.raises(DegenerateTestError, match=r"phi\(1\): bootstrap standard error"):
+        br.percentile_interval(point=0.0)
+
+
 # Zeros are drawn unsigned: np.quantile partitions where linear_quantiles
 # sorts, and the two may order 0.0 and -0.0, which compare equal, apart.
 finite = st.floats(-1e300, 1e300).map(lambda v: v + 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -547,6 +548,21 @@ def test_a_pattern_one_study_never_sees_leaves_the_other_gaps_standing(which):
     assert not truths.restriction_holds
 
 
+def run_fresh(script: str, timeout: float) -> str:
+    """The stdout of ``script`` run in a fresh Python process that imports
+    this trialbench, so its peak resident size is the script's alone."""
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+
+
 WIDE_BINARY_TRUTHS = """
 from trialbench import ConfoundingViolation, CovariateLaw, ScenarioConfig, TransportViolation
 from trialbench import true_values
@@ -572,21 +588,19 @@ def test_binary_truths_of_sixteen_covariates_run_in_bounded_time():
     # 2**18 support rows. Checking the restriction one pattern at a time cost
     # about 3.4 times more per covariate, 3.7-4.0 s at 12 covariates (one BLAS
     # thread, 2 vCPUs), which puts 16 at minutes; as arrays it takes 0.1 s.
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", WIDE_BINARY_TRUTHS],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.stdout.strip() == "False"
+    assert run_fresh(WIDE_BINARY_TRUTHS, timeout=60).strip() == "False"
+
 
 TRUTHS_MEMORY = """
-import resource
 from trialbench import CovariateLaw, ScenarioConfig, true_values
+
+
+def peak_kib():
+    # This process's own high-water mark. Its ru_maxrss would start at the
+    # resident size of the process that launched it, which it inherits at exec.
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
 
 law = ScenarioConfig(
     covariates=CovariateLaw(kind="gaussian", dim=3),
@@ -599,25 +613,17 @@ law = ScenarioConfig(
     outcome_tx=(0.2, 0.0, -0.3),
     outcome_kind="binary",
 )
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 true_values(law)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print((peak_kib() - before) / 1024)
 """
 
 
 def test_importance_truths_run_in_bounded_memory():
-    # A fresh process, so the peak resident size is this call's alone.
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", TRUTHS_MEMORY],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert float(proc.stdout) < 200.0  # megabytes of peak growth
+    # The default 10M draws in blocks of 2^16 rows grew the peak by 12.4-12.5
+    # MB on a 2-vCPU machine; chunks of 2^18 rows grew it by 23.8-24.0 MB.
+    # The bound allows a third over 12.5 MB.
+    assert float(run_fresh(TRUTHS_MEMORY, timeout=120)) < 17.0  # megabytes of peak growth
 
 
 # The script above, running the default truths beside a few large replicates.
@@ -627,22 +633,11 @@ MONTE_CARLO_MEMORY = TRUTHS_MEMORY.replace("true_values", "run_monte_carlo").rep
 
 
 def test_monte_carlo_with_truths_beside_runs_in_bounded_memory():
-    # A fresh process, as above. The default 10M truth draws on their thread
-    # beside 3 replicates of (10k, 10k) rows grew the peak by 33.6-33.9 MB on
-    # a 2-vCPU machine at its default BLAS threads (truths alone: 24 MB).
-    # Drawing the truths a chunk ahead grew it by 40-48 MB; the bound allows
-    # a third over 34 MB.
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", MONTE_CARLO_MEMORY],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert float(proc.stdout) < 45.0  # megabytes of peak growth
+    # The default 10M truth draws on their thread beside 3 replicates of
+    # (10k, 10k) rows grew the peak by 22.0-23.2 MB on a 2-vCPU machine at its
+    # default BLAS threads (truths alone: 12.5 MB); with chunks of 2^18 rows
+    # it grew by 33.2-35.5 MB. The bound allows a third over 23 MB.
+    assert float(run_fresh(MONTE_CARLO_MEMORY, timeout=120)) < 31.0  # megabytes of peak growth
 
 
 def serial_importance_truths(cfg, draws, seed):
@@ -730,6 +725,22 @@ def test_importance_truths_equal_the_serial_loop_bit_for_bit(law, draws):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
+@pytest.mark.parametrize("block", [2**12, 2**18])
+def test_importance_truths_draw_the_same_streams_whatever_the_block_size(monkeypatch, block):
+    # The oracle above follows _TRUTH_CHUNK, so it cannot see a pass that
+    # reads the streams in another order; only the grouping of sums may differ.
+    cfg, draws = TRUTH_LAWS["both-binary-3"], 3 * 2**16 + 5
+    want = true_values(cfg, draws=draws, seed=31)
+    monkeypatch.setattr(simulation, "_TRUTH_CHUNK", block)
+    got = true_values(cfg, draws=draws, seed=31)
+    for field in dataclasses.fields(simulation.Truths):
+        value = getattr(want, field.name)
+        if isinstance(value, str | bool):
+            assert getattr(got, field.name) == value, field.name
+        else:
+            assert getattr(got, field.name) == pytest.approx(value, rel=1e-12), field.name
+
+
 MC_LAW = TRUTH_LAWS["both-binary-3"]
 
 
@@ -752,35 +763,36 @@ def _abort_replicates(monkeypatch, wait_for=None):
 
 def test_run_monte_carlo_stops_its_truths_when_the_replicates_abort(monkeypatch):
     calls = []
-    arm_means = ScenarioConfig.arm_means
+    truth_terms = ScenarioConfig.truth_terms
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return arm_means(*args, **kwargs)
+        return truth_terms(*args, **kwargs)
 
-    monkeypatch.setattr(ScenarioConfig, "arm_means", counted)
+    monkeypatch.setattr(ScenarioConfig, "truth_terms", counted)
     _abort_replicates(monkeypatch)
     before = threading.active_count()
     with pytest.raises(FitError, match="simulation aborted"):
         run_monte_carlo(MC_LAW, reps=4, n=(300, 300), seed=5)
     assert threading.active_count() == before
-    assert len(calls) < 39  # the chunks of the default 10M draws
+    # Fewer blocks than the default 10M draws make: the truths stopped early.
+    assert len(calls) < math.ceil(10_000_000 / simulation._TRUTH_CHUNK)
 
 
 @pytest.mark.parametrize("replicates", ["fit", "abort"])
 def test_run_monte_carlo_raises_the_truths_error_first(monkeypatch, replicates):
     failed = threading.Event()
     calls = []
-    arm_means = ScenarioConfig.arm_means
+    truth_terms = ScenarioConfig.truth_terms
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
             failed.set()
             raise RuntimeError("injected failure")
-        return arm_means(*args, **kwargs)
+        return truth_terms(*args, **kwargs)
 
-    monkeypatch.setattr(ScenarioConfig, "arm_means", failing)
+    monkeypatch.setattr(ScenarioConfig, "truth_terms", failing)
     if replicates == "abort":
         _abort_replicates(monkeypatch, wait_for=failed)
     before = threading.active_count()
@@ -938,18 +950,9 @@ def test_infeasible_participation_law_stops_with_config_error():
     # Participation log-odds -40 leaves the trial no mass, so accept-reject
     # would spin forever; a subprocess with a timeout keeps a hang from
     # stalling the suite.
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", INFEASIBLE_DRAW],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert "cannot fill the trial study" in proc.stdout
-    assert "rate 0" in proc.stdout
+    out = run_fresh(INFEASIBLE_DRAW, timeout=60)
+    assert "cannot fill the trial study" in out
+    assert "rate 0" in out
 
 
 def test_row_name_normalization():
