@@ -346,12 +346,13 @@ class AnalysisPlan:
         return {"ate": ate, "delta": delta}
 
 
-def run_plan(d: Dataset, plan: AnalysisPlan) -> dict[str, EstimateWithIF]:
+def run_plan(d: Dataset | CellTable, plan: AnalysisPlan) -> dict[str, EstimateWithIF]:
     """Fit nuisances and compute every quantity the plan asks for.
 
     Returns an ordered mapping: potential-outcome means keyed
     "phi(1)"-style, treatment effects "ate_phi"-style, and benchmarking
-    deltas "delta(1)"-style.
+    deltas "delta(1)"-style. ``d`` may also be a reweighted cell table, as
+    in run_plan_with.
     """
     nu = fit_nuisances(d, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
     return run_plan_with(d, nu, plan)

@@ -501,12 +501,11 @@ def fit_logistic_stack(
     iterations = np.zeros(count, dtype=int)
 
     # The rows still iterating (see the module docstring); e is exp(-|eta|),
-    # kept for expit.
+    # kept for expit. Iterate _MAX_ITER + 1 only checks the last step's fit.
     live = np.array([e is None for e in errors], dtype=bool)
-    stagnated = np.zeros(count, dtype=bool)
     eta, e = np.zeros(w.shape), np.ones(w.shape)
     identity = np.eye(p)
-    for it in range(1, _MAX_ITER + 1):
+    for it in range(1, _MAX_ITER + 2):
         mu = _expit(eta, e)
         residual = w * mu
         np.subtract(wy, residual, out=residual)
@@ -522,7 +521,7 @@ def fit_logistic_stack(
         done = live & (largest < _TOL) & ~separated
         converged |= done
         live &= ~(stop | separated | done)
-        if not live.any():
+        if it > _MAX_ITER or not live.any():
             break
 
         working = 1.0 - mu
@@ -553,19 +552,7 @@ def fit_logistic_stack(
             ll[up], trace[up, it], iterations[up] = ll_new[up], ll_new[up], it
             trying &= ~up
             fraction *= 0.5
-        stagnated |= trying  # at float resolution
-        live &= ~trying
-
-    # The rows that stagnated or ran out of iterations.
-    stopped = stagnated | live
-    if stopped.any():
-        mu = expit(_linear(x, beta))
-        pinned = _separated(one, mu, free, stopped & (ll > floor))
-        record(
-            errors, pinned, lambda r: _separation("complete separation detected", iterations[r])
-        )
-        score = _score(x, wy - w * mu) - penalty * beta
-        converged[stopped] = (np.abs(score).max(axis=1) < _TOL)[stopped]
+        live &= ~trying  # stagnated: this iterate's checks saw its fit
 
     coefficients, failed = _scale_back(beta, scales, errors, "logistic fit")
     converged[failed] = False

@@ -26,8 +26,7 @@ import numpy as np
 
 from .data import Dataset, cell_table
 from .errors import DegenerateTestError, FitError
-from .estimators import AnalysisPlan, EstimateWithIF, run_plan_with
-from .nuisance import fit_nuisances
+from .estimators import AnalysisPlan, EstimateWithIF, run_plan
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,7 @@ def bootstrap_chunk(
     share its chunk.
     """
     table = cell_table(d, plan.outcome_kind).resample(_Draws(d, seed, indices))
-    nu = fit_nuisances(table, plan.outcome_kind, ridge=plan.ridge, drop=plan.drop)
-    estimates = run_plan_with(table, nu, plan)
+    estimates = run_plan(table, plan)
     out: list[dict[str, float] | Exception] = []
     for r in range(len(indices)):
         error = next((e.errors[r] for e in estimates.values() if e.errors[r]), None)

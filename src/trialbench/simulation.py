@@ -32,15 +32,11 @@ import numpy as np
 from .data import OUTCOME_KINDS, Dataset
 from .diagnostics import restriction_test
 from .errors import ConfigError
-from .estimators import (
-    ESTIMATOR_NAMES,
-    AnalysisPlan,
-    run_plan_with,
-)
+from .estimators import ESTIMATOR_NAMES, AnalysisPlan, run_plan
 from .glm import expit
 from .inference import _check_level, check_seed, keyed_seed, run_replicates, sandwich_se
 from .jsonfields import dump, parse
-from .nuisance import fit_nuisances, normalize_drop
+from .nuisance import normalize_drop
 
 
 @dataclass(frozen=True)
@@ -563,8 +559,7 @@ def replicate_estimates(
     entries. Raises FitError when any model cannot be fitted.
     """
     d = generate(cfg, n, keyed_seed(seed, index))
-    nu = fit_nuisances(d, cfg.outcome_kind, ridge=plan.ridge, drop=plan.drop)
-    estimates = run_plan_with(d, nu, plan)
+    estimates = run_plan(d, plan)
     out: dict[str, float] = {}
     for label, est in estimates.items():
         out[label] = est.value

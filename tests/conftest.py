@@ -1,14 +1,44 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trialbench
 from trialbench import ColumnSchema, Dataset, EstimateWithIF, d1, generate, load_dataset
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO_ROOT / "data" / "d1_fixture.csv"
 FIXTURE_SCHEMA = ColumnSchema(s="S", a="A", y="Y", x=("X1",))
+
+
+def run_fresh(script: str, timeout: float) -> str:
+    """The stdout of ``script`` run in a new interpreter that imports this
+    trialbench, so its modules and its peak resident size are the script's
+    alone."""
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+
+
+# The head of a run_fresh script that measures memory: peak_kib() is the
+# process's own high-water mark. Its ru_maxrss would start at the resident
+# size of the process that launched it, which it inherits at exec.
+PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
 
 
 def estimate_with_if_values(

@@ -7,17 +7,12 @@ it is fitted in a chunk or alone (``bootstrap_replicate``), and a replicate
 that fails in its chunk must fail alone with the same error class.
 """
 
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trialbench
 from trialbench import (
     AnalysisPlan,
     Dataset,
@@ -35,6 +30,8 @@ from trialbench.glm import (
     fit_logistic,
     fit_logistic_stack,
 )
+
+from conftest import PEAK_KIB, run_fresh
 
 GAUSSIAN_LAW = {
     "covariates": {"kind": "gaussian", "dim": 3},
@@ -276,8 +273,7 @@ def test_masked_newton_loop_rows_equal_their_fits_alone(monkeypatch):
         _assert_rows_equal(model, errors, [alone[r] for r in order])
 
 
-BOOTSTRAP_MEMORY = """
-import resource
+BOOTSTRAP_MEMORY = PEAK_KIB + """
 from trialbench import AnalysisPlan, CovariateLaw, ScenarioConfig, bootstrap, generate
 
 law = ScenarioConfig(
@@ -293,24 +289,16 @@ law = ScenarioConfig(
 )
 d = generate(law, (10000, 10000), seed=3)
 assert d.cells(False).count.size == d.n
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 bootstrap(d, AnalysisPlan(outcome_kind="continuous"), 200, seed=1)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print((peak_kib() - before) / 1024)
 """
 
 
 def test_bootstrap_of_an_uncompressed_table_runs_in_bounded_memory():
-    # A fresh process, so the peak resident size is this run's alone. Each
-    # chunk's stack holds at most _CHUNK_FLOATS floats per (chunk, cells,
-    # coefficients) array, whatever the replicate count.
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", BOOTSTRAP_MEMORY],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert float(proc.stdout) < 40.0  # megabytes of peak growth
+    # Each chunk's stack holds at most _CHUNK_FLOATS floats per (chunk,
+    # cells, coefficients) array, whatever the replicate count. The peak
+    # grew by 17.0-17.1 MB on a 2-vCPU machine, at one BLAS thread and at
+    # its default; chunks of 2^19 floats grew it by 33.8 MB, and of 2^22 by
+    # 288 MB. The bound allows a third over 17.1 MB.
+    assert float(run_fresh(BOOTSTRAP_MEMORY, timeout=300)) < 23.0  # megabytes of peak growth

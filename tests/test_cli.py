@@ -2,12 +2,10 @@ import contextlib
 import importlib
 import io
 import json
-import os
 import pathlib
 import re
 import shutil
 import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -19,9 +17,10 @@ from hypothesis import strategies as st
 import trialbench
 from trialbench import cli, glm
 from trialbench.cli import main
+from trialbench.nuisance import MODEL_NAMES
 from trialbench.report import load_report_schema, validate_report
 
-from conftest import FIXTURE_CSV, REPO_ROOT
+from conftest import FIXTURE_CSV, REPO_ROOT, run_fresh
 
 SCHEMA = {"s": "S", "a": "A", "y": "Y", "x": ["X1"]}
 
@@ -446,24 +445,13 @@ def test_console_script_is_installed(tmp_path, write_config):
     assert "dataset is usable" in proc.stdout
 
 
-def fresh_python(code: str) -> str:
-    """The stdout of ``code`` run in a new interpreter that imports this package."""
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    return proc.stdout
-
-
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.special alone takes about 0.3 s to import; the numerics need none of scipy.
     code = (
         "import sys, trialbench.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    assert fresh_python(code).strip() == "[]"
+    assert run_fresh(code, timeout=120).strip() == "[]"
 
 
 def test_analyze_run_leaves_out_jsonschema_and_importlib_metadata(tmp_path, write_config):
@@ -476,7 +464,7 @@ def test_analyze_run_leaves_out_jsonschema_and_importlib_metadata(tmp_path, writ
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'referencing') "
         "or m.startswith('importlib.metadata')))"
     )
-    assert fresh_python(code).strip() == "[]"
+    assert run_fresh(code, timeout=120).strip() == "[]"
     assert (tmp_path / "report.json").exists()
 
 
@@ -490,7 +478,7 @@ def test_analyze_run_leaves_out_numpy_ma(tmp_path, write_config):
         f"assert trialbench.cli.main(['analyze', {config!r}, '--quiet']) == 0; "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
-    assert fresh_python(code).strip() == "[]"
+    assert run_fresh(code, timeout=120).strip() == "[]"
 
 
 def test_binary_law_simulate_leaves_out_numpy_ma(tmp_path, write_config):
@@ -504,7 +492,7 @@ def test_binary_law_simulate_leaves_out_numpy_ma(tmp_path, write_config):
         f"assert trialbench.cli.main(['simulate', {config!r}, '--quiet']) == 0; "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
-    assert fresh_python(code).strip() == "[]"
+    assert run_fresh(code, timeout=120).strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [[10**13, 10**13], [10**9, 10**9]])
@@ -877,6 +865,76 @@ def test_analyze_exits_within_its_families(tmp_path_factory, run):
     started = time.perf_counter()
     with contextlib.redirect_stdout(stdout):
         code = main(["analyze", str(work / "config.json"), "--quiet"])
+    assert time.perf_counter() - started < 5.0
+    out = stdout.getvalue()
+    assert code in (0, 2, 3, 4), out
+    if code:
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["exit_code"] == code
+
+
+@st.composite
+def simulate_runs(draw) -> dict:
+    """An inline simulate config (without output): binary covariates with
+    1-3 probabilities or a Gaussian law of dim 1-3, logits up to 10 times
+    the unit scale, one violation or none, either outcome kind, misspecified
+    models or none, and subsets of the estimators and arms. Study sizes are
+    at most 200, drawn from 100-200 half the time, as smaller ones mostly
+    fail to fit."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        covariates = {"kind": "binary", "p": draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k))}
+    else:
+        covariates = {"kind": "gaussian", "dim": k}
+    scale = draw(st.sampled_from((1.0, 3.0, 10.0)))
+    coefficient = st.floats(-1.0, 1.0).map(lambda v: v * scale)
+    law = {
+        "covariates": covariates,
+        "participation": draw(st.lists(coefficient, min_size=k + 1, max_size=k + 1)),
+        "trial_arm_prob": draw(st.floats(0.1, 0.9)),
+        "emulation_propensity": draw(st.lists(coefficient, min_size=k + 1, max_size=k + 1)),
+        "outcome_intercept": draw(coefficient),
+        "outcome_x": draw(st.lists(coefficient, min_size=k, max_size=k)),
+        "outcome_treatment": draw(coefficient),
+        "outcome_tx": draw(st.lists(coefficient, min_size=k, max_size=k)),
+        "outcome_kind": draw(st.sampled_from(("binary", "continuous"))),
+    }
+    violation = draw(st.sampled_from((None, "confounding", "transport")))
+    if violation:
+        law[violation] = {}
+    config = {
+        "scenario": law,
+        "reps": draw(st.integers(2, 4)),
+        "n": draw(st.lists(st.integers(1, 200) | st.integers(100, 200), min_size=2, max_size=2)),
+        "seed": 3,
+        "estimators": draw(st.lists(st.sampled_from(("phi", "chi", "psi")), min_size=1, unique=True)),
+        "arms": draw(st.lists(st.sampled_from((0, 1)), min_size=1, unique=True)),
+        "restriction": draw(st.booleans()),
+        "ridge": draw(st.sampled_from((0.0, 1.0))),
+        "truth_draws": 1000,
+    }
+    models = st.sampled_from(MODEL_NAMES)
+    misspec = draw(st.sampled_from(("none", "models", "covariates")))
+    if misspec == "models":  # each drops X1
+        config["misspec"] = draw(st.lists(models, min_size=1, max_size=3, unique=True))
+    elif misspec == "covariates":
+        names = st.lists(st.sampled_from([f"X{j + 1}" for j in range(k)]), min_size=1, unique=True)
+        config["misspec"] = draw(st.dictionaries(models, names, min_size=1, max_size=3))
+    return config
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(payload=simulate_runs())
+def test_simulate_exits_within_its_families(tmp_path_factory, payload):
+    # As analyze: exit 0 or the family of the failure, with a one-line JSON
+    # error, never exit 5, and in bounded time.
+    work = tmp_path_factory.mktemp("fuzz")
+    payload = {**payload, "output": str(work / "simulation.json")}
+    (work / "config.json").write_text(json.dumps(payload))
+    stdout = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["simulate", str(work / "config.json"), "--quiet"])
     assert time.perf_counter() - started < 5.0
     out = stdout.getvalue()
     assert code in (0, 2, 3, 4), out

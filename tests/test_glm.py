@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -330,3 +330,205 @@ def test_a_bad_input_cell_fails_only_the_stack_rows_that_weight_it(kind, bad, me
         assert error is None
         for name, value in vars(alone.row(0)).items():
             np.testing.assert_array_equal(getattr(model.row(r), name), value, strict=True)
+
+
+def _two_site_logistic_stack(design, labels, weights, ridge=0.0):
+    """glm.fit_logistic_stack as it was when a block after the Newton loop
+    decided again, for the rows that stagnated or ran out of iterations,
+    whether they converged or separated: the oracle of the one-site loop.
+    It reads glm._MAX_ITER when called."""
+    glm.check_ridge(ridge)
+    x, scales, y, w, occupied, total, errors = glm._prepare(
+        design, labels, weights, "logistic fit", "labels"
+    )
+    one, zero = y == 1.0, y == 0.0
+    nonbinary = ~(one | zero)
+    if nonbinary.any():
+        record(
+            errors,
+            np.any(nonbinary & occupied, axis=1),
+            lambda r: ValueError("logistic fit: labels must be 0 or 1"),
+        )
+    both = (zero & occupied).any(axis=1) & (one & occupied).any(axis=1)
+    record(
+        errors,
+        ~both,
+        lambda r: DegenerateFitError(
+            f"logistic fit: labels are single-class (all {int(y[r][occupied[r]][0])})"
+        ),
+    )
+
+    count, p = w.shape[0], x.shape[1]
+    penalty = np.zeros(p)
+    if ridge > 0.0:
+        with np.errstate(over="ignore"):
+            penalty[1:] = ridge * (1.0 if scales is None else scales[1:] ** 2)
+        np.minimum(penalty, np.finfo(float).max, out=penalty)
+    wy, free = w * y, ~occupied
+    floor = -2.0 * glm._SEPARATION_EPS * total if ridge == 0.0 else np.full(count, np.inf)
+    beta = np.zeros((count, p))
+    ll = -np.log(2.0) * total
+    trace = np.full((count, glm._MAX_ITER + 1), np.nan)
+    trace[:, 0] = ll
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.zeros(count, dtype=int)
+
+    live = np.array([e is None for e in errors], dtype=bool)
+    stagnated = np.zeros(count, dtype=bool)
+    eta, e = np.zeros(w.shape), np.ones(w.shape)
+    identity = np.eye(p)
+    for it in range(1, glm._MAX_ITER + 1):
+        mu = glm._expit(eta, e)
+        residual = w * mu
+        np.subtract(wy, residual, out=residual)
+        score = glm._score(x, residual)
+        score -= penalty * beta
+        largest = np.abs(score).max(axis=1)
+        stop = live & np.isnan(largest)
+        record(errors, stop, lambda r: glm._separation("non-finite working weights", it))
+        separated = glm._separated(one, mu, free, live & ~stop & (ll > floor))
+        record(errors, separated, lambda r: glm._separation("complete separation detected", it))
+        done = live & (largest < glm._TOL) & ~separated
+        converged |= done
+        live &= ~(stop | separated | done)
+        if not live.any():
+            break
+
+        working = 1.0 - mu
+        working *= mu
+        working *= w
+        hessian = glm._gram(x, working)
+        hessian += np.diag(penalty)
+        hessian[~live] = identity
+        score[~live] = 0.0
+        step, singular = glm._solve(hessian, score)
+        record(errors, singular, lambda r: glm._separation("singular working Hessian", it))
+        live &= ~singular
+
+        start, least = beta, ll - 1e-12 * (1.0 + np.abs(ll))
+        trying, fraction = live.copy(), 1.0
+        for _ in range(glm._HALVINGS):
+            if not trying.any():
+                break
+            candidate = start + fraction * step
+            eta_new = glm._linear(x, candidate)
+            ll_new, e_new = glm._penalized_loglik(eta_new, wy, w, candidate, penalty)
+            up = trying & (ll_new >= least)
+            kept = (~up).nonzero()[0]
+            candidate[kept], eta_new[kept], e_new[kept] = beta[kept], eta[kept], e[kept]
+            beta, eta, e = candidate, eta_new, e_new
+            ll[up], trace[up, it], iterations[up] = ll_new[up], ll_new[up], it
+            trying &= ~up
+            fraction *= 0.5
+        stagnated |= trying
+        live &= ~trying
+
+    stopped = stagnated | live
+    if stopped.any():
+        mu = glm.expit(glm._linear(x, beta))
+        pinned = glm._separated(one, mu, free, stopped & (ll > floor))
+        record(
+            errors,
+            pinned,
+            lambda r: glm._separation("complete separation detected", iterations[r]),
+        )
+        score = glm._score(x, wy - w * mu) - penalty * beta
+        converged[stopped] = (np.abs(score).max(axis=1) < glm._TOL)[stopped]
+
+    coefficients, failed = glm._scale_back(beta, scales, errors, "logistic fit")
+    converged[failed] = False
+    model = LogisticModel(
+        coefficients=coefficients,
+        converged=converged,
+        iterations=iterations,
+        log_likelihood=ll,
+        loglik_trace=trace,
+    )
+    return model, errors
+
+
+# Three cells on which a fit stagnates: no halving of its first step raises
+# the log-likelihood (tests/test_batched_bootstrap.py, MASKED_LOOP_ROWS).
+STAGNATING_CELLS = ([[1.0, 0.0], [1.0 + 2**-30, 0.0], [1.0, 1.0]], [0.0, 1.0, 0.0], [3.0, 1.0, 1.0])
+
+
+@st.composite
+def logistic_stacks(draw):
+    """A shared design of 3-12 random cells on two covariates, then the
+    stagnating cells, and a stack of 1-6 weight rows over it. The random
+    cells are untouched, rounded to few values (tied), or separable on X1,
+    and then rescaled. Each row weights the random cells, all cells, only
+    the random cells labelled 1 (single-class), or the stagnating cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = draw(st.integers(3, 12))
+    x = rng.normal(size=(cells, 2))
+    labels = (rng.random(cells) < 0.5).astype(float)
+    kind = draw(st.sampled_from(["random", "tied", "separable"]))
+    if kind == "tied":
+        x = np.round(x)
+    elif kind == "separable":
+        x[:, 0] = labels * 2.0 - 1.0 + 0.1 * rng.random(cells)
+    x *= draw(st.sampled_from([1.0, 1e-3, 1e3, 2.0**-40]))
+    stagnating, stagnating_labels, stagnating_weights = map(np.array, STAGNATING_CELLS)
+    design = add_intercept(np.vstack([x, stagnating]))
+    labels = np.concatenate([labels, stagnating_labels])
+    stack = draw(st.integers(1, 6))
+    weights = np.zeros((stack, len(design)))
+    for row in weights:
+        group = draw(st.sampled_from(["random", "all", "single-class", "stagnating"]))
+        if group == "stagnating":
+            row[cells:] = stagnating_weights * draw(st.integers(1, 3))
+        else:
+            row[:] = rng.integers(0, 4, size=len(design))
+            if group != "all":
+                row[cells:] = 0.0
+            if group == "single-class":
+                row *= labels
+    return design, labels, weights
+
+
+def _separation_message(iteration):
+    return str(glm._separation("complete separation detected", iteration))
+
+
+# The MASKED_LOOP_ROWS "no halving" and "separated" fits side by side. Alone
+# the first converges after 6 steps and the second separates at iteration 18,
+# so a cap of 6 leaves the first converged at the check after its last step,
+# and a cap of 17 leaves the second separated there.
+LAST_CHECK_CASE = (
+    add_intercept(
+        np.array(
+            [[0, 4], [8, -8], [-6, 5], [8, -4], [-3, 6], [-1, -4], [-2, 1], [-3, -1], [2, 2], [3, -2]],
+            dtype=float,
+        )
+    ),
+    np.array([1, 0, 1, 0, 0, 1, 0, 0, 1, 1], dtype=float),
+    np.array([[25, 14, 23, 4, 9, 4, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 2, 2, 1]], dtype=float),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(case=LAST_CHECK_CASE, ridge=0.0, cap=6)
+@example(case=LAST_CHECK_CASE, ridge=0.0, cap=17)
+@given(
+    case=logistic_stacks(),
+    ridge=st.sampled_from([0.0, 1e-8, 1.0]),
+    cap=st.one_of(st.integers(1, 8), st.just(glm._MAX_ITER)),
+)
+def test_one_site_newton_loop_equals_the_two_site_loop(case, ridge, cap):
+    design, labels, weights = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(glm, "_MAX_ITER", cap)
+        model, errors = glm.fit_logistic_stack(design, labels, weights, ridge)
+        oracle, oracle_errors = _two_site_logistic_stack(design, labels, weights, ridge)
+    for name in ("coefficients", "log_likelihood", "loglik_trace"):
+        assert getattr(model, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert model.converged.tolist() == oracle.converged.tolist()
+    assert model.iterations.tolist() == oracle.iterations.tolist()
+    assert [type(e) for e in errors] == [type(e) for e in oracle_errors]
+    # A row that separates at the check after its last step names that
+    # check, _MAX_ITER + 1, where the two-site loop named its last step.
+    renamed = (_separation_message(cap), _separation_message(cap + 1))
+    for r, (error, expected) in enumerate(zip(errors, oracle_errors)):
+        if str(error) != str(expected):
+            assert (str(expected), str(error)) == renamed and oracle.iterations[r] == cap

@@ -1,10 +1,6 @@
 import dataclasses
 import itertools
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import threading
 from statistics import NormalDist
 
@@ -13,7 +9,6 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import expit
 
-import trialbench
 from trialbench import (
     AnalysisPlan,
     ConfigError,
@@ -35,6 +30,8 @@ from trialbench.scenarios import PRESETS
 from trialbench import glm, simulation
 from trialbench.inference import keyed_seed
 from trialbench.simulation import replicate_estimates
+
+from conftest import PEAK_KIB, run_fresh
 
 D1_MEAN1 = 3.8026246797750964
 D1_MEAN0 = 1.401312339887548
@@ -312,7 +309,7 @@ def test_run_monte_carlo_refuses_a_bad_ridge_before_any_work(monkeypatch, ridge)
     def no_work(*args, **kwargs):
         pytest.fail("the study ran with a ridge the plan refuses")
 
-    for name in ("true_values", "generate", "fit_nuisances"):
+    for name in ("true_values", "generate", "run_plan"):
         monkeypatch.setattr(simulation, name, no_work)
     with pytest.raises(ValueError, match="'ridge'"):
         run_monte_carlo(d1(), reps=2, n=(50, 50), seed=1, ridge=ridge)
@@ -324,7 +321,7 @@ def test_run_monte_carlo_refuses_a_level_outside_0_1_before_any_work(monkeypatch
     def no_work(*args, **kwargs):
         pytest.fail("the study ran at a level outside (0, 1)")
 
-    for name in ("true_values", "generate", "fit_nuisances"):
+    for name in ("true_values", "generate", "run_plan"):
         monkeypatch.setattr(simulation, name, no_work)
     with pytest.raises(ValueError, match="confidence level must be inside"):
         run_monte_carlo(d1(), reps=4, n=(500, 500), seed=1, restriction=False, level=level)
@@ -335,7 +332,7 @@ def test_negative_seed_is_refused_before_any_draw(monkeypatch):
     def no_work(*args, **kwargs):
         pytest.fail("a draw ran with a negative seed")
 
-    for name in ("true_values", "_draw_stream", "fit_nuisances"):
+    for name in ("true_values", "_draw_stream", "run_plan"):
         monkeypatch.setattr(simulation, name, no_work)
     with pytest.raises(ValueError, match="'seed'"):
         generate(d1(), (100, 100), -1)
@@ -548,21 +545,6 @@ def test_a_pattern_one_study_never_sees_leaves_the_other_gaps_standing(which):
     assert not truths.restriction_holds
 
 
-def run_fresh(script: str, timeout: float) -> str:
-    """The stdout of ``script`` run in a fresh Python process that imports
-    this trialbench, so its peak resident size is the script's alone."""
-    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-
-
 WIDE_BINARY_TRUTHS = """
 from trialbench import ConfoundingViolation, CovariateLaw, ScenarioConfig, TransportViolation
 from trialbench import true_values
@@ -591,16 +573,8 @@ def test_binary_truths_of_sixteen_covariates_run_in_bounded_time():
     assert run_fresh(WIDE_BINARY_TRUTHS, timeout=60).strip() == "False"
 
 
-TRUTHS_MEMORY = """
+TRUTHS_MEMORY = PEAK_KIB + """
 from trialbench import CovariateLaw, ScenarioConfig, true_values
-
-
-def peak_kib():
-    # This process's own high-water mark. Its ru_maxrss would start at the
-    # resident size of the process that launched it, which it inherits at exec.
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
 
 law = ScenarioConfig(
     covariates=CovariateLaw(kind="gaussian", dim=3),

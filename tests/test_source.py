@@ -180,7 +180,6 @@ TEST_ONLY = {
     "glm.py: fit_logistic": "benchmark wrap point (perfbench/spans.py)",
     "glm.py: fit_linear": "benchmark wrap point (perfbench/spans.py)",
     "inference.py: bootstrap_replicate": "benchmark wrap point (perfbench/spans.py)",
-    "estimators.py: run_plan": "benchmark wrap point (perfbench/spans.py)",
     "estimators.py: estimate_phi": "called by acceptance criterion 1",
     "estimators.py: estimate_chi": "called by acceptance criterion 1",
     "estimators.py: estimate_psi": "called by acceptance criterion 1",
