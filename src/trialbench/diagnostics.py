@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, cell_table
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, require_finite
 from .estimators import ESTIMATOR_NAMES, aipw_weighting, predictions
-from .glm import LogisticModel, add_intercept, coefficient_covariance, only
+from .glm import LogisticModel, coefficient_covariance, only
 from .inference import TestResult, linear_quantiles
 from .nuisance import NuisanceSet, fit_cells
 
@@ -95,15 +95,16 @@ def restriction_test(
                 f"restriction test: no rows with treatment {a} in study s={s}"
             )
 
-    x = np.compress(mask, t.x, axis=0)
-    s_col = np.compress(mask, t.s).astype(float)[:, None]
-    blocks = [add_intercept(x), s_col]
-    names = ["S"]
-    if include_interactions:
-        blocks.append(x * s_col)
-        names += [f"S:{c}" for c in t.covariate_names]
-    design = np.hstack(blocks)
+    # The design [1, x, s, x * s] of the arm's cells, built in place.
+    s = np.compress(mask, t.s).astype(float)
     n_base = 1 + t.k
+    names = ["S"] + ([f"S:{c}" for c in t.covariate_names] if include_interactions else [])
+    design = np.empty((s.size, n_base + len(names)))
+    design[:, 0] = 1.0
+    x = np.compress(mask, t.x, axis=0, out=design[:, 1:n_base])
+    design[:, n_base] = s
+    if include_interactions:
+        np.multiply(x, s[:, None], out=design[:, n_base + 1 :])
 
     labels = None if outcome_kind == "continuous" else t.y_mean
     model = only(*fit_cells(t, mask, design, labels, f"restriction test arm {a}", ridge))
@@ -194,6 +195,7 @@ def overlap_summary(
     probabilities = {}
     for model in ("participation", "propensity_s0", "propensity_s1", "propensity_pooled"):
         qs = linear_quantiles(pred[model], _QUANTILES, np.where(cells.get(model, True), count, 0.0))
+        require_finite(qs, f"overlap: a {model} probability quantile")
         probabilities[model] = QuantileSummary(*qs.tolist())
 
     weights: dict[str, WeightDiagnostic] = {}
@@ -201,10 +203,12 @@ def overlap_summary(
         for name in ESTIMATOR_NAMES:
             weighted, _, _, w = aipw_weighting(t, pred, name, arm)
             rows = t.rows_of(weighted & (w > weight_threshold))
+            largest = float(np.where(weighted, w, 0.0).max())  # weights are > 0
+            require_finite(largest, f"overlap: {name}({arm}) maximum weight")
             weights[f"{name}({arm})"] = WeightDiagnostic(
                 n_weighted=int(count @ weighted),
                 count_above=int(rows.size),
-                max_weight=float(np.where(weighted, w, 0.0).max()),  # weights are > 0
+                max_weight=largest,
                 rows_above=tuple(int(i) for i in rows[:_ROWS_SHOWN]),
             )
 

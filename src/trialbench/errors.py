@@ -80,3 +80,11 @@ def record(errors: list, rows: np.ndarray, make) -> None:
     for r in rows.nonzero()[0]:
         if errors[r] is None:
             errors[r] = make(r)
+
+
+def require_finite(values, what: str) -> None:
+    """Raise a FitError naming ``what`` unless all of ``values`` are finite.
+    A reported number is checked where it is made: the JSON writer would
+    turn inf or NaN into null."""
+    if not np.isfinite(values).all():
+        raise FitError(f"{what} is not finite")

@@ -133,7 +133,13 @@ def _score(design: np.ndarray, residual: np.ndarray) -> np.ndarray:
 
 def _gram(design: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, p, p) design' diag(w) design of each (B, m) weight row."""
-    return np.matmul(design.T, w[:, :, None] * design)
+    # The weighted copy is formed (B, p, m), row-major, and multiplied
+    # through its transposed view. That gives the bits of
+    # np.matmul(design.T, w[:, :, None] * design) (tests/test_glm.py holds
+    # them equal) in about half the time at 20000 x 4: numpy broadcasts
+    # poorly over a last axis of length p.
+    weighted = np.multiply(design.T, w[:, None, :], order="C")
+    return np.matmul(design.T, weighted.transpose(0, 2, 1))
 
 
 def _solve(hessian: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

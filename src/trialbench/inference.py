@@ -93,8 +93,15 @@ def linear_quantiles(values: np.ndarray, qs: Sequence[float], counts: np.ndarray
     method, with the same bits, from the sorted values and their cumulative
     counts; np.quantile calls np.unique, whose first call imports numpy.ma."""
     keep = counts > 0
-    order = np.argsort(values[keep])
-    ordered, ends = values[keep][order], np.cumsum(counts[keep][order])
+    values, counts = values[keep], counts[keep]
+    if (counts == counts[0]).all():
+        # Equal counts go with any order of the values, and np.sort takes
+        # about a third of the time of np.argsort on 20000 of them.
+        ordered = np.sort(values)
+    else:
+        order = np.argsort(values)
+        ordered, counts = values[order], counts[order]
+    ends = np.cumsum(counts)
     n = ends[-1]
     position = (n - 1) * np.asarray(qs, dtype=float)
     low = np.floor(position).astype(np.intp)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import CellTable, Dataset, cell_table
-from .errors import ConfigError, DegenerateFitError, FitError, record
+from .errors import ConfigError, DegenerateFitError, FitError, record, require_finite
 from .glm import (
     LogisticModel,
     Model,
@@ -111,13 +111,16 @@ class NuisanceSet:
                     },
                 }
             }
+            require_finite(model.coefficients, f"nuisance {name}: a coefficient")
             if isinstance(model, LogisticModel):
+                require_finite(model.log_likelihood, f"nuisance {name}: log-likelihood")
                 entry.update(
                     converged=model.converged,
                     iterations=model.iterations,
                     log_likelihood=model.log_likelihood,
                 )
             else:
+                require_finite(model.residual_variance, f"nuisance {name}: residual variance")
                 entry.update(residual_variance=model.residual_variance)
             family = name.rsplit("_arm", 1)[0] if name.startswith("outcome") else name
             if self.dropped.get(family):
@@ -238,17 +241,23 @@ def fit_nuisances(
     dropped = normalize_drop(drop, t.covariate_names)
     masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.s.size, dtype=bool)}
     errors = [None] * len(t.count)
+    # Each model copies its cells' rows of this design once, row-major, so
+    # the fit takes the copy as it is.
+    full = add_intercept(t.x)
 
     def fit(name: str, mask: np.ndarray, labels: np.ndarray | None, tag: str) -> Model:
-        keep = [j for j, c in enumerate(t.covariate_names) if c not in dropped.get(name, ())]
-        x = np.compress(mask, t.x, axis=0)[:, keep]
-        model, failed = fit_cells(t, mask, add_intercept(x), labels, tag, ridge)
+        gone = dropped.get(name, ())
+        columns = [0] + [j + 1 for j, c in enumerate(t.covariate_names) if c not in gone]
+        design = np.compress(mask, full, axis=0)
+        if gone:
+            design = np.take(design, columns, axis=1)
+        model, failed = fit_cells(t, mask, design, labels, tag, ridge)
         if any(failed):
             errors[:] = [e or f for e, f in zip(errors, failed)]
-        if len(keep) == t.k:
+        if not gone:
             return model
         coef = np.zeros((len(errors), t.k + 1))
-        coef[:, [0, *(j + 1 for j in keep)]] = model.coefficients
+        coef[:, columns] = model.coefficients
         return replace(model, coefficients=coef)
 
     participation = fit("participation", masks["pooled"], t.s.astype(float), "participation")

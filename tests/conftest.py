@@ -3,12 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import trialbench
-from trialbench import ColumnSchema, Dataset, EstimateWithIF, d1, generate, load_dataset
+from trialbench import ColumnSchema, Dataset, EstimateWithIF, NuisanceSet, d1, generate, load_dataset
+from trialbench.glm import LogisticModel
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO_ROOT / "data" / "d1_fixture.csv"
@@ -39,6 +41,14 @@ def peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 """
+
+
+def pinned_low(nu: NuisanceSet) -> NuisanceSet:
+    """``nu`` with the participation and the trial propensity of arm 1 both
+    pinned to 1e-300, where a probability is clipped: chi's weight at arm 1,
+    the participation odds over that propensity, overflows."""
+    low = LogisticModel(np.array([-800.0, 0.0]), True, 1, 0.0)
+    return replace(nu, participation=low, propensity={**nu.propensity, "s1": low})
 
 
 def estimate_with_if_values(

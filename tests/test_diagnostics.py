@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,9 @@ from trialbench import (
 )
 from trialbench import diagnostics
 from trialbench.errors import ConfigError, DegenerateFitError, DomainError, FitError
+from trialbench.glm import LogisticModel
+
+from conftest import pinned_low
 
 
 def swap_studies(d: Dataset) -> Dataset:
@@ -241,3 +246,13 @@ def test_singular_information_makes_the_restriction_test_indeterminate(
     result = restriction_test(small_dataset, 1, outcome_kind="continuous")
     assert result.status == "indeterminate"
     assert np.isnan(result.test.statistic) and np.isnan(result.test.p_value)
+
+
+def test_overlap_weight_that_overflows_is_a_fit_error_naming_it(fixture_dataset):
+    nu = pinned_low(fit_nuisances(fixture_dataset, "continuous"))
+    with pytest.raises(FitError, match=r"^overlap: chi\(1\) maximum weight is not finite$"):
+        overlap_summary(fixture_dataset, nu)
+    propensity = LogisticModel(np.array([np.nan, 0.0]), True, 1, 0.0)
+    nu = replace(nu, propensity={**nu.propensity, "s0": propensity})
+    with pytest.raises(FitError, match="^overlap: a propensity_s0 probability quantile is not finite$"):
+        overlap_summary(fixture_dataset, nu)

@@ -296,6 +296,34 @@ def test_rank_verdicts_near_the_m_eps_boundary_equal_the_svd_rule(m):
     assert verdicts == {True, False}
 
 
+def _broadcast_gram(design, w):
+    """glm._gram as it was: the weighted copy formed (B, m, p), broadcast
+    over its last axis."""
+    return np.matmul(design.T, w[:, :, None] * design)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 6),
+    m=st.integers(1, 3000),
+    p=st.integers(1, 8),
+    empty=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    counts=st.booleans(),
+    scales=st.lists(st.sampled_from([1.0, 1e-3, 1e3]), min_size=8, max_size=8),
+)
+def test_gram_gives_the_bits_of_the_broadcast_weighted_copy(seed, b, m, p, empty, counts, scales):
+    # Cells of weight 0, count weights (as the rank certificate's occupied
+    # mask and the bootstrap's resamples give) or Newton working weights, and
+    # columns scaled by 1e-3 or 1e3.
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((m, p)) * scales[:p]
+    design[:, 0] = 1.0
+    w = rng.integers(1, 5, (b, m)).astype(float) if counts else rng.gamma(0.5, size=(b, m))
+    w[rng.random((b, m)) < empty] = 0.0
+    assert glm._gram(design, w).tobytes() == _broadcast_gram(design, w).tobytes()
+
+
 @pytest.mark.parametrize(
     "kind, bad, message",
     [

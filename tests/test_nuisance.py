@@ -1,7 +1,10 @@
-from dataclasses import replace
+import contextlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialbench import (
     AnalysisPlan,
@@ -166,6 +169,19 @@ def test_summaries_are_json_ready(small_dataset):
     assert out["propensity_s0"]["coefficients"].keys() == {"intercept", "X1"}
 
 
+def test_a_summary_that_is_not_finite_is_a_fit_error_naming_it(small_dataset):
+    nu = fit_nuisances(small_dataset, "continuous")
+    pooled = replace(nu.propensity["pooled"], log_likelihood=float("-inf"))
+    with pytest.raises(FitError, match="^nuisance propensity_pooled: log-likelihood is not finite$"):
+        replace(nu, propensity={**nu.propensity, "pooled": pooled}).summaries()
+    outcome = replace(nu.outcome[("s1", 0)], residual_variance=float("nan"))
+    with pytest.raises(FitError, match="^nuisance outcome_s1_arm0: residual variance is not finite$"):
+        replace(nu, outcome={**nu.outcome, ("s1", 0): outcome}).summaries()
+    participation = replace(nu.participation, coefficients=np.array([0.0, np.inf]))
+    with pytest.raises(FitError, match="^nuisance participation: a coefficient is not finite$"):
+        replace(nu, participation=participation).summaries()
+
+
 def test_invalid_outcome_kind_is_config_error(small_dataset):
     with pytest.raises(ConfigError, match="outcome_kind"):
         fit_nuisances(small_dataset, "counts")
@@ -303,3 +319,79 @@ def test_gaussian_replicate_makes_no_svd_and_a_singular_design_still_does(monkey
     with pytest.raises(SingularDesignError, match="design column 3 is linearly dependent"):
         glm.fit_logistic(add_intercept(np.column_stack([x, x[:, 1]])), y)
     assert calls[0] == (1, 500, 4)
+
+
+def _parent_design(t, mask, tag, dropped, interactions):
+    """The design of the fit ``tag`` on the cells ``mask``, built as the
+    parent did: the cells' covariates, then their kept columns (an F-ordered
+    copy), with the intercept, and for the restriction test the study terms,
+    stacked on."""
+    x = np.compress(mask, t.x, axis=0)
+    if tag.startswith("restriction test"):
+        s_col = np.compress(mask, t.s).astype(float)[:, None]
+        blocks = [add_intercept(x), s_col]
+        if interactions:
+            blocks.append(x * s_col)
+        return np.hstack(blocks)
+    name = tag.split(" arm ")[0]
+    keep = [j for j, c in enumerate(t.covariate_names) if c not in dropped.get(name, ())]
+    return add_intercept(x[:, keep])
+
+
+def _same_fit(got, expected):
+    (model, errors), (model_ref, errors_ref) = got, expected
+    assert type(model) is type(model_ref)
+    for f in fields(model):
+        a, b = np.asarray(getattr(model, f.name)), np.asarray(getattr(model_ref, f.name))
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+    assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in errors_ref]
+
+
+@settings(max_examples=60, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 400),
+    k=st.integers(1, 3),
+    gaussian=st.booleans(),
+    outcome_kind=st.sampled_from(["binary", "continuous"]),
+    resamples=st.integers(0, 3),
+    drop=st.dictionaries(st.sampled_from(MODEL_NAMES), st.sets(st.integers(0, 2), min_size=1)),
+    interactions=st.booleans(),
+)
+def test_each_fit_gets_one_row_major_copy_of_the_parent_design(
+    seed, n, k, gaussian, outcome_kind, resamples, drop, interactions
+):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k)) if gaussian else rng.integers(0, 2, (n, k)).astype(float)
+    s, a = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    mean = x @ rng.normal(size=k) + 0.5 * s + a
+    y = mean + rng.normal(size=n) if outcome_kind == "continuous" else (rng.random(n) < 0.4).astype(float)
+    names = tuple(f"X{j}" for j in range(k))
+    d = Dataset(x=x, s=s, a=a, y=y, covariate_names=names)
+    dropped = {m: tuple(names[j] for j in cols if j < k) for m, cols in drop.items()}
+    dropped = {m: cols for m, cols in dropped.items() if cols}
+    table = cell_table(d, outcome_kind)
+    if resamples:
+        table = table.resample(inference._Draws(d, seed, range(resamples)))
+    fit_cells, calls = nuisance.fit_cells, []
+
+    def checked(t, mask, design, labels, tag, ridge=0.0):
+        # The fit takes the design as it is: _prepare's np.ascontiguousarray copies nothing.
+        assert design.flags.c_contiguous and design.dtype == float
+        parent = _parent_design(t, mask, tag, dropped, interactions)
+        assert design.shape == parent.shape and design.tobytes() == parent.tobytes()
+        got = fit_cells(t, mask, design, labels, tag, ridge)
+        _same_fit(got, fit_cells(t, mask, parent, labels, tag, ridge))
+        calls.append(tag)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nuisance, "fit_cells", checked)
+        patch.setattr(diagnostics, "fit_cells", checked)
+        with contextlib.suppress(FitError):
+            fit_nuisances(table, outcome_kind, drop=dropped)
+        assert len(calls) == 10
+        if not resamples:
+            for arm in (0, 1):
+                with contextlib.suppress(FitError):
+                    diagnostics.restriction_test(d, arm, interactions, outcome_kind=outcome_kind)
