@@ -142,33 +142,7 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
-def _keep_freed_heap() -> None:
-    """Have glibc's allocator keep the memory the process frees.
-
-    Every bootstrap and Monte Carlo replicate frees its working set at its
-    end. By default glibc hands the top of its heap back to the kernel once
-    it exceeds its trim threshold, and serves a large array by a fresh
-    mapping, so the next replicate faults the same pages back in, zeroed:
-    about 58,000 minor faults in 25 replicates on 20k Gaussian rows, 10,000
-    with these settings. Fixed thresholds keep up to 16 MiB of freed heap
-    and map only arrays above 2 MiB. Nothing is done where the C library
-    has no mallopt, as off glibc. Only the command line calls this; the
-    library leaves the allocator alone.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         raw = load_json(args.config)

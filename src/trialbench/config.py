@@ -3,6 +3,7 @@
 Every config is a single JSON object, parsed strictly from the dataclass
 fields (``jsonfields.parse``): unknown keys and values of the wrong JSON type
 are errors, since a typo silently changing an analysis is worse than a retry.
+Range checks are the library's own (``errors.require_unit`` and its kin).
 ``to_dict`` materializes every default, and re-running on the echoed dict
 reproduces the run (timestamps aside).
 """
@@ -11,13 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from .data import ColumnSchema
-from .errors import ConfigError
+from .errors import ConfigError, require_count, require_positive, require_unit
 from .estimators import ESTIMATOR_NAMES, AnalysisPlan
 from .inference import check_seed
-from .jsonfields import dump, parse
+from .jsonfields import dump, parser
 from .scenarios import preset
 from .simulation import ScenarioConfig
 
@@ -59,23 +59,19 @@ REPLICATE_BUDGET = 16 * 2**30
 _SUPPORT_ROW_BYTES = (120, 24)
 
 
-def _check_plan(cfg: AnalysisConfig | SimulationConfig, where: str) -> None:
+def _check_plan(cfg: AnalysisConfig | SimulationConfig) -> None:
     """Checks shared by the configs that run estimators; AnalysisPlan checks the plan."""
-    try:
-        cfg.plan
-        check_seed(cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    for key in ("level", "restriction_threshold"):
-        if not 0.0 < getattr(cfg, key) < 1.0:
-            raise ConfigError(f"{where}: {key!r} must be inside (0, 1), got {getattr(cfg, key)}")
+    cfg.plan
+    check_seed(cfg.seed)
+    require_unit(cfg.level, "level")
+    require_unit(cfg.restriction_threshold, "restriction_threshold")
 
 
-def _check_records(where: str, key: str, count: int, values: int) -> None:
+def _check_records(key: str, count: int, values: int) -> None:
     need = 8 * values * count
     if need > REPLICATE_BUDGET:
         raise ConfigError(
-            f"{where}: {key!r} {count} needs {need / 2**30:.3g} GiB of replicate records "
+            f"{key!r} {count} needs {need / 2**30:.3g} GiB of replicate records "
             f"({values} values each), over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
         )
 
@@ -105,24 +101,17 @@ class AnalysisConfig:
     output: str = "report.json"
 
     def __post_init__(self) -> None:
-        where = "analyze config"
-        _check_plan(self, where)
-        if self.bootstrap < 0 or self.bootstrap == 1:
-            raise ConfigError(f"{where}: bootstrap needs at least 2 replicates (or 0 to disable)")
-        _check_records(where, "bootstrap", self.bootstrap, _quantities(self.plan))
-        if not self.weight_threshold > 0.0:
-            raise ConfigError(f"{where}: weight_threshold must be positive")
+        _check_plan(self)
+        require_count(self.bootstrap, "bootstrap", 2, or_zero=True)
+        _check_records("bootstrap", self.bootstrap, _quantities(self.plan))
+        require_positive(self.weight_threshold, "weight_threshold")
 
     @property
     def plan(self) -> AnalysisPlan:
         return AnalysisPlan(self.outcome_kind, self.estimators, self.arms, self.ridge, self.hajek)
 
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> AnalysisConfig:
-        return parse(cls, raw, "analyze config")
-
-    def to_dict(self) -> dict:
-        return dump(self)
+    from_dict = parser("analyze config")
+    to_dict = dump
 
 
 @dataclass(frozen=True)
@@ -142,17 +131,15 @@ class SimulationConfig:
     output: str = "simulation.json"
 
     def __post_init__(self) -> None:
-        where = "simulate config"
         if isinstance(self.scenario, str):
             object.__setattr__(self, "scenario", self.scenario.upper())
-        _check_plan(self, where)  # an unknown preset fails here, not after the truths
-        if self.reps < 2:
-            raise ConfigError(f"{where}: reps must be at least 2")
+        _check_plan(self)  # an unknown preset fails here, not after the truths
+        require_count(self.reps, "reps", 2)
         # Each estimate and its standard error, and a restriction p-value per arm.
         values = 2 * _quantities(self.plan) + self.restriction * len(self.arms)
-        _check_records(where, "reps", self.reps, values)
-        if min(self.n) < 1:
-            raise ConfigError(f"{where}: study sizes must be positive")
+        _check_records("reps", self.reps, values)
+        for size in self.n:
+            require_count(size, "n", 1)
         # What a run holds at once: a replicate's rows and, for a binary law,
         # two supports of 2^k patterns times 2 per violation present.
         law = self.law
@@ -167,11 +154,10 @@ class SimulationConfig:
                 what = f"'scenario' ({law.k} binary covariates, {rows} support rows)"
         if draws + support > REPLICATE_BUDGET:
             raise ConfigError(
-                f"{where}: {what} takes the most of the {(draws + support) / 2**30:.3g} GiB "
+                f"{what} takes the most of the {(draws + support) / 2**30:.3g} GiB "
                 f"a replicate needs, over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
             )
-        if self.truth_draws < 1000:
-            raise ConfigError(f"{where}: truth_draws must be at least 1000")
+        require_count(self.truth_draws, "truth_draws", 1000)
 
     @property
     def law(self) -> ScenarioConfig:
@@ -182,12 +168,8 @@ class SimulationConfig:
     def plan(self) -> AnalysisPlan:  # run_monte_carlo's, misspecification aside
         return AnalysisPlan(self.law.outcome_kind, self.estimators, self.arms, self.ridge)
 
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> SimulationConfig:
-        return parse(cls, raw, "simulate config")
-
-    def to_dict(self) -> dict:
-        return dump(self)
+    from_dict = parser("simulate config")
+    to_dict = dump
 
 
 @dataclass(frozen=True)
@@ -196,9 +178,5 @@ class ValidateConfig:
     schema: ColumnSchema
     output: str | None = None
 
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> ValidateConfig:
-        return parse(cls, raw, "validate config")
-
-    def to_dict(self) -> dict:
-        return dump(self)
+    from_dict = parser("validate config")
+    to_dict = dump

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, ParseError, SchemaError
+from .errors import DataError, DomainError, ParseError, SchemaError, require_member
 
 OUTCOME_KINDS = ("continuous", "binary")
 
@@ -299,8 +299,7 @@ def cell_table(d: Dataset | CellTable, outcome_kind: str) -> CellTable:
     table reweighted for a chunk of bootstrap replicates, is returned as it is.
     Raises ConfigError for an unknown ``outcome_kind``, and DomainError when
     it is binary and an occupied cell's outcome is not 0 or 1."""
-    if outcome_kind not in OUTCOME_KINDS:
-        raise ConfigError(f"outcome_kind must be one of {OUTCOME_KINDS}, got {outcome_kind!r}")
+    require_member(outcome_kind, "outcome_kind", OUTCOME_KINDS)
     t = d if isinstance(d, CellTable) else d.cells(outcome_kind == "binary")
     y = t.y_mean
     if outcome_kind == "binary" and np.any((t.count > 0) & (y != 0.0) & (y != 1.0)):

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, cell_table
-from .errors import DegenerateFitError, require_finite
+from .errors import (
+    DegenerateFitError,
+    require_finite,
+    require_member,
+    require_positive,
+    require_unit,
+)
 from .estimators import ESTIMATOR_NAMES, aipw_weighting, predictions
 from .glm import LogisticModel, coefficient_covariance, only
 from .inference import TestResult, linear_quantiles
@@ -83,10 +89,8 @@ def restriction_test(
     The test is invariant to swapping the study labels: the S coefficients
     change sign, the p-value does not move.
     """
-    if a not in (0, 1):
-        raise ValueError(f"treatment arm must be 0 or 1, got {a!r}")
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be inside (0, 1), got {threshold!r}")
+    require_member(a, "a", (0, 1))
+    require_unit(threshold, "threshold")
     t = cell_table(d, outcome_kind)
     mask = t.a == a
     for s in (0, 1):
@@ -186,8 +190,7 @@ def overlap_summary(
     weights (1 - p) / e_a on all arm-a rows. ``rows_above`` holds the first
     rows above the threshold, in row order.
     """
-    if not weight_threshold > 0.0:
-        raise ValueError("weight threshold must be positive")
+    require_positive(weight_threshold, "weight_threshold")
     t = cell_table(d, nu.outcome_kind)
     count = t.count[0]
     pred = predictions(t, nu, ESTIMATOR_NAMES, ())  # no outcome model

@@ -35,8 +35,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import OUTCOME_KINDS, CellTable, Dataset, cell_table
-from .errors import IncompatibleEstimatesError, PositivityError, record
-from .glm import check_ridge
+from .errors import (
+    IncompatibleEstimatesError,
+    PositivityError,
+    record,
+    require_member,
+    require_positive,
+    require_subset,
+)
 from .nuisance import NuisanceSet, fit_nuisances
 
 PROPENSITY_FLOOR = 1e-10
@@ -304,7 +310,7 @@ class AnalysisPlan:
 
     ``estimators`` is a subset of {"phi", "chi", "psi"}; ``arms`` a subset
     of {0, 1}; ``outcome_kind`` one of data.OUTCOME_KINDS; ``ridge`` a
-    finite number >= 0 (glm.check_ridge). A bad request raises a ValueError
+    finite number >= 0. A bad request raises a ConfigError
     that names its key. ``contrasts`` says which contrasts the plan yields.
     """
 
@@ -318,21 +324,10 @@ class AnalysisPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "arms", tuple(self.arms))
-        names, arms = self.estimators, self.arms
-        if not names or not set(names) <= set(ESTIMATOR_NAMES) or len(set(names)) != len(names):
-            raise ValueError(
-                f"'estimators' must be distinct names from {list(ESTIMATOR_NAMES)}, "
-                f"got {list(names)}"
-            )
-        # A bool arm would equal 1 or 0 here yet label its estimates "phi(True)".
-        bools = any(isinstance(a, bool) for a in arms)
-        if not arms or bools or not set(arms) <= {0, 1} or len(set(arms)) != len(arms):
-            raise ValueError(f"'arms' must be a subset of [0, 1] without repeats, got {list(arms)}")
-        if self.outcome_kind not in OUTCOME_KINDS:
-            raise ValueError(
-                f"'outcome_kind' must be one of {list(OUTCOME_KINDS)}, got {self.outcome_kind!r}"
-            )
-        check_ridge(self.ridge)
+        require_subset(self.estimators, "estimators", ESTIMATOR_NAMES)
+        require_subset(self.arms, "arms", (0, 1))
+        require_member(self.outcome_kind, "outcome_kind", OUTCOME_KINDS)
+        require_positive(self.ridge, "ridge", or_zero=True)
 
     def contrasts(self) -> dict[str, dict]:
         """Each contrast the plan yields, as (label, first, second), by kind:

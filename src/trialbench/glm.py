@@ -45,7 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, FitError, SeparationError, SingularDesignError, record
+from .errors import (
+    DegenerateFitError,
+    FitError,
+    SeparationError,
+    SingularDesignError,
+    record,
+    require_positive,
+)
 
 # Probabilities are kept strictly inside (0, 1) so weights stay finite.
 _PROB_LO = 1e-300
@@ -420,12 +427,6 @@ def _separation(what: str, iteration: int) -> SeparationError:
     return SeparationError(f"logistic fit: {what} at iteration {iteration}")
 
 
-def check_ridge(ridge: float) -> None:
-    """A NaN ridge would switch off the penalty and the separation check both."""
-    if not 0.0 <= ridge < np.inf:
-        raise ValueError(f"'ridge' must be a finite number >= 0, got {ridge!r}")
-
-
 def fit_logistic(
     design: np.ndarray,
     labels: np.ndarray,
@@ -459,7 +460,7 @@ def fit_logistic_stack(
     where it succeeded; that row's coefficients are then 0). Each row keeps
     its own checks, step halving and convergence test.
     """
-    check_ridge(ridge)
+    require_positive(ridge, "ridge", or_zero=True)
     x, scales, y, w, occupied, total, errors = _prepare(
         design, labels, weights, "logistic fit", "labels"
     )

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, cell_table
-from .errors import DegenerateTestError, FitError
+from .errors import DegenerateTestError, FitError, require_count, require_unit
 from .estimators import AnalysisPlan, EstimateWithIF, run_plan
 
 
@@ -73,7 +73,7 @@ class BootstrapResult:
     def percentile_interval(self, point: float, level: float = 0.95) -> Interval:
         """Percentile interval; its endpoints are finite, because a finite
         standard error keeps every replicate and their range finite."""
-        _check_level(level)
+        require_unit(level, "level")
         se = self.std_error
         alpha = 1.0 - level
         reps = self.replicates
@@ -115,11 +115,6 @@ def linear_quantiles(values: np.ndarray, qs: Sequence[float], counts: np.ndarray
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _check_level(level: float) -> None:
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"confidence level must be inside (0, 1), got {level!r}")
-
-
 def sandwich_se(e: EstimateWithIF) -> float:
     """Plug-in standard error from the influence values, summed per cell: in a
     cell, alpha * y + beta averages alpha * ybar + beta, and its squared
@@ -140,7 +135,7 @@ def sandwich_se(e: EstimateWithIF) -> float:
 
 def sandwich_ci(e: EstimateWithIF, level: float = 0.95) -> Interval:
     """Symmetric normal-theory interval around the estimate."""
-    _check_level(level)
+    require_unit(level, "level")
     se = sandwich_se(e)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return Interval(
@@ -171,8 +166,8 @@ def wald_test(e: EstimateWithIF, null_value: float = 0.0) -> TestResult:
 
 def check_seed(seed: int | np.random.SeedSequence) -> None:
     """np.random.SeedSequence takes non-negative integers only."""
-    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
-        raise ValueError(f"'seed' must be a non-negative integer, got {seed}")
+    if not isinstance(seed, np.random.SeedSequence):
+        require_count(seed, "seed", 0)
 
 
 def keyed_seed(seed: int | np.random.SeedSequence, index: int) -> np.random.SeedSequence:
@@ -188,6 +183,23 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(keyed_seed(seed, index))
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc's allocator keep up to 16 MiB of freed heap, and map only
+    arrays above 2 MiB, for the rest of the process. Otherwise the next
+    replicate faults its freed working set back in: 58,000 minor faults in 25
+    replicates on 20k Gaussian rows, 10,000 so. Off glibc nothing is done."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
+
+
 def run_replicates(
     chunk: Callable[[range], list[dict[str, float] | Exception]], count: int, size: int, what: str
 ) -> tuple[dict[str, np.ndarray], int]:
@@ -197,7 +209,8 @@ def run_replicates(
     ``chunk(indices)`` gives each index its values or its error. A FitError,
     or one that ``chunk`` raises for all its indices, drops and counts a
     replicate, and any other error is raised. More than count/2 failures, or
-    fewer than two replicates left to keep, aborts."""
+    fewer than two replicates left to keep, aborts. Freed heap is kept."""
+    _keep_freed_heap()
     columns: dict[str, np.ndarray] = {}
     kept = failures = 0
     for start in range(0, count, size):
@@ -294,8 +307,7 @@ def bootstrap(
     of execution order and chunking, because each replicate owns an
     index-keyed RNG stream and is fitted row by row.
     """
-    if B < 2:
-        raise ValueError("bootstrap needs at least 2 replicates")
+    require_count(B, "B", 2)
     check_seed(seed)
     t = cell_table(d, plan.outcome_kind)
     size = max(1, _CHUNK_FLOATS // (t.s.size * (t.k + 1)))

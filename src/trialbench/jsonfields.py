@@ -4,7 +4,7 @@
 accepts exactly the keys its fields name, each with the JSON type its
 annotation gives. Range and membership checks live in each class's
 ``__post_init__``, so they also hold for programmatic construction and
-``dataclasses.replace``.
+``dataclasses.replace``; ``parse`` names the config before their messages.
 
 ``dump`` is the one way a value becomes JSON: configs, report records and
 whole reports. It writes every field of a dataclass, turns mapping keys into
@@ -118,7 +118,15 @@ def parse(cls: type, raw: Any, where: str) -> Any:
             values[name] = _value(hints[name], raw[name], where, repr(name))
         elif f.default is dataclasses.MISSING:
             raise ConfigError(f"{where}: missing required key {name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def parser(where: str) -> classmethod:
+    """A config's ``from_dict``: ``parse`` of its class, naming ``where``."""
+    return classmethod(lambda cls, raw: parse(cls, raw, where))
 
 
 def dump(obj: Any) -> Any:

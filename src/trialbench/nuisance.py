@@ -25,7 +25,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import CellTable, Dataset, cell_table
-from .errors import ConfigError, DegenerateFitError, FitError, record, require_finite
+from .errors import (
+    ConfigError,
+    DegenerateFitError,
+    FitError,
+    record,
+    require_finite,
+    require_member,
+)
 from .glm import (
     LogisticModel,
     Model,
@@ -83,13 +90,15 @@ class NuisanceSet:
 
     def treatment_prob(self, x: np.ndarray, arm: int, stratum: str) -> np.ndarray:
         """Pr[a = arm | x] under the stratum's propensity model."""
-        _check_arm(arm)
-        p1 = self.propensity[_check_stratum(stratum)].predict(x)
+        require_member(arm, "arm", (0, 1))
+        require_member(stratum, "stratum", STRATA)
+        p1 = self.propensity[stratum].predict(x)
         return p1 if arm == 1 else 1.0 - p1
 
     def outcome_mean(self, x: np.ndarray, arm: int, stratum: str) -> np.ndarray:
-        _check_arm(arm)
-        return self.outcome[(_check_stratum(stratum), arm)].predict(x)
+        require_member(arm, "arm", (0, 1))
+        require_member(stratum, "stratum", STRATA)
+        return self.outcome[(stratum, arm)].predict(x)
 
     def summaries(self) -> dict:
         """JSON-ready per-model summaries for reporting."""
@@ -127,18 +136,6 @@ class NuisanceSet:
                 entry["dropped_covariates"] = list(self.dropped[family])
             out[name] = entry
         return out
-
-
-def _check_arm(arm: int) -> int:
-    if arm not in (0, 1):
-        raise ValueError(f"treatment arm must be 0 or 1, got {arm!r}")
-    return arm
-
-
-def _check_stratum(stratum: str) -> str:
-    if stratum not in STRATA:
-        raise ValueError(f"stratum must be one of {STRATA}, got {stratum!r}")
-    return stratum
 
 
 def normalize_drop(

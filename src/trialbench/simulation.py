@@ -31,11 +31,11 @@ import numpy as np
 
 from .data import OUTCOME_KINDS, Dataset
 from .diagnostics import restriction_test
-from .errors import ConfigError
+from .errors import ConfigError, require_count, require_member, require_positive, require_unit
 from .estimators import ESTIMATOR_NAMES, AnalysisPlan, run_plan
 from .glm import expit
-from .inference import _check_level, check_seed, keyed_seed, run_replicates, sandwich_se
-from .jsonfields import dump, parse
+from .inference import check_seed, keyed_seed, run_replicates, sandwich_se
+from .jsonfields import dump, parser
 from .nuisance import normalize_drop
 
 
@@ -49,18 +49,16 @@ class CovariateLaw:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", tuple(self.p))
-        if self.kind not in ("binary", "gaussian"):
-            raise ConfigError(f"covariate kind must be binary or gaussian, got {self.kind!r}")
+        require_member(self.kind, "kind", ("binary", "gaussian"))
         if self.kind == "binary":
             if not self.p:
                 raise ConfigError("binary covariate law needs at least one probability")
-            if any(not (0.0 < q < 1.0) for q in self.p):
-                raise ConfigError("binary covariate probabilities must be inside (0, 1)")
+            for q in self.p:
+                require_unit(q, "p")
             if self.dim != 1:
                 raise ConfigError("binary covariates take their count from p, not from dim")
         else:
-            if self.dim < 1:
-                raise ConfigError("gaussian covariate law needs dim >= 1")
+            require_count(self.dim, "dim", 1)
             if self.p != (0.5,):
                 raise ConfigError("gaussian covariates take no probabilities p")
 
@@ -79,8 +77,7 @@ class _Violation:
     u_prob: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.u_prob < 1.0):
-            raise ConfigError("u_prob must be inside (0, 1)")
+        require_unit(self.u_prob, "u_prob")
 
     @property
     def active(self) -> bool:
@@ -128,23 +125,16 @@ class ScenarioConfig:
     transport: TransportViolation | None = None
 
     def __post_init__(self) -> None:
-        for name in ("participation", "emulation_propensity", "outcome_x", "outcome_tx"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         k = self.covariates.k
-        if len(self.participation) != k + 1:
-            raise ConfigError(f"participation needs {k + 1} coefficients (intercept first)")
-        if len(self.emulation_propensity) != k + 1:
-            raise ConfigError(
-                f"emulation_propensity needs {k + 1} coefficients (intercept first)"
-            )
-        if len(self.outcome_x) != k or len(self.outcome_tx) != k:
-            raise ConfigError(f"outcome_x and outcome_tx need {k} coefficients")
-        if not (0.0 < self.trial_arm_prob < 1.0):
-            raise ConfigError("trial_arm_prob must be inside (0, 1)")
-        if self.noise_sd < 0.0:
-            raise ConfigError("noise_sd must be non-negative")
-        if self.outcome_kind not in OUTCOME_KINDS:
-            raise ConfigError(f"'outcome_kind' must be one of {list(OUTCOME_KINDS)}")
+        for name, first in (("participation", 1), ("emulation_propensity", 1),
+                            ("outcome_x", 0), ("outcome_tx", 0)):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            if len(getattr(self, name)) != k + first:
+                intercept = " (intercept first)" if first else ""
+                raise ConfigError(f"{name!r} needs {k + first} coefficients{intercept}")
+        require_unit(self.trial_arm_prob, "trial_arm_prob")
+        require_positive(self.noise_sd, "noise_sd", or_zero=True)
+        require_member(self.outcome_kind, "outcome_kind", OUTCOME_KINDS)
 
     @property
     def k(self) -> int:
@@ -222,12 +212,8 @@ class ScenarioConfig:
             lp = lp + self.confounding.effect_on_treatment * np.asarray(uc)
         return lp
 
-    def to_dict(self) -> dict:
-        return dump(self)
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> ScenarioConfig:
-        return parse(cls, raw, "bad scenario config")
+    from_dict = parser("bad scenario config")
+    to_dict = dump
 
 
 @dataclass(frozen=True)
@@ -337,9 +323,9 @@ def generate(
     Trial rows come first. Each study has its own RNG stream keyed off the
     seed, so the same seed always yields the bit-identical dataset.
     """
-    n1, n0 = int(n[0]), int(n[1])
-    if n1 < 1 or n0 < 1:
-        raise ConfigError(f"both study sizes must be positive, got {n!r}")
+    for size in n:
+        require_count(size, "n", 1)
+    n1, n0 = n
     check_seed(seed)
     support = _binary_cells(cfg) if cfg.covariates.kind == "binary" else None  # for both studies
     parts = []  # (x, s, a, y) of each study
@@ -498,8 +484,7 @@ def true_values(
     Binary covariates are enumerated exactly; Gaussian covariates use
     ``draws`` importance-weighted samples and report the Monte Carlo error.
     """
-    if draws < 1:
-        raise ValueError(f"'draws' must be at least 1, got {draws}")
+    require_count(draws, "draws", 1)
     if cfg.covariates.kind == "binary":
         return _enumeration_truths(cfg)
     return _importance_truths(cfg, draws, seed)
@@ -595,21 +580,21 @@ def run_monte_carlo(
     test. Replicates whose fits fail are dropped and counted; more than
     reps/2 failures, or fewer than two replicates left to keep, aborts.
 
-    The truths (``true_values``) run on one background thread while this
-    thread runs the replicates. The two share no data and each keeps its own
-    random streams, so the report does not depend on their timing. When the
-    replicates raise, the truths stop at their next block; the thread is
-    joined before this returns or raises, and an error of the truths wins
-    over the replicates' error, as when the truths ran first.
+    Every argument is checked before any work. The truths (``true_values``) run
+    on one background thread while this thread runs the replicates. The two
+    share no data and each keeps its own random streams, so the report does not
+    depend on their timing. When the replicates raise, the truths stop at their
+    next block; the thread is joined before this returns or raises, and an error
+    of the truths wins over the replicates' error, as when the truths ran first.
     """
-    if reps < 2:
-        raise ConfigError("need at least 2 replicates")
-    _check_level(level)
+    require_count(reps, "reps", 2)
+    for size in n:
+        require_count(size, "n", 1)
+    require_count(truth_draws, "truth_draws", 1)
+    require_unit(level, "level")
+    require_unit(restriction_threshold, "restriction_threshold")
     check_seed(seed)
-    # The replicates return p-values; only this driver reads the threshold.
-    if restriction and not 0.0 < restriction_threshold < 1.0:
-        raise ValueError(f"threshold must be inside (0, 1), got {restriction_threshold!r}")
-    # Check the misspecified model and covariate names before any work.
+    # The misspecified model and covariate names, and the plan.
     misspec_echo = {
         name: list(cols)
         for name, cols in normalize_drop(misspec, cfg.covariate_names()).items()

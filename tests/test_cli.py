@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import dataclasses
 import importlib
 import io
 import json
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 import trialbench
 from trialbench import cli, glm, report
 from trialbench.cli import main
+from trialbench.config import AnalysisConfig, SimulationConfig, ValidateConfig
+from trialbench.scenarios import truth_table
 from trialbench.nuisance import MODEL_NAMES
 from trialbench.report import load_report_schema, validate_report
 
@@ -341,6 +344,64 @@ def test_negative_seed_exits_2_naming_seed(tmp_path, write_config, capsys, comma
     assert "'seed'" in error["message"]
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+def _inline_ft(**changes) -> dict:
+    """The FT scenario inline, with keys replaced."""
+    return {"scenario": {**truth_table("FT").to_dict(), **changes}}
+
+
+# (command, changes to a runnable payload, the key the message names): each
+# argument rule a config applies, broken once.
+OUT_OF_RANGE = {
+    "analyze level 0": ("analyze", {"level": 0.0}, "level"),
+    "analyze level 1": ("analyze", {"level": 1.0}, "level"),
+    "analyze restriction_threshold": ("analyze", {"restriction_threshold": 1.0}, "restriction_threshold"),
+    "analyze bootstrap 1": ("analyze", {"bootstrap": 1}, "bootstrap"),
+    "analyze bootstrap -2": ("analyze", {"bootstrap": -2}, "bootstrap"),
+    "analyze seed": ("analyze", {"seed": -1}, "seed"),
+    "analyze weight_threshold": ("analyze", {"weight_threshold": 0.0}, "weight_threshold"),
+    "analyze ridge": ("analyze", {"ridge": -1.0}, "ridge"),
+    "analyze outcome_kind": ("analyze", {"outcome_kind": "ordinal"}, "outcome_kind"),
+    "analyze estimators": ("analyze", {"estimators": ["xi"]}, "estimators"),
+    "analyze arms": ("analyze", {"arms": [2]}, "arms"),
+    "simulate reps": ("simulate", {"reps": 1}, "reps"),
+    "simulate n": ("simulate", {"n": [0, 5]}, "n"),
+    "simulate truth_draws": ("simulate", {"truth_draws": 999}, "truth_draws"),
+    "simulate level": ("simulate", {"level": 0.0}, "level"),
+    "simulate restriction_threshold": ("simulate", {"restriction_threshold": 0.0}, "restriction_threshold"),
+    "simulate seed": ("simulate", {"seed": -1}, "seed"),
+    "simulate ridge": ("simulate", {"ridge": -1.0}, "ridge"),
+    "simulate estimators": ("simulate", {"estimators": []}, "estimators"),
+    "simulate arms": ("simulate", {"arms": [0, 0]}, "arms"),
+    "scenario trial_arm_prob": ("simulate", _inline_ft(trial_arm_prob=1.0), "trial_arm_prob"),
+    "scenario noise_sd": ("simulate", _inline_ft(noise_sd=-1.0), "noise_sd"),
+    "scenario outcome_kind": ("simulate", _inline_ft(outcome_kind="ordinal"), "outcome_kind"),
+    "scenario confounding u_prob": ("simulate", _inline_ft(confounding={"u_prob": 0.0}), "u_prob"),
+    "scenario transport u_prob": ("simulate", _inline_ft(transport={"u_prob": 1.0}), "u_prob"),
+    "scenario covariates p": ("simulate", _inline_ft(covariates={"kind": "binary", "p": [1.0]}), "p"),
+    "scenario covariates dim": ("simulate", _inline_ft(covariates={"kind": "gaussian", "dim": 0}), "dim"),
+    "scenario covariates kind": ("simulate", _inline_ft(covariates={"kind": "uniform"}), "kind"),
+}
+
+
+@pytest.mark.parametrize("command, changes, key", OUT_OF_RANGE.values(), ids=list(OUT_OF_RANGE))
+def test_each_config_rule_exits_2_with_a_one_line_error_naming_the_key(
+    tmp_path, write_config, capsys, command, changes, key
+):
+    if command == "analyze":
+        payload = analysis_payload(tmp_path, **changes)
+    else:
+        payload = simulation_payload(tmp_path, **changes)
+    assert main([command, write_config(payload), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"{command} config")
+    assert repr(key) in error["message"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "sim.json").exists()
 
 
 def test_missing_input_csv_exits_3(tmp_path, write_config, capsys):
@@ -677,26 +738,43 @@ def _libc_has_mallopt() -> bool:
         return False
 
 
-# A Gaussian simulate at (20000, 20000): every row is a cell, so each
-# replicate's working set is a few MB, freed at its end. Prints the minor
-# page faults of the main call; KEEP False stubs out the allocator settings.
-SIMULATE_FAULTS = """
+# A Gaussian law with a binary outcome: at (20000, 20000) every row is a
+# cell, so each replicate's working set is a few MB, freed at its end.
+FAULTS_LAW = {
+    "covariates": {"kind": "gaussian", "dim": 3}, "participation": [-0.3, 0.5, -0.4, 0.3],
+    "trial_arm_prob": 0.5, "emulation_propensity": [-0.2, 0.4, 0.3, -0.5],
+    "outcome_intercept": -0.5, "outcome_x": [0.6, -0.4, 0.3], "outcome_treatment": 0.8,
+    "outcome_tx": [0.3, 0.0, -0.2], "outcome_kind": "binary",
+}
+
+# Simulates FAULTS_LAW and prints the minor page faults of the main call;
+# KEEP False stubs out the allocator settings.
+SIMULATE_FAULTS = f"""
 import json, os, resource, tempfile
-from trialbench import cli
+from trialbench import cli, inference
 if not KEEP:
-    cli._keep_freed_heap = lambda: None
-law = {"covariates": {"kind": "gaussian", "dim": 3}, "participation": [-0.3, 0.5, -0.4, 0.3],
-       "trial_arm_prob": 0.5, "emulation_propensity": [-0.2, 0.4, 0.3, -0.5],
-       "outcome_intercept": -0.5, "outcome_x": [0.6, -0.4, 0.3], "outcome_treatment": 0.8,
-       "outcome_tx": [0.3, 0.0, -0.2], "outcome_kind": "binary"}
+    inference._keep_freed_heap = lambda: None
+law = {FAULTS_LAW!r}
 with tempfile.TemporaryDirectory() as tmp:
     config = os.path.join(tmp, "config.json")
     with open(config, "w") as fh:
-        json.dump({"scenario": law, "n": [20000, 20000], "reps": 3, "truth_draws": 100000,
-                   "seed": 5, "output": os.path.join(tmp, "report.json")}, fh)
+        json.dump({{"scenario": law, "n": [20000, 20000], "reps": 3, "truth_draws": 100000,
+                   "seed": 5, "output": os.path.join(tmp, "report.json")}}, fh)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert cli.main(["simulate", config, "--quiet"]) == 0
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# The same study through the library alone, with no command line around it.
+LIBRARY_FAULTS = f"""
+import resource
+from trialbench import ScenarioConfig, inference, run_monte_carlo
+if not KEEP:
+    inference._keep_freed_heap = lambda: None
+law = ScenarioConfig.from_dict({FAULTS_LAW!r})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_monte_carlo(law, 3, (20000, 20000), 5, truth_draws=100000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
@@ -706,6 +784,17 @@ def test_cli_keeps_the_heap_its_replicates_free():
     # 17,000-19,000 without them.
     kept, returned = (
         int(run_fresh(f"KEEP = {keep}\n" + SIMULATE_FAULTS, timeout=120)) for keep in (True, False)
+    )
+    assert kept < returned / 2, (kept, returned)
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_library_monte_carlo_keeps_the_heap_its_replicates_free():
+    # The replicate loop applies the settings, so a library caller gets them
+    # too: on a 2-vCPU Linux machine about 5,750 minor faults with them,
+    # 17,700-20,400 with them stubbed out.
+    kept, returned = (
+        int(run_fresh(f"KEEP = {keep}\n" + LIBRARY_FAULTS, timeout=120)) for keep in (True, False)
     )
     assert kept < returned / 2, (kept, returned)
 
@@ -1021,6 +1110,132 @@ def test_simulate_exits_within_its_families(tmp_path_factory, payload):
     if code:
         assert out.count("\n") == 1
         assert json.loads(out)["error"]["exit_code"] == code
+
+
+@st.composite
+def lopsided_runs(draw) -> tuple[str, dict]:
+    """A small CSV whose rows all share one study, or one treatment arm
+    overall or within one study, and the analyze config to run on it
+    (without input and output)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    s, a = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    shape = draw(st.sampled_from(("one study", "one arm", "one arm in the trial", "one arm in the emulation")))
+    level = draw(st.sampled_from((0, 1)))
+    if shape == "one study":
+        s[:] = level
+    elif shape == "one arm":
+        a[:] = level
+    else:
+        a[s == (shape == "one arm in the trial")] = level
+    outcome_kind = draw(st.sampled_from(("binary", "continuous")))
+    y = rng.integers(0, 2, n).astype(float) if outcome_kind == "binary" else rng.normal(size=n)
+    x = rng.integers(0, 2, n).astype(float) if draw(st.booleans()) else rng.normal(size=n)
+    lines = ["S,A,Y,X1"] + [f"{si},{ai},{yi!r},{xi!r}" for si, ai, yi, xi in zip(s, a, y.tolist(), x.tolist())]
+    config = {
+        "schema": SCHEMA,
+        "outcome_kind": outcome_kind,
+        "bootstrap": draw(st.sampled_from((0, 5))),
+        "restriction": draw(st.booleans()),
+        "overlap": draw(st.booleans()),
+    }
+    return "\n".join(lines) + "\n", config
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(run=lopsided_runs())
+def test_analyze_of_one_study_or_one_arm_exits_3(tmp_path_factory, run):
+    # Drawn on purpose, not left to chance at small n: a lone study fails
+    # the load, an empty study-by-arm cell the validation, each before a fit.
+    text, payload = run
+    work = tmp_path_factory.mktemp("lopsided")
+    (work / "data.csv").write_text(text)
+    payload = {**payload, "input": str(work / "data.csv"), "output": str(work / "report.json")}
+    (work / "config.json").write_text(json.dumps(payload))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["analyze", str(work / "config.json"), "--quiet"])
+    out = stdout.getvalue()
+    assert code == 3, out
+    assert out.count("\n") == 1
+    studies = {line.split(",")[0] for line in text.splitlines()[1:]}
+    expected = "DomainError" if len(studies) == 1 else "ValidationFailure"
+    assert json.loads(out)["error"]["type"] == expected
+
+
+SHIPPED = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in sorted((REPO_ROOT / "configs").glob("*.json"))}
+# Sizes that run in a fraction of a second; the mutations act on the rest.
+SMALL = {"bootstrap": 5, "reps": 3, "n": [300, 300]}
+# Values of another JSON type than the one a key holds.
+OTHER_TYPES = ["text", 2.5, True, None, [1], {"a": 1}]
+# Values outside each key's range.
+OUTSIDE = {
+    "level": [0.0, 1.0, -0.5, 1.5],
+    "restriction_threshold": [0.0, 1.0],
+    "bootstrap": [1, -1],
+    "reps": [1, 0, -2],
+    "n": [[0, 300], [300, -1]],
+    "truth_draws": [999, 0],
+    "seed": [-1],
+    "weight_threshold": [0.0, -1.0],
+    "ridge": [-1.0],
+    "outcome_kind": ["ordinal"],
+    "estimators": [[], ["phi", "phi"], ["xi"]],
+    "arms": [[], [2], [0, 0]],
+}
+CONFIG_CLASSES = {"analyze": AnalysisConfig, "simulate": SimulationConfig, "validate": ValidateConfig}
+
+
+@st.composite
+def mutated_configs(draw) -> tuple[str, dict, str, str]:
+    """A shipped config at SMALL sizes with one mutation: a key dropped, a
+    value of another JSON type, or a value out of range. Gives the command,
+    the payload (without output), the mutation and its key."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    command = name.split("_")[0]
+    payload = {**SHIPPED[name], **{k: v for k, v in SMALL.items() if k in SHIPPED[name]}}
+    payload.pop("output", None)
+    if "input" in payload:
+        payload["input"] = str(REPO_ROOT / payload["input"])
+    fields = {f.name for f in dataclasses.fields(CONFIG_CLASSES[command])}
+    ranged = sorted(fields & OUTSIDE.keys())
+    mutation = draw(st.sampled_from(("drop", "type", "range") if ranged else ("drop", "type")))
+    if mutation == "range":
+        key = draw(st.sampled_from(ranged))
+        payload[key] = draw(st.sampled_from(OUTSIDE[key]))
+        return command, payload, mutation, key
+    key = draw(st.sampled_from(sorted(payload)))
+    if mutation == "drop":
+        del payload[key]
+    else:
+        payload[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(payload[key])]))
+    return command, payload, mutation, key
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(run=mutated_configs())
+def test_mutated_shipped_configs_exit_within_their_families(tmp_path_factory, run):
+    # A dropped key leaves a valid config or a missing required key; a wrong
+    # JSON type or a value out of range is a config error naming the key.
+    command, payload, mutation, key = run
+    work = tmp_path_factory.mktemp("mutated")
+    payload = {**payload, "output": str(work / "report.json")}
+    (work / "config.json").write_text(json.dumps(payload))
+    stdout = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, str(work / "config.json"), "--quiet"])
+    assert time.perf_counter() - started < 5.0
+    out = stdout.getvalue()
+    assert code in (0, 2, 3, 4), out
+    if code:
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["exit_code"] == code
+    if mutation != "drop":
+        assert code == 2, out
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert repr(key) in error["message"]
 
 
 # Text forms of one CSV: each must read as the plain text reads.

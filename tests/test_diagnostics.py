@@ -85,12 +85,12 @@ def test_restriction_interactions_add_df(small_dataset):
 
 
 def test_restriction_rejects_bad_arguments(small_dataset):
-    with pytest.raises(ValueError, match="arm"):
+    with pytest.raises(ValueError, match="'a' must be one of"):
         restriction_test(small_dataset, 2, outcome_kind="continuous")
     with pytest.raises(ValueError, match="threshold"):
         restriction_test(small_dataset, 1, outcome_kind="continuous", threshold=0.0)
     # The outcome checks fit_nuisances makes, not a failed fit.
-    with pytest.raises(ConfigError, match="outcome_kind must be one of"):
+    with pytest.raises(ConfigError, match="'outcome_kind' must be one of"):
         restriction_test(small_dataset, 1, outcome_kind="continous")
     with pytest.raises(DomainError, match="values outside"):
         restriction_test(small_dataset, 1, outcome_kind="binary")

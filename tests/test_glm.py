@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from trialbench import DegenerateFitError, SeparationError, SingularDesignError, glm
-from trialbench.errors import record
+from trialbench.errors import record, require_positive
 from trialbench.glm import (
     LogisticModel,
     add_intercept,
@@ -365,7 +365,7 @@ def _two_site_logistic_stack(design, labels, weights, ridge=0.0):
     decided again, for the rows that stagnated or ran out of iterations,
     whether they converged or separated: the oracle of the one-site loop.
     It reads glm._MAX_ITER when called."""
-    glm.check_ridge(ridge)
+    require_positive(ridge, "ridge", or_zero=True)
     x, scales, y, w, occupied, total, errors = glm._prepare(
         design, labels, weights, "logistic fit", "labels"
     )

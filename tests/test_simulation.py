@@ -79,7 +79,7 @@ def test_generate_matches_emulation_covariate_shift():
 
 
 def test_generate_rejects_empty_study():
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="'n' must be an integer of at least 1"):
         generate(d1(), (0, 100), seed=1)
 
 
@@ -323,7 +323,7 @@ def test_run_monte_carlo_refuses_a_level_outside_0_1_before_any_work(monkeypatch
 
     for name in ("true_values", "generate", "run_plan"):
         monkeypatch.setattr(simulation, name, no_work)
-    with pytest.raises(ValueError, match="confidence level must be inside"):
+    with pytest.raises(ValueError, match="'level' must be inside"):
         run_monte_carlo(d1(), reps=4, n=(500, 500), seed=1, restriction=False, level=level)
 
 

@@ -197,6 +197,64 @@ def test_only_the_allowlisted_definitions_are_named_by_tests_alone():
     assert found == set(TEST_ONLY)
 
 
+# The phrasing of each argument rule, and old phrasings of the same rules.
+# Only the rule's own function in errors.py may say it, so that a rule does
+# not grow a second owner with a condition of its own.
+RULE_PHRASES = (
+    "must be inside (0, 1)",
+    "must be an integer of at least",
+    "must be at least",
+    "must be positive",
+    "must be non-negative",
+    "must be a finite number",
+    "must be one of",
+    "must be distinct",
+    "must be a subset",
+)
+RULE_OWNERS = {"require_unit", "require_count", "require_positive", "require_member", "require_subset"}
+
+
+def rule_phrases_outside_their_owners(sources: dict[str, str]) -> list[str]:
+    """Each string, docstrings aside, that says a RULE_PHRASES phrase outside
+    the RULE_OWNERS functions of errors.py."""
+    found = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+                skipped.add(id(node.body[0].value))
+            if name == "errors.py" and isinstance(node, ast.FunctionDef) and node.name in RULE_OWNERS:
+                skipped |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skipped:
+                found += [f"{name} line {node.lineno}: {p}" for p in RULE_PHRASES if p in node.value]
+    return found
+
+
+def test_rule_phrases_outside_their_owners_are_found():
+    sources = {
+        "errors.py": (
+            '"""A docstring: x must be positive."""\n'
+            "def require_unit(value, name):\n"
+            '    raise ConfigError(f"{name!r} must be inside (0, 1), got {value!r}")\n'
+            "def other(n):\n"
+            '    """n must be at least 1."""\n'
+            '    raise ConfigError(f"{n} must be at least 1")\n'
+        ),
+        "config.py": 'def f(v):\n    raise ConfigError(f"{v} must be positive")\n',
+    }
+    assert rule_phrases_outside_their_owners(sources) == [
+        "errors.py line 6: must be at least",
+        "config.py line 2: must be positive",
+    ]
+
+
+def test_each_argument_rule_is_said_only_by_its_function():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert rule_phrases_outside_their_owners(sources) == []
+
+
 def _perfbench_spans():
     """perfbench/spans.py as a module, run from its source (stdlib imports
     only) so that nothing, bytecode included, is written next to it."""
