@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .data import ColumnSchema
-from .errors import ConfigError, require_count, require_positive, require_unit
+from .errors import ConfigError, require_count, require_positive, require_sizes, require_unit
 from .estimators import ESTIMATOR_NAMES, AnalysisPlan
 from .inference import check_seed
 from .jsonfields import dump, parser
@@ -138,8 +138,7 @@ class SimulationConfig:
         # Each estimate and its standard error, and a restriction p-value per arm.
         values = 2 * _quantities(self.plan) + self.restriction * len(self.arms)
         _check_records("reps", self.reps, values)
-        for size in self.n:
-            require_count(size, "n", 1)
+        require_sizes(self.n, "n")
         # What a run holds at once: a replicate's rows and, for a binary law,
         # two supports of 2^k patterns times 2 per violation present.
         law = self.law

@@ -30,7 +30,7 @@ from .errors import (
 from .estimators import ESTIMATOR_NAMES, aipw_weighting, predictions
 from .glm import LogisticModel, coefficient_covariance, only
 from .inference import TestResult, linear_quantiles
-from .nuisance import NuisanceSet, fit_cells
+from .nuisance import MODELS, NuisanceSet, fit_cells, stratum_cells
 
 STATUS_CONSISTENT = "consistent"
 STATUS_INCONSISTENT = "inconsistent"
@@ -194,10 +194,12 @@ def overlap_summary(
     t = cell_table(d, nu.outcome_kind)
     count = t.count[0]
     pred = predictions(t, nu, ESTIMATOR_NAMES, ())  # no outcome model
-    cells = {"propensity_s0": t.s == 0, "propensity_s1": t.s == 1}  # else every cell
     probabilities = {}
-    for model in ("participation", "propensity_s0", "propensity_s1", "propensity_pooled"):
-        qs = linear_quantiles(pred[model], _QUANTILES, np.where(cells.get(model, True), count, 0.0))
+    for model, (_, stratum, column, _) in MODELS.items():
+        if column == "y":
+            continue
+        counted = np.where(stratum_cells(t, stratum), count, 0.0)
+        qs = linear_quantiles(pred[model], _QUANTILES, counted)
         require_finite(qs, f"overlap: a {model} probability quantile")
         probabilities[model] = QuantileSummary(*qs.tolist())
 

@@ -111,6 +111,15 @@ def require_count(value, name: str, floor: int, *, or_zero: bool = False) -> Non
         raise ConfigError(f"{name!r} must be an integer of at least {floor_text}, got {value!r}")
 
 
+def require_sizes(value, name: str) -> None:
+    """The study sizes (trial, emulation): a pair, a tuple or a list, of
+    integers of at least 1."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise ConfigError(f"{name!r} must be a pair (trial size, emulation size), got {value!r}")
+    for size in value:
+        require_count(size, name, 1)
+
+
 def require_positive(value, name: str, *, or_zero: bool = False) -> None:
     """A scale, a threshold or a penalty: a finite number above 0, or at
     least 0 with ``or_zero``. NaN fails both comparisons: a NaN ridge would

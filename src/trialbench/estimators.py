@@ -43,7 +43,7 @@ from .errors import (
     require_positive,
     require_subset,
 )
-from .nuisance import NuisanceSet, fit_nuisances
+from .nuisance import NAME_OF, NuisanceSet, fit_nuisances, stratum_cells
 
 PROPENSITY_FLOOR = 1e-10
 ESTIMATOR_NAMES = ("phi", "chi", "psi")
@@ -170,12 +170,12 @@ _AIPW = {
 
 def predictions(t: CellTable, nu: NuisanceSet, names: Sequence[str], arms: Sequence[int]) -> dict:
     """Each model the estimators ``names`` read, predicted once on the cells of
-    ``t`` and keyed by its name: "propensity_<stratum>" (of a = 1), the
-    "participation" unless phi alone is named, and by (stratum, arm) the
-    outcome means at ``arms``."""
+    ``t`` and keyed by its name in MODELS: the propensity (of a = 1) and the
+    outcome means at ``arms`` of each one's stratum, and the participation
+    unless phi alone is named."""
     strata = [_AIPW[name][0] for name in names]
-    pred = {f"propensity_{s}": nu.treatment_prob(t.x, 1, s) for s in strata}
-    pred |= {(s, a): nu.outcome_mean(t.x, a, s) for s in strata for a in arms}
+    pred = {NAME_OF[s, "a", None]: nu.treatment_prob(t.x, 1, s) for s in strata}
+    pred |= {NAME_OF[s, "y", a]: nu.outcome_mean(t.x, a, s) for s in strata for a in arms}
     if set(names) != {"phi"}:
         pred["participation"] = nu.participation_prob(t.x)
     return pred
@@ -189,13 +189,12 @@ def aipw_weighting(
     of arm a and the participation p (None when not predicted), and its
     weight w(e, p) in every cell; phi's weight does not read p."""
     stratum, _, weight = _AIPW[name]
-    in_stratum = {"s0": t.s == 0, "s1": t.s == 1, "pooled": True}[stratum]
-    e1 = pred[f"propensity_{stratum}"]
+    e1 = pred[NAME_OF[stratum, "a", None]]
     e = e1 if a == 1 else 1.0 - e1
     p = pred.get("participation")
     # The weight can overflow off the weighted cells, where it is not used.
     with np.errstate(over="ignore"):
-        return in_stratum & (t.a == a), e, p, weight(e, p)
+        return stratum_cells(t, stratum) & (t.a == a), e, p, weight(e, p)
 
 
 def _estimate(
@@ -212,7 +211,7 @@ def _estimate(
     nuisance fits failed (``errors``) are carried along as failed.
     """
     weighted, e, p, weight = aipw_weighting(t, pred, name, a)
-    g = pred[_AIPW[name][0], a]
+    g = pred[NAME_OF[_AIPW[name][0], "y", a]]
     s0 = t.s == 0
     count, y_sum = t.count, t.y_sum
     in_s0 = s0.astype(float)

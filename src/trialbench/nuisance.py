@@ -42,33 +42,40 @@ from .glm import (
 )
 
 STRATA = ("s0", "s1", "pooled")
-MODEL_NAMES = (
-    "participation",
-    "propensity_s0",
-    "propensity_s1",
-    "propensity_pooled",
-    "outcome_s0",
-    "outcome_s1",
-    "outcome_pooled",
-)
+# The ten nuisance models by their names in the report, in fit order: each
+# one's ``drop`` family, the stratum it is fitted on, the column it predicts
+# (s, a or y) and its treatment arm (None but for an outcome model).
+MODELS = {
+    "participation": ("participation", "pooled", "s", None),
+    **{f"propensity_{s}": (f"propensity_{s}", s, "a", None) for s in STRATA},
+    **{f"outcome_{s}_arm{a}": (f"outcome_{s}", s, "y", a) for s in STRATA for a in (0, 1)},
+}
+# Each model's name by what it predicts: (stratum, column, arm).
+NAME_OF = {spec[1:]: name for name, spec in MODELS.items()}
+MODEL_NAMES = tuple(dict.fromkeys(family for family, *_ in MODELS.values()))
+
+
+def stratum_cells(t: CellTable, stratum: str) -> np.ndarray:
+    """The mask of the cells of ``t`` in ``stratum``: those of the emulation
+    (s = 0), of the trial (s = 1) or, pooled, every cell."""
+    if stratum == "pooled":
+        return np.ones(t.s.size, dtype=bool)
+    return t.s == {"s0": 0, "s1": 1}[stratum]
 
 
 @dataclass(frozen=True)
 class NuisanceSet:
     """Every fitted nuisance model for one dataset.
 
-    ``propensity`` maps stratum name to the Pr[a = 1 | ...] model;
-    ``outcome`` maps (stratum, arm) to the arm-specific outcome regression.
-    Coefficient vectors all have length k + 1 against the dataset's
+    ``models`` maps each name of MODELS to its fitted model, in MODELS'
+    order. Coefficient vectors all have length k + 1 against the dataset's
     covariate order (dropped covariates appear as zero slopes). Fitted on a
     reweighted table, every model is a stack of fits, one per weight vector.
     ``errors`` holds, per weight vector, the first error its fits raised, or
     None; a single set of fits has the one entry None.
     """
 
-    participation: LogisticModel
-    propensity: Mapping[str, LogisticModel]
-    outcome: Mapping[tuple[str, int], Model]
+    models: Mapping[str, Model]
     outcome_kind: str
     covariate_names: tuple[str, ...]
     dropped: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -78,39 +85,27 @@ class NuisanceSet:
         """The single fits of a stack of one; raises the first error they met."""
         if self.errors[0] is not None:
             raise self.errors[0]
-        return replace(
-            self,
-            participation=self.participation.row(0),
-            propensity={s: m.row(0) for s, m in self.propensity.items()},
-            outcome={key: m.row(0) for key, m in self.outcome.items()},
-        )
+        return replace(self, models={name: m.row(0) for name, m in self.models.items()})
 
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
-        return self.participation.predict(x)
+        return self.models["participation"].predict(x)
 
     def treatment_prob(self, x: np.ndarray, arm: int, stratum: str) -> np.ndarray:
         """Pr[a = arm | x] under the stratum's propensity model."""
         require_member(arm, "arm", (0, 1))
         require_member(stratum, "stratum", STRATA)
-        p1 = self.propensity[stratum].predict(x)
+        p1 = self.models[NAME_OF[stratum, "a", None]].predict(x)
         return p1 if arm == 1 else 1.0 - p1
 
     def outcome_mean(self, x: np.ndarray, arm: int, stratum: str) -> np.ndarray:
         require_member(arm, "arm", (0, 1))
         require_member(stratum, "stratum", STRATA)
-        return self.outcome[(stratum, arm)].predict(x)
+        return self.models[NAME_OF[stratum, "y", arm]].predict(x)
 
     def summaries(self) -> dict:
         """JSON-ready per-model summaries for reporting."""
         out: dict = {}
-        named: list[tuple[str, Model]] = [("participation", self.participation)]
-        named += [(f"propensity_{s}", self.propensity[s]) for s in STRATA]
-        named += [
-            (f"outcome_{s}_arm{a}", self.outcome[(s, a)])
-            for s in STRATA
-            for a in (0, 1)
-        ]
-        for name, model in named:
+        for name, model in self.models.items():
             entry: dict = {
                 "coefficients": {
                     "intercept": float(model.coefficients[0]),
@@ -131,7 +126,7 @@ class NuisanceSet:
             else:
                 require_finite(model.residual_variance, f"nuisance {name}: residual variance")
                 entry.update(residual_variance=model.residual_variance)
-            family = name.rsplit("_arm", 1)[0] if name.startswith("outcome") else name
+            family = MODELS[name][0]
             if self.dropped.get(family):
                 entry["dropped_covariates"] = list(self.dropped[family])
             out[name] = entry
@@ -234,49 +229,36 @@ def fit_nuisances(
     """
     t = cell_table(d, outcome_kind)
     occupied = t.count > 0
-    y = t.y_mean
     dropped = normalize_drop(drop, t.covariate_names)
-    masks = {"s0": t.s == 0, "s1": t.s == 1, "pooled": np.ones(t.s.size, dtype=bool)}
+    y = t.y_mean if outcome_kind == "binary" else None  # a linear fit takes no labels
+    labels = {"s": t.s.astype(float), "a": t.a.astype(float), "y": y}
     errors = [None] * len(t.count)
     # Each model copies its cells' rows of this design once, row-major, so
     # the fit takes the copy as it is.
     full = add_intercept(t.x)
-
-    def fit(name: str, mask: np.ndarray, labels: np.ndarray | None, tag: str) -> Model:
-        gone = dropped.get(name, ())
+    models: dict[str, Model] = {}
+    for name, (family, stratum, column, arm) in MODELS.items():
+        mask, tag = stratum_cells(t, stratum), name
+        if arm is not None:
+            mask, tag = mask & (t.a == arm), f"{family} arm {arm}"
+            empty = ~np.any(mask & occupied, axis=1)
+            record(errors, empty, lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"))
+        gone = dropped.get(family, ())
         columns = [0] + [j + 1 for j, c in enumerate(t.covariate_names) if c not in gone]
         design = np.compress(mask, full, axis=0)
         if gone:
             design = np.take(design, columns, axis=1)
-        model, failed = fit_cells(t, mask, design, labels, tag, ridge)
+        model, failed = fit_cells(t, mask, design, labels[column], tag, ridge)
         if any(failed):
-            errors[:] = [e or f for e, f in zip(errors, failed)]
-        if not gone:
-            return model
-        coef = np.zeros((len(errors), t.k + 1))
-        coef[:, columns] = model.coefficients
-        return replace(model, coefficients=coef)
-
-    participation = fit("participation", masks["pooled"], t.s.astype(float), "participation")
-    propensity = {
-        stratum: fit(f"propensity_{stratum}", mask, t.a.astype(float), f"propensity_{stratum}")
-        for stratum, mask in masks.items()
-    }
-
-    outcome: dict[tuple[str, int], Model] = {}
-    labels = y if outcome_kind == "binary" else None
-    for stratum, base in masks.items():
-        for arm in (0, 1):
-            mask = base & (t.a == arm)
-            tag = f"outcome_{stratum} arm {arm}"
-            empty = ~np.any(mask & occupied, axis=1)
-            record(errors, empty, lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"))
-            outcome[(stratum, arm)] = fit(f"outcome_{stratum}", mask, labels, tag)
+            errors = [e or f for e, f in zip(errors, failed)]
+        if gone:
+            coef = np.zeros((len(errors), t.k + 1))
+            coef[:, columns] = model.coefficients
+            model = replace(model, coefficients=coef)
+        models[name] = model
 
     nu = NuisanceSet(
-        participation=participation,
-        propensity=propensity,
-        outcome=outcome,
+        models=models,
         outcome_kind=outcome_kind,
         covariate_names=t.covariate_names,
         dropped=dropped,

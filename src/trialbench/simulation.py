@@ -31,7 +31,14 @@ import numpy as np
 
 from .data import OUTCOME_KINDS, Dataset
 from .diagnostics import restriction_test
-from .errors import ConfigError, require_count, require_member, require_positive, require_unit
+from .errors import (
+    ConfigError,
+    require_count,
+    require_member,
+    require_positive,
+    require_sizes,
+    require_unit,
+)
 from .estimators import ESTIMATOR_NAMES, AnalysisPlan, run_plan
 from .glm import expit
 from .inference import check_seed, keyed_seed, run_replicates, sandwich_se
@@ -323,8 +330,7 @@ def generate(
     Trial rows come first. Each study has its own RNG stream keyed off the
     seed, so the same seed always yields the bit-identical dataset.
     """
-    for size in n:
-        require_count(size, "n", 1)
+    require_sizes(n, "n")
     n1, n0 = n
     check_seed(seed)
     support = _binary_cells(cfg) if cfg.covariates.kind == "binary" else None  # for both studies
@@ -588,8 +594,7 @@ def run_monte_carlo(
     of the truths wins over the replicates' error, as when the truths ran first.
     """
     require_count(reps, "reps", 2)
-    for size in n:
-        require_count(size, "n", 1)
+    require_sizes(n, "n")
     require_count(truth_draws, "truth_draws", 1)
     require_unit(level, "level")
     require_unit(restriction_threshold, "restriction_threshold")

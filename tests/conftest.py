@@ -48,7 +48,7 @@ def pinned_low(nu: NuisanceSet) -> NuisanceSet:
     pinned to 1e-300, where a probability is clipped: chi's weight at arm 1,
     the participation odds over that propensity, overflows."""
     low = LogisticModel(np.array([-800.0, 0.0]), True, 1, 0.0)
-    return replace(nu, participation=low, propensity={**nu.propensity, "s1": low})
+    return replace(nu, models={**nu.models, "participation": low, "propensity_s1": low})
 
 
 def estimate_with_if_values(

@@ -27,6 +27,7 @@ from trialbench import (
     simulation,
     true_values,
 )
+from trialbench.config import SimulationConfig
 from trialbench.data import cell_table
 
 D = generate(d1(), (200, 200), 3)
@@ -41,6 +42,7 @@ GOOD = {
     "bootstrap": (bootstrap, {"d": D, "plan": PLAN, "B": 2, "seed": 0}),
     "run_monte_carlo": (run_monte_carlo, {"cfg": d1(), "reps": 2, "n": (50, 50), "seed": 0}),
     "generate": (generate, {"cfg": d1(), "n": (5, 5), "seed": 0}),
+    "SimulationConfig": (SimulationConfig, {"scenario": "D1", "reps": 2, "n": (5, 5)}),
     "true_values": (true_values, {"cfg": d1()}),
     "restriction_test": (restriction_test, {"d": D, "a": 1, "outcome_kind": "continuous"}),
     "overlap_summary": (overlap_summary, {"d": D, "nu": NU}),
@@ -63,7 +65,7 @@ BAD = [
     ("bootstrap", "B", [1, 0, -3, 2.5, 200.0, True]),
     ("bootstrap", "seed", [-1, 1.5]),
     ("run_monte_carlo", "reps", [1, 2.5, 40.0]),
-    ("run_monte_carlo", "n", [(0, 5), (5, -1), (3.9, 5), (50, 50.0)]),
+    ("run_monte_carlo", "n", [(0, 5), (5, -1), (3.9, 5), (50, 50.0), 5, (50,), (50, 50, 50)]),
     ("run_monte_carlo", "truth_draws", [0, -5, 1000.5]),
     ("run_monte_carlo", "level", [0.0, 1.0, -0.5, NAN, "0.9"]),
     ("run_monte_carlo", "restriction_threshold", [0.0, 1.5, NAN]),
@@ -71,8 +73,9 @@ BAD = [
     ("run_monte_carlo", "ridge", [-1.0, NAN, INF]),
     ("run_monte_carlo", "estimators", [("xi",), ()]),
     ("run_monte_carlo", "arms", [(2,), (0, 0)]),
-    ("generate", "n", [(0, 5), (3.9, 5), (5, 2.0), (True, 5)]),
+    ("generate", "n", [(0, 5), (3.9, 5), (5, 2.0), (True, 5), 5, (50,), (50, 50, 50)]),
     ("generate", "seed", [-1, 2.5]),
+    ("SimulationConfig", "n", [5, (50,), (1, 2, 3), (0, 5)]),
     ("true_values", "draws", [0, -5, 2.5]),
     ("restriction_test", "a", [2, -1, "1"]),
     ("restriction_test", "threshold", [0.0, 1.0, NAN]),

@@ -60,9 +60,11 @@ def _oracle_nuisances(d: Dataset, outcome_kind: str) -> NuisanceSet:
                 raise DegenerateFitError(f"{tag}: no rows in this stratum")
             outcome[(stratum, arm)] = fit(tag, rows, d.y, outcome_kind == "binary")
     return NuisanceSet(
-        participation=participation,
-        propensity=propensity,
-        outcome=outcome,
+        models={
+            "participation": participation,
+            **{f"propensity_{stratum}": model for stratum, model in propensity.items()},
+            **{f"outcome_{stratum}_arm{arm}": model for (stratum, arm), model in outcome.items()},
+        },
         outcome_kind=outcome_kind,
         covariate_names=d.covariate_names,
     )

@@ -253,6 +253,6 @@ def test_overlap_weight_that_overflows_is_a_fit_error_naming_it(fixture_dataset)
     with pytest.raises(FitError, match=r"^overlap: chi\(1\) maximum weight is not finite$"):
         overlap_summary(fixture_dataset, nu)
     propensity = LogisticModel(np.array([np.nan, 0.0]), True, 1, 0.0)
-    nu = replace(nu, propensity={**nu.propensity, "s0": propensity})
+    nu = replace(nu, models={**nu.models, "propensity_s0": propensity})
     with pytest.raises(FitError, match="^overlap: a propensity_s0 probability quantile is not finite$"):
         overlap_summary(fixture_dataset, nu)

@@ -231,9 +231,11 @@ def _degenerate_propensity_nuisances(d: Dataset) -> NuisanceSet:
     )
     line = LinearModel(coefficients=np.array([0.0, 0.0]), residual_variance=1.0)
     return NuisanceSet(
-        participation=flat,
-        propensity={"s0": pinned, "s1": pinned, "pooled": pinned},
-        outcome={(s, a): line for s in ("s0", "s1", "pooled") for a in (0, 1)},
+        models={
+            "participation": flat,
+            **{f"propensity_{s}": pinned for s in ("s0", "s1", "pooled")},
+            **{f"outcome_{s}_arm{a}": line for s in ("s0", "s1", "pooled") for a in (0, 1)},
+        },
         outcome_kind="continuous",
         covariate_names=d.covariate_names,
     )
@@ -348,7 +350,7 @@ def _predicted_models(monkeypatch, d: Dataset, nu: NuisanceSet, plan: AnalysisPl
 def test_run_plan_with_predicts_each_model_it_reads_once(fixture_dataset, monkeypatch):
     nu = fit_nuisances(fixture_dataset, "continuous")
     predicted = _predicted_models(monkeypatch, fixture_dataset, nu, AnalysisPlan("continuous"))
-    every = [nu.participation, *nu.propensity.values(), *nu.outcome.values()]
+    every = list(nu.models.values())
     assert len(predicted) == 10
     assert sorted(map(id, predicted)) == sorted(map(id, every))
 
@@ -361,10 +363,10 @@ def test_phi_chi_arm_one_plan_predicts_its_five_models(monkeypatch):
     nu = fit_nuisances(d, plan.outcome_kind)
     predicted = _predicted_models(monkeypatch, d, nu, plan)
     read = [
-        nu.participation,
-        nu.propensity["s0"],
-        nu.propensity["s1"],
-        nu.outcome[("s0", 1)],
-        nu.outcome[("s1", 1)],
+        nu.models["participation"],
+        nu.models["propensity_s0"],
+        nu.models["propensity_s1"],
+        nu.models["outcome_s0_arm1"],
+        nu.models["outcome_s1_arm1"],
     ]
     assert sorted(map(id, predicted)) == sorted(map(id, read))

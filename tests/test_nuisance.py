@@ -23,29 +23,29 @@ from trialbench import diagnostics, glm, inference, nuisance, simulation
 from trialbench.data import cell_table
 from trialbench.errors import record
 from trialbench.glm import add_intercept, fit_linear_stack, fit_logistic_stack
-from trialbench.nuisance import MODEL_NAMES, normalize_drop
+from trialbench.nuisance import MODEL_NAMES, MODELS, normalize_drop, stratum_cells
 
 
 def test_fits_every_model_with_full_arity(small_dataset):
     nu = fit_nuisances(small_dataset, "continuous")
-    assert nu.participation.coefficients.size == small_dataset.k + 1
+    assert nu.models["participation"].coefficients.size == small_dataset.k + 1
     for stratum in ("s0", "s1", "pooled"):
-        assert nu.propensity[stratum].coefficients.size == small_dataset.k + 1
+        assert nu.models[f"propensity_{stratum}"].coefficients.size == small_dataset.k + 1
         for arm in (0, 1):
-            assert nu.outcome[(stratum, arm)].coefficients.size == small_dataset.k + 1
+            assert nu.models[f"outcome_{stratum}_arm{arm}"].coefficients.size == small_dataset.k + 1
 
 
 def test_participation_recovers_design(small_dataset):
     # equal study sizes turn the sampling law into a logit shifted by log(n1/n0)
     nu = fit_nuisances(small_dataset, "continuous")
-    intercept, slope = nu.participation.coefficients
+    intercept, slope = nu.models["participation"].coefficients
     assert abs(intercept + 0.4) < 0.15
     assert abs(slope - 0.8) < 0.2
 
 
 def test_pooled_outcome_recovers_generating_mean(fixture_dataset):
     nu = fit_nuisances(fixture_dataset, "continuous")
-    coef = nu.outcome[("pooled", 1)].coefficients
+    coef = nu.models["outcome_pooled_arm1"].coefficients
     assert abs(coef[0] - 3.0) < 0.05
     assert abs(coef[1] - 2.0) < 0.05
 
@@ -61,16 +61,16 @@ def test_treatment_prob_complements(small_dataset):
 def test_drop_produces_zero_slope_but_keeps_arity(small_dataset):
     nu = fit_nuisances(small_dataset, "continuous", drop={"outcome_s0": ["X1"]})
     for arm in (0, 1):
-        assert nu.outcome[("s0", arm)].coefficients[1] == 0.0
-        assert nu.outcome[("s0", arm)].coefficients.size == 2
+        assert nu.models[f"outcome_s0_arm{arm}"].coefficients[1] == 0.0
+        assert nu.models[f"outcome_s0_arm{arm}"].coefficients.size == 2
     # untouched models keep their slopes
-    assert nu.outcome[("s1", 1)].coefficients[1] != 0.0
+    assert nu.models["outcome_s1_arm1"].coefficients[1] != 0.0
     assert nu.dropped == {"outcome_s0": ("X1",)}
 
 
 def test_bare_list_drop_means_first_covariate(small_dataset):
     nu = fit_nuisances(small_dataset, "continuous", drop=["propensity_s0"])
-    assert nu.propensity["s0"].coefficients[1] == 0.0
+    assert nu.models["propensity_s0"].coefficients[1] == 0.0
 
 
 def test_normalize_drop_rejects_unknown_model():
@@ -87,6 +87,42 @@ def test_normalize_drop_accepts_every_model_name():
     normalized = normalize_drop(list(MODEL_NAMES), ("X1", "X2"))
     assert set(normalized) == set(MODEL_NAMES)
     assert all(cols == ("X1",) for cols in normalized.values())
+
+
+def test_model_names_are_the_seven_drop_families_in_fit_order():
+    assert MODEL_NAMES == (
+        "participation",
+        "propensity_s0",
+        "propensity_s1",
+        "propensity_pooled",
+        "outcome_s0",
+        "outcome_s1",
+        "outcome_pooled",
+    )
+
+
+def test_fits_and_summaries_list_the_models_of_the_table_in_order(small_dataset):
+    nu = fit_nuisances(small_dataset, "continuous")
+    assert list(nu.models) == list(MODELS)
+    assert list(nu.summaries()) == list(MODELS)
+
+
+@pytest.mark.parametrize("resampled", [False, True])
+@pytest.mark.parametrize(
+    "stratum, cells",
+    [
+        ("s0", lambda t: t.s == 0),
+        ("s1", lambda t: t.s == 1),
+        ("pooled", lambda t: np.ones(t.s.size, dtype=bool)),
+    ],
+)
+def test_stratum_cells_are_the_masks_they_replace(small_dataset, resampled, stratum, cells):
+    t = cell_table(small_dataset, "continuous")
+    if resampled:
+        t = t.resample(inference._Draws(small_dataset, 5, range(3)))
+    got = stratum_cells(t, stratum)
+    assert got.dtype == bool
+    assert np.array_equal(got, cells(t))
 
 
 def test_failure_is_tagged_with_model_name():
@@ -171,15 +207,15 @@ def test_summaries_are_json_ready(small_dataset):
 
 def test_a_summary_that_is_not_finite_is_a_fit_error_naming_it(small_dataset):
     nu = fit_nuisances(small_dataset, "continuous")
-    pooled = replace(nu.propensity["pooled"], log_likelihood=float("-inf"))
+    pooled = replace(nu.models["propensity_pooled"], log_likelihood=float("-inf"))
     with pytest.raises(FitError, match="^nuisance propensity_pooled: log-likelihood is not finite$"):
-        replace(nu, propensity={**nu.propensity, "pooled": pooled}).summaries()
-    outcome = replace(nu.outcome[("s1", 0)], residual_variance=float("nan"))
+        replace(nu, models={**nu.models, "propensity_pooled": pooled}).summaries()
+    outcome = replace(nu.models["outcome_s1_arm0"], residual_variance=float("nan"))
     with pytest.raises(FitError, match="^nuisance outcome_s1_arm0: residual variance is not finite$"):
-        replace(nu, outcome={**nu.outcome, ("s1", 0): outcome}).summaries()
-    participation = replace(nu.participation, coefficients=np.array([0.0, np.inf]))
+        replace(nu, models={**nu.models, "outcome_s1_arm0": outcome}).summaries()
+    participation = replace(nu.models["participation"], coefficients=np.array([0.0, np.inf]))
     with pytest.raises(FitError, match="^nuisance participation: a coefficient is not finite$"):
-        replace(nu, participation=participation).summaries()
+        replace(nu, models={**nu.models, "participation": participation}).summaries()
 
 
 def test_invalid_outcome_kind_is_config_error(small_dataset):
@@ -276,8 +312,9 @@ def test_stacked_residual_variance_equals_the_stack_of_one():
         return fit_nuisances(table, "continuous")
 
     stack, alone = fitted([0, 1, 2]), fitted([1])
-    for key, model in stack.outcome.items():
-        assert model.residual_variance[1] == alone.outcome[key].residual_variance[0], key
+    outcome = [key for key in stack.models if key.startswith("outcome")]
+    for key in outcome:
+        assert stack.models[key].residual_variance[1] == alone.models[key].residual_variance[0], key
 
 
 def test_gaussian_replicate_makes_no_svd_and_a_singular_design_still_does(monkeypatch):

@@ -210,8 +210,16 @@ RULE_PHRASES = (
     "must be one of",
     "must be distinct",
     "must be a subset",
+    "must be a pair",
 )
-RULE_OWNERS = {"require_unit", "require_count", "require_positive", "require_member", "require_subset"}
+RULE_OWNERS = {
+    "require_unit",
+    "require_count",
+    "require_sizes",
+    "require_positive",
+    "require_member",
+    "require_subset",
+}
 
 
 def rule_phrases_outside_their_owners(sources: dict[str, str]) -> list[str]:
