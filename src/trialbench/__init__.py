@@ -37,6 +37,7 @@ from .errors import (
     SingularDesignError,
     TrialbenchError,
     ValidationFailure,
+    WorkerError,
 )
 from .estimators import (
     ESTIMATOR_NAMES,
@@ -108,6 +109,7 @@ __all__ = [
     "Truths",
     "ValidationFailure",
     "ValidationReport",
+    "WorkerError",
     "bootstrap",
     "contrast",
     "d1",

@@ -11,6 +11,10 @@ Exit codes are stable: 0 success, 2 configuration problem, 3 data problem,
 4 estimation or testing failure, 5 internal error, 6 out of memory.
 ``validate`` exits 3 when the dataset fails a hard check. On failure a
 one-line JSON object describing the error goes to stdout.
+
+The replicates of ``analyze`` and ``simulate`` run on one forked worker per
+CPU this process may use, each at one BLAS thread, so the bits of a report
+depend on neither count.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import traceback
 
@@ -85,19 +90,20 @@ def _load(path: str, schema: ColumnSchema) -> Dataset:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
 
-def _commands() -> dict:
-    """Per command: its config class, how it builds its report and how it
-    renders the summary. Built per call, so every function is the module
-    global of the moment: tests and tracers replace them."""
+def _commands(workers: int) -> dict:
+    """Per command: its config class, how it builds its report on
+    ``workers`` processes and how it renders the summary. Built per call, so
+    every function is the module global of the moment: tests and tracers
+    replace them."""
     return {
         "analyze": (
             AnalysisConfig,
-            lambda c: build_analysis_report(c, _load(c.input, c.schema)),
+            lambda c: build_analysis_report(c, _load(c.input, c.schema), workers),
             render_analysis_summary,
         ),
         "simulate": (
             SimulationConfig,
-            lambda c: build_simulation_report(c, run_simulation_config(c)),
+            lambda c: build_simulation_report(c, run_simulation_config(c, workers)),
             render_simulation_summary,
         ),
         "validate": (
@@ -108,8 +114,8 @@ def _commands() -> dict:
     }
 
 
-def _run(command: str, raw: dict, output: str | None, quiet: bool) -> int:
-    config_class, build, render = _commands()[command]
+def _run(command: str, raw: dict, output: str | None, quiet: bool, workers: int) -> int:
+    config_class, build, render = _commands(workers)[command]
     config = config_class.from_dict(raw)
     if output is not None:
         config = dataclasses.replace(config, output=output)
@@ -142,11 +148,46 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads():
+    """The (get, set) functions of the thread count of numpy's bundled
+    OpenBLAS, or None where a thread variable is set or none is found."""
+    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return None
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads64_", None)
+                        for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    except OSError:
+        pass
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: its replicates on a worker per usable CPU, and its
+    BLAS at one thread, whose count is restored on return (a thread variable
+    set by the user is left in charge)."""
     args = build_parser().parse_args(argv)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas = _blas_threads()
+    if blas is not None:
+        get, put = blas
+        threads = get()
+        put(1)
     try:
         raw = load_json(args.config)
-        return _run(args.command, raw, args.output, args.quiet)
+        return _run(args.command, raw, args.output, args.quiet, workers)
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except DataError as exc:
@@ -160,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 5
         traceback.print_exc(file=sys.stderr)
         return _fail(exc, EXIT_INTERNAL)
+    finally:
+        if blas is not None:
+            put(threads)
 
 
 if __name__ == "__main__":

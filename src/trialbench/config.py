@@ -44,7 +44,9 @@ def load_json(path: str) -> dict:
 # study size; rounded up. A simulate config whose replicate would need more than
 # REPLICATE_BUDGET is refused before anything is drawn, and so is a replicate
 # count whose records (run_replicates keeps 8 bytes per value per replicate)
-# would.
+# would. A run on several workers has one task in flight per worker, so it
+# takes only as many workers as the budget holds replicates
+# (SimulationConfig.workers_within_budget).
 _ROW_BYTES = {"binary": (80, 20), "gaussian": (320, 32)}
 REPLICATE_BUDGET = 16 * 2**30
 
@@ -52,10 +54,11 @@ REPLICATE_BUDGET = 16 * 2**30
 # the truths and every draw build whole), as (base, per covariate): tracemalloc
 # peaks of true_values and generate at 12-18 binary covariates were 32 + 24 k
 # per row without violations, 114 + 8 k with both and 220-316 with one; rounded
-# up over all three. The truths thread builds one support beside a replicate's
-# draws from another (a traced peak of 109 MiB for 2^18 rows, each alone 58), so
-# two supports and a replicate's rows beyond REPLICATE_BUDGET together are
-# refused before anything is built.
+# up over all three. On two workers the truths task builds one support while a
+# replicate draws from another (on threads, a traced peak of 109 MiB for 2^18
+# rows, each alone 58), so a replicate is counted with two supports: those and
+# its rows beyond REPLICATE_BUDGET together are refused before anything is
+# built.
 _SUPPORT_ROW_BYTES = (120, 24)
 
 
@@ -139,8 +142,18 @@ class SimulationConfig:
         values = 2 * _quantities(self.plan) + self.restriction * len(self.arms)
         _check_records("reps", self.reps, values)
         require_sizes(self.n, "n")
-        # What a run holds at once: a replicate's rows and, for a binary law,
-        # two supports of 2^k patterns times 2 per violation present.
+        need, what = self._replicate_need()
+        if need > REPLICATE_BUDGET:
+            raise ConfigError(
+                f"{what} takes the most of the {need / 2**30:.3g} GiB "
+                f"a replicate needs, over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
+            )
+        require_count(self.truth_draws, "truth_draws", 1000)
+
+    def _replicate_need(self) -> tuple[int, str]:
+        """The bytes one replicate holds at once, its rows and, for a binary
+        law, two supports of 2^k patterns times 2 per violation present; and
+        the key that takes the most of them."""
         law = self.law
         base, per_covariate = _ROW_BYTES[law.covariates.kind]
         draws = sum(self.n) * (base + per_covariate * law.k)
@@ -151,12 +164,12 @@ class SimulationConfig:
             support = 2 * rows * (base + per_covariate * law.k)
             if support > draws:
                 what = f"'scenario' ({law.k} binary covariates, {rows} support rows)"
-        if draws + support > REPLICATE_BUDGET:
-            raise ConfigError(
-                f"{what} takes the most of the {(draws + support) / 2**30:.3g} GiB "
-                f"a replicate needs, over the {REPLICATE_BUDGET / 2**30:g} GiB budget"
-            )
-        require_count(self.truth_draws, "truth_draws", 1000)
+        return draws + support, what
+
+    def workers_within_budget(self, workers: int) -> int:
+        """At most ``workers``, and no more than REPLICATE_BUDGET holds
+        replicates at once."""
+        return min(workers, REPLICATE_BUDGET // self._replicate_need()[0])  # >= 1, as checked
 
     @property
     def law(self) -> ScenarioConfig:

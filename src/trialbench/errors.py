@@ -75,6 +75,11 @@ class ReportSchemaError(TrialbenchError):
     """A report breaks the shipped report schema; the message names the JSON path and rule."""
 
 
+class WorkerError(TrialbenchError):
+    """A worker process ended before it returned its task's result, for
+    example killed by the kernel when the machine ran out of memory."""
+
+
 def record(errors: list, rows: np.ndarray, make) -> None:
     """Give each row marked in the boolean mask ``rows`` whose slot in
     ``errors`` is still empty the error ``make(row)``.

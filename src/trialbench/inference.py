@@ -18,6 +18,7 @@ on the chunk size.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, cell_table
-from .errors import DegenerateTestError, FitError, require_count, require_unit
+from .errors import DegenerateTestError, FitError, WorkerError, require_count, require_unit
 from .estimators import AnalysisPlan, EstimateWithIF, run_plan
 
 
@@ -200,41 +201,181 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
 
 
+# The task of a forked worker. The pool's initializer sets it in each worker,
+# which inherits it at the fork: closures over a dataset do not pickle.
+_worker_task: Callable[[int], object] | None = None
+
+
+def _start_worker(task: Callable[[int], object], parent: int) -> None:
+    """Set up a forked worker: its task, Ctrl-C left to the parent, which
+    ends its workers, and on Linux death with the parent."""
+    import ctypes
+    import signal
+
+    global _worker_task
+    _worker_task = task
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    except (OSError, TypeError, AttributeError):  # no prctl: not Linux
+        pass
+    if os.getppid() != parent:  # the parent died before the prctl
+        os._exit(1)
+
+
+def _run_worker_task(index: int) -> object:
+    return _worker_task(index)
+
+
+class _Tasks:
+    """Tasks 0 .. count - 1 of ``task``: result(i) gives task i's value or
+    raises its error, once, read in any order.
+
+    With one worker a task runs in this process when it is read, after
+    every earlier task that has not run, so the tasks run in index order
+    and the first error is raised as it happens. With more, the pool's
+    modules are imported, that many workers are forked at the first read,
+    and they run the tasks in index order, up to four per worker past the
+    last one read. close() ends the tasks still running and reaps the
+    workers: Python 3.11's ProcessPoolExecutor cannot cancel a running
+    task, so close() terminates the workers, and the pool, broken, joins
+    them."""
+
+    def __init__(self, task: Callable[[int], object], count: int, workers: int) -> None:
+        self.task, self.count = task, count
+        self.ran = 0  # the tasks run, or with workers submitted, so far
+        self.values: dict = {}  # per task not yet read, its value or future
+        self.workers = min(workers, count)
+        if self.workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.pool = ProcessPoolExecutor(
+                self.workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(task, os.getpid()),
+            )
+
+    def _submit(self, stop: int) -> None:
+        """Submit the tasks before ``stop``. The first submit forks the
+        workers; Ctrl-C waits until the pool holds them, and their futures
+        are held, so that close() finds every worker it must end."""
+        import signal
+
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for t in range(self.ran, min(stop, self.count)):
+                self.values[t] = self.pool.submit(_run_worker_task, t)
+            self.ran = max(self.ran, stop)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def result(self, i: int) -> object:
+        if self.workers == 1:
+            while self.ran <= i:
+                self.values[self.ran] = self.task(self.ran)
+                self.ran += 1
+            return self.values.pop(i)
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            self._submit(i + 4 * self.workers)
+            return self.values.pop(i).result()
+        except BrokenProcessPool:
+            raise WorkerError(
+                "a worker process ended before it returned its replicates; "
+                "it may have run out of memory or been killed"
+            ) from None
+
+    def raise_failed(self, i: int) -> None:
+        """Raise task i's error now, if it has ended with one."""
+        future = self.values.get(i) if self.workers > 1 else None
+        if future is not None and future.done() and future.exception() is not None:
+            self.result(i)
+
+    def close(self) -> None:
+        if self.workers > 1:
+            if not all(future.done() for future in self.values.values()):
+                for process in list(self.pool._processes.values()):
+                    process.terminate()
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_replicates(
-    chunk: Callable[[range], list[dict[str, float] | Exception]], count: int, size: int, what: str
-) -> tuple[dict[str, np.ndarray], int]:
+    chunk: Callable[[range], list[dict[str, float] | Exception]],
+    count: int,
+    size: int,
+    what: str,
+    workers: int = 1,
+    lead: Callable[[], object] | None = None,
+) -> tuple[dict[str, np.ndarray], int, object]:
     """Run replicates 0 .. count - 1 through ``chunk``, ``size`` indices at a
-    time: per label the kept values in replicate order, and the failure count.
+    time: per label the kept values in replicate order, the failure count,
+    and the value of ``lead`` (None without one).
 
     ``chunk(indices)`` gives each index its values or its error. A FitError,
     or one that ``chunk`` raises for all its indices, drops and counts a
     replicate, and any other error is raised. More than count/2 failures, or
-    fewer than two replicates left to keep, aborts. Freed heap is kept."""
-    _keep_freed_heap()
+    fewer than two replicates left to keep, aborts. ``lead``, a callable of
+    no arguments, is one more task, before the chunks; its error wins over
+    theirs.
+
+    With ``workers`` above 1, up to that many forked worker processes run
+    the lead and the chunks, so call it with no other thread running. The
+    chunks are read in replicate order, so the kept values, the drops and
+    the abort are the ones of one worker. An error or an abort (or Ctrl-C)
+    ends the tasks still running, the lead among them, before it is raised.
+    Freed heap is kept, by the workers too."""
+    _keep_freed_heap()  # before the fork, or each worker faults its heap back in
+    starts = range(0, count, size)
+    first = int(lead is not None)  # the lead is task 0, and chunk c task first + c
+
+    def indices_of(t: int) -> range:
+        start = starts[t - first]
+        return range(start, min(start + size, count))
+
+    def task(t: int) -> object:
+        if t < first:
+            return lead()
+        indices = indices_of(t)
+        try:
+            return chunk(indices)
+        except FitError as exc:
+            return [exc] * len(indices)
+
     columns: dict[str, np.ndarray] = {}
     kept = failures = 0
-    for start in range(0, count, size):
-        indices = range(start, min(start + size, count))
-        try:
-            results = chunk(indices)
-        except FitError as exc:
-            results = [exc] * len(indices)
-        for i, values in zip(indices, results):
-            if isinstance(values, Exception):
-                if not isinstance(values, FitError):
-                    raise values
-                failures += 1
-                if failures > count / 2 or count - failures < 2:
-                    raise FitError(
-                        f"{what} aborted: {failures} of {i + 1} replicates failed to fit"
-                    )
-                continue
-            if not kept:
-                columns = {label: np.empty(count) for label in values}
-            for label, value in values.items():
-                columns[label][kept] = value
-            kept += 1
-    return {label: column[:kept] for label, column in columns.items()}, failures
+    tasks = _Tasks(task, first + len(starts), workers)
+    try:
+        for t in range(first, first + len(starts)):
+            for i, values in zip(indices_of(t), tasks.result(t)):
+                if isinstance(values, Exception):
+                    if not isinstance(values, FitError):
+                        raise values
+                    failures += 1
+                    if failures > count / 2 or count - failures < 2:
+                        raise FitError(
+                            f"{what} aborted: {failures} of {i + 1} replicates failed to fit"
+                        )
+                    continue
+                if not kept:
+                    columns = {label: np.empty(count) for label in values}
+                for label, value in values.items():
+                    columns[label][kept] = value
+                kept += 1
+            if first:
+                tasks.raise_failed(0)
+        lead_value = tasks.result(0) if first else None
+    except Exception:
+        if first:
+            tasks.raise_failed(0)  # an error of the lead wins
+        raise
+    finally:
+        tasks.close()
+    return {label: column[:kept] for label, column in columns.items()}, failures, lead_value
 
 
 class _Draws:
@@ -294,7 +435,7 @@ def bootstrap_replicate(
 
 
 def bootstrap(
-    d: Dataset, plan: AnalysisPlan, B: int, seed: int
+    d: Dataset, plan: AnalysisPlan, B: int, seed: int, workers: int = 1
 ) -> dict[str, BootstrapResult]:
     """Stratified nonparametric bootstrap of every quantity in the plan.
 
@@ -304,15 +445,16 @@ def bootstrap(
     (separation, positivity, degenerate strata), raises any other error, and
     aborts past B/2 failures or when fewer than two replicates are left to
     keep. Results are bit-identical for a given (d, plan, B, seed) regardless
-    of execution order and chunking, because each replicate owns an
-    index-keyed RNG stream and is fitted row by row.
+    of execution order, chunking and ``workers`` (run_replicates), because
+    each replicate owns an index-keyed RNG stream and is fitted row by row.
     """
     require_count(B, "B", 2)
+    require_count(workers, "workers", 1)
     check_seed(seed)
     t = cell_table(d, plan.outcome_kind)
     size = max(1, _CHUNK_FLOATS // (t.s.size * (t.k + 1)))
-    columns, failures = run_replicates(
-        lambda indices: bootstrap_chunk(d, plan, seed, indices), B, size, "bootstrap"
+    columns, failures, _ = run_replicates(
+        lambda indices: bootstrap_chunk(d, plan, seed, indices), B, size, "bootstrap", workers
     )
     return {
         label: BootstrapResult(label, column, requested=B, failures=failures, seed=seed)

@@ -256,8 +256,9 @@ def _estimate_entry(
     return entry
 
 
-def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
-    """Run the full analysis and assemble the JSON-ready report dict.
+def build_analysis_report(config: AnalysisConfig, d: Dataset, workers: int = 1) -> dict:
+    """Run the full analysis and assemble the JSON-ready report dict; the
+    bootstrap runs on up to ``workers`` forked processes (run_replicates).
 
     Raises ValidationFailure when the dataset fails a hard check; fit and
     positivity errors propagate from the layers that raise them.
@@ -275,7 +276,7 @@ def build_analysis_report(config: AnalysisConfig, d: Dataset) -> dict:
 
     boot: dict[str, BootstrapResult] | None = None
     if config.bootstrap > 0:
-        boot = bootstrap(d, plan, config.bootstrap, config.seed)
+        boot = bootstrap(d, plan, config.bootstrap, config.seed, workers)
         failures = next(iter(boot.values())).failures
         if failures:
             warnings.append(
@@ -368,7 +369,9 @@ def build_validation_report(config: ValidateConfig, result: ValidationReport) ->
     return _report("validation", config, validation=result)
 
 
-def run_simulation_config(config: SimulationConfig) -> MCReport:
+def run_simulation_config(config: SimulationConfig, workers: int = 1) -> MCReport:
+    """The config's Monte Carlo study, on at most ``workers`` forked
+    processes, and no more than the replicate budget holds at once."""
     return run_monte_carlo(
         config.law,
         config.reps,
@@ -382,6 +385,7 @@ def run_simulation_config(config: SimulationConfig) -> MCReport:
         restriction_threshold=config.restriction_threshold,
         ridge=config.ridge,
         truth_draws=config.truth_draws,
+        workers=config.workers_within_budget(workers),
     )
 
 

@@ -21,8 +21,6 @@ otherwise.
 
 from __future__ import annotations
 
-import threading
-from contextvars import ContextVar
 from dataclasses import astuple, dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
@@ -393,23 +391,10 @@ def _enumeration_truths(cfg: ScenarioConfig) -> Truths:
 
 # Importance draws are made and weighed this many rows at a time, into
 # buffers allocated once per call, so memory stays flat whatever the number
-# of draws. On run_monte_carlo's truths thread each numpy call hands the
-# interpreter lock to the replicates, which set the wall time, so a block
-# makes about two dozen calls (ScenarioConfig.truth_terms): at 2^16 rows,
-# three expits in place of one cost the benchmark's simulate_gauss command
-# about 4% more wall time. Smaller blocks would save little memory and add
-# handoffs.
+# of draws. A block makes about two dozen numpy calls
+# (ScenarioConfig.truth_terms); smaller blocks would save little memory and
+# add calls.
 _TRUTH_CHUNK = 1 << 16
-
-
-# The stop signal of the truths that run_monte_carlo runs on a thread of its
-# own: once the Event is set, they end before their next block. Other
-# callers of true_values have none.
-_truths_stop: ContextVar[threading.Event | None] = ContextVar("truths_stop", default=None)
-
-
-class _TruthsStopped(Exception):
-    """The truths were stopped between blocks; nothing reads their result."""
 
 
 def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
@@ -420,14 +405,11 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
     w v and, about a shift c (the first block's mean), w^2 (v - c) and
     w^2 (v - c)^2, which give sum w^2 (v - mean)^2 for the Monte Carlo error.
 
-    Each block is drawn and weighed in turn on one thread, into buffers
-    allocated once (the last, shorter block uses their leading parts). A
-    generator fills its draws one element at a time, so the streams do not
-    depend on the block size; only the grouping of the sums does. Each
-    stream has that one consumer and the sums are added in block order, so
-    the truths do not depend on what other threads run beside them: the
-    same seed gives the same bits. In ``run_monte_carlo``'s truths thread
-    the loop checks its stop signal before each block.
+    Each block is drawn and weighed in turn, into buffers allocated once
+    (the last, shorter block uses their leading parts). A generator fills
+    its draws one element at a time, so the streams do not depend on the
+    block size; only the grouping of the sums does. The sums are added in
+    block order, so the same seed gives the same bits.
     """
     rng = np.random.default_rng(seed)
     rng_c, rng_t = (np.random.default_rng(keyed_seed(seed, i)) for i in (1, 2))
@@ -439,10 +421,7 @@ def _importance_truths(cfg: ScenarioConfig, draws: int, seed: int) -> Truths:
     total = total_sq = 0.0
     sums = np.zeros((3, 3))  # rows: w v, w^2 (v - c), w^2 (v - c)^2
     shift = None
-    stop = _truths_stop.get()
     for start in range(0, draws, block):
-        if stop is not None and stop.is_set():
-            raise _TruthsStopped
         size = min(block, draws - start)
         x = rng.standard_normal(out=x_buf[:size])
         uc, ut = (
@@ -576,6 +555,7 @@ def run_monte_carlo(
     restriction_threshold: float = 0.05,
     ridge: float = 0.0,
     truth_draws: int = 10_000_000,
+    workers: int = 1,
 ) -> MCReport:
     """Replicate the scenario and summarize estimator behavior against truth.
 
@@ -586,18 +566,21 @@ def run_monte_carlo(
     test. Replicates whose fits fail are dropped and counted; more than
     reps/2 failures, or fewer than two replicates left to keep, aborts.
 
-    Every argument is checked before any work. The truths (``true_values``) run
-    on one background thread while this thread runs the replicates. The two
-    share no data and each keeps its own random streams, so the report does not
-    depend on their timing. When the replicates raise, the truths stop at their
-    next block; the thread is joined before this returns or raises, and an error
-    of the truths wins over the replicates' error, as when the truths ran first.
+    Every argument is checked before any work. The truths (``true_values``)
+    are the replicate loop's lead task (``run_replicates``): with one worker
+    they run first, in this process; with ``workers`` above 1, in a forked
+    worker beside the replicates, so call it with no other thread running.
+    The truths and each replicate keep their own random streams, so the
+    report does not depend on the worker count. An error of the truths wins
+    over the replicates' error; when the replicates abort or raise, truths
+    still running are ended.
     """
     require_count(reps, "reps", 2)
     require_sizes(n, "n")
     require_count(truth_draws, "truth_draws", 1)
     require_unit(level, "level")
     require_unit(restriction_threshold, "restriction_threshold")
+    require_count(workers, "workers", 1)
     check_seed(seed)
     # The misspecified model and covariate names, and the plan.
     misspec_echo = {
@@ -613,33 +596,13 @@ def run_monte_carlo(
     )
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
 
-    stop = threading.Event()
-    outcome: list = []  # the truths, or what computing them raised
-
-    def truths_beside() -> None:
-        _truths_stop.set(stop)
-        try:
-            outcome.append(true_values(cfg, draws=truth_draws))
-        except BaseException as exc:  # raised on the calling thread
-            outcome.append(exc)
-
-    worker = threading.Thread(target=truths_beside, daemon=True)
-    worker.start()
-    try:
-        columns, failures = run_replicates(
-            lambda indices: [replicate_estimates(cfg, n, seed, i, plan, restriction=restriction)
-                             for i in indices],
-            reps, 1, "simulation",  # chunks of one replicate
-        )
-        worker.join()
-    finally:
-        if worker.is_alive():  # the replicates raised, or a Ctrl-C came while waiting
-            stop.set()
-            worker.join()
-        (truths,) = outcome
-        # An error of the truths wins, as if they had run before the replicates.
-        if isinstance(truths, BaseException) and not isinstance(truths, _TruthsStopped):
-            raise truths
+    columns, failures, truths = run_replicates(
+        lambda indices: [replicate_estimates(cfg, n, seed, i, plan, restriction=restriction)
+                         for i in indices],
+        reps, 1, "simulation",  # chunks of one replicate
+        workers,
+        lead=lambda: true_values(cfg, draws=truth_draws),
+    )
     used = reps - failures
     series: list[SeriesStats] = []
     for name in plan.estimators:

@@ -43,6 +43,17 @@ def peak_kib():
 """
 
 
+def children(pid: int | str = "self") -> set[int]:
+    """The live child processes of ``pid``, from every thread's children list."""
+    found = set()
+    for task in pathlib.Path(f"/proc/{pid}/task").glob("*"):
+        try:
+            found.update(map(int, (task / "children").read_text().split()))
+        except OSError:  # the thread ended
+            pass
+    return found
+
+
 def pinned_low(nu: NuisanceSet) -> NuisanceSet:
     """``nu`` with the participation and the trial propensity of arm 1 both
     pinned to 1e-300, where a probability is clipped: chi's weight at arm 1,

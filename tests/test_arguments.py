@@ -3,7 +3,6 @@ a ValueError, whose message names the argument, raised before any work."""
 
 import dataclasses
 import math
-import threading
 
 import pytest
 
@@ -64,12 +63,14 @@ GOOD = {
 BAD = [
     ("bootstrap", "B", [1, 0, -3, 2.5, 200.0, True]),
     ("bootstrap", "seed", [-1, 1.5]),
+    ("bootstrap", "workers", [0, -2, 2.0, True]),
     ("run_monte_carlo", "reps", [1, 2.5, 40.0]),
     ("run_monte_carlo", "n", [(0, 5), (5, -1), (3.9, 5), (50, 50.0), 5, (50,), (50, 50, 50)]),
     ("run_monte_carlo", "truth_draws", [0, -5, 1000.5]),
     ("run_monte_carlo", "level", [0.0, 1.0, -0.5, NAN, "0.9"]),
     ("run_monte_carlo", "restriction_threshold", [0.0, 1.5, NAN]),
     ("run_monte_carlo", "seed", [-1, 0.5]),
+    ("run_monte_carlo", "workers", [0, 1.5]),
     ("run_monte_carlo", "ridge", [-1.0, NAN, INF]),
     ("run_monte_carlo", "estimators", [("xi",), ()]),
     ("run_monte_carlo", "arms", [(2,), (0, 0)]),
@@ -101,7 +102,7 @@ CASES = [(entry, key, value) for entry, key, values in BAD for value in values]
 
 
 class WorkBegan(Exception):
-    """Raised by every stand-in for work: a replicate, a draw, a fit, a thread."""
+    """Raised by every stand-in for work: a replicate, a draw, a fit, the truths."""
 
 
 @pytest.fixture()
@@ -126,7 +127,6 @@ def work(monkeypatch):
         (diagnostics, "predictions"),
     ]:
         monkeypatch.setattr(owner, name, stub(name))
-    monkeypatch.setattr(threading, "Thread", stub("Thread"))
     return calls
 
 

@@ -4,10 +4,13 @@ import dataclasses
 import importlib
 import io
 import json
+import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -17,14 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trialbench
-from trialbench import cli, glm, report
+from trialbench import cli, glm, report, simulation
 from trialbench.cli import main
 from trialbench.config import AnalysisConfig, SimulationConfig, ValidateConfig
 from trialbench.scenarios import truth_table
 from trialbench.nuisance import MODEL_NAMES
 from trialbench.report import load_report_schema, validate_report
 
-from conftest import FIXTURE_CSV, REPO_ROOT, pinned_low, run_fresh
+from conftest import FIXTURE_CSV, REPO_ROOT, children, pinned_low, run_fresh
 
 SCHEMA = {"s": "S", "a": "A", "y": "Y", "x": ["X1"]}
 
@@ -516,6 +519,16 @@ def test_cli_import_leaves_out_scipy_stats():
     assert run_fresh(code, timeout=120).strip() == "[]"
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # The pool modules load only when a command forks workers; importing
+    # multiprocessing and concurrent.futures costs every command its time.
+    code = (
+        "import sys, trialbench.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    assert run_fresh(code, timeout=120).strip() == "[]"
+
+
 def test_analyze_run_leaves_out_jsonschema_and_importlib_metadata(tmp_path, write_config):
     # Importing jsonschema (with referencing) or importlib.metadata (with email)
     # costs every command tens of milliseconds before it does any work.
@@ -680,8 +693,8 @@ def test_report_that_breaks_the_schema_exits_5_with_a_one_line_error(
 ):
     build = cli.build_analysis_report
 
-    def broken(config, d):
-        report = build(config, d)
+    def broken(config, d, workers):
+        report = build(config, d, workers)
         report["estimates"]["phi"]["0"]["sandwich"]["level"] = 1.5
         return report
 
@@ -701,7 +714,7 @@ def test_memory_error_exits_6_with_a_one_line_error(
     tmp_path, write_config, capsys, monkeypatch
 ):
     # A stage that runs out of memory, raised here instead of allocated.
-    def out_of_memory(config, d):
+    def out_of_memory(config, d, workers):
         raise MemoryError("cannot allocate the nuisance designs")
 
     monkeypatch.setattr(cli, "build_analysis_report", out_of_memory)
@@ -748,10 +761,12 @@ FAULTS_LAW = {
 }
 
 # Simulates FAULTS_LAW and prints the minor page faults of the main call;
-# KEEP False stubs out the allocator settings.
+# KEEP False stubs out the allocator settings. One usable CPU keeps the
+# replicates in this process, where RUSAGE_SELF counts their faults.
 SIMULATE_FAULTS = f"""
 import json, os, resource, tempfile
 from trialbench import cli, inference
+os.sched_getaffinity = lambda pid: {{0}}
 if not KEEP:
     inference._keep_freed_heap = lambda: None
 law = {FAULTS_LAW!r}
@@ -1271,3 +1286,190 @@ def test_analyze_reads_every_text_form_of_a_dataset_alike(tmp_path_factory, run)
     for form, write in TEXT_FORMS.items():
         assert _analyze_text(work, write(lines), payload) == expected, form
     assert _analyze_text(work, text + "\n", payload)[0] == 3
+
+
+# The continuous-covariate law of tests/test_batched_bootstrap.py's
+# BOOTSTRAP_MEMORY script: every row is a cell of its own, so a bootstrap
+# chunk holds 3 replicates and more than one chunk runs on the workers.
+CONTINUOUS_LAW = trialbench.ScenarioConfig(
+    covariates=trialbench.CovariateLaw(kind="gaussian", dim=3),
+    participation=(-0.3, 0.5, -0.4, 0.2),
+    trial_arm_prob=0.5,
+    emulation_propensity=(0.1, 0.3, 0.3, -0.2),
+    outcome_intercept=-0.2,
+    outcome_x=(0.5, -0.3, 0.4),
+    outcome_treatment=0.7,
+    outcome_tx=(0.2, 0.0, -0.3),
+    outcome_kind="continuous",
+)
+
+
+@pytest.fixture(scope="module")
+def continuous_csv(tmp_path_factory) -> pathlib.Path:
+    path = tmp_path_factory.mktemp("continuous") / "continuous.csv"
+    trialbench.save_dataset(trialbench.generate(CONTINUOUS_LAW, (10_000, 10_000), 3), str(path))
+    return path
+
+
+def continuous_payload(csv: pathlib.Path, output: pathlib.Path, bootstrap: int) -> dict:
+    schema = {"s": "S", "a": "A", "y": "Y", "x": ["X1", "X2", "X3"]}
+    return {"input": str(csv), "schema": schema, "bootstrap": bootstrap, "seed": 1,
+            "output": str(output)}
+
+
+def without_time(report: dict) -> dict:
+    report["metadata"].pop("created_utc")
+    return report
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the count of CPUs the command line may use, and so its workers."""
+    return lambda count: monkeypatch.setattr(
+        cli.os, "sched_getaffinity", lambda pid: set(range(count))
+    )
+
+
+def test_main_runs_the_blas_at_one_thread_and_restores_the_count(
+    tmp_path, write_config, monkeypatch, capsys
+):
+    for name in cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    blas = cli._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, _ = blas
+    before, seen = get(), []
+    run = cli._run
+
+    def recorded(*args):
+        seen.append(get())
+        if len(seen) == 2:
+            raise RuntimeError("a command that fails")
+        return run(*args)
+
+    monkeypatch.setattr(cli, "_run", recorded)
+    config = write_config({"input": str(FIXTURE_CSV), "schema": SCHEMA})
+    assert main(["validate", config, "--quiet"]) == 0
+    assert get() == before
+    assert main(["validate", config, "--quiet"]) == 5
+    assert get() == before
+    assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    assert get() == before
+    assert seen == [1, 1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
+def test_a_blas_thread_variable_leaves_the_count_to_the_user(monkeypatch, name):
+    monkeypatch.setenv(name, "2")
+    assert cli._blas_threads() is None
+
+
+def test_continuous_report_has_the_same_bits_at_any_blas_thread_setting(tmp_path, continuous_csv):
+    # With no thread variable the command sets one BLAS thread itself.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(continuous_payload(continuous_csv, tmp_path / "report.json", 8)))
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    reports = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        subprocess.run(
+            [sys.executable, "-m", "trialbench.cli", "analyze", str(config), "--quiet"],
+            env={**base, **extra}, check=True, timeout=300,
+        )
+        reports.append(without_time(written_report(tmp_path / "report.json")))
+    assert reports[0] == reports[1]
+
+
+def _shipped_simulate(tmp_path, name: str, reps: int) -> dict:
+    return {**SHIPPED[name], "reps": reps, "output": str(tmp_path / f"{name}.json")}
+
+
+def test_reports_have_the_same_bits_on_one_and_two_workers(
+    tmp_path, write_config, continuous_csv, cpus
+):
+    runs = [
+        ("analyze", continuous_payload(continuous_csv, tmp_path / "analysis.json", 8)),
+        ("simulate", _shipped_simulate(tmp_path, "simulate_confounded", 12)),
+        ("simulate", {**simulation_payload(tmp_path), "scenario": FAULTS_LAW,
+                      "n": [2000, 2000], "truth_draws": 200_000}),
+    ]
+    for command, payload in runs:
+        config = write_config(payload)
+        reports = []
+        for count in (1, 2):
+            cpus(count)
+            assert main([command, config, "--quiet"]) == 0
+            reports.append(without_time(written_report(payload["output"])))
+        assert reports[0] == reports[1], command
+
+
+@pytest.mark.parametrize(
+    "error, code", [(trialbench.DegenerateTestError, 4), (ValueError, 5), (MemoryError, 6)]
+)
+def test_an_error_in_a_worker_exits_as_on_one_worker(
+    tmp_path, write_config, capsys, monkeypatch, cpus, error, code
+):
+    estimates = simulation.replicate_estimates
+
+    def failing_at_3(cfg, n, seed, index, plan, **kwargs):
+        if index == 3:
+            raise error("replicate 3 went wrong")
+        return estimates(cfg, n, seed, index, plan, **kwargs)
+
+    monkeypatch.setattr(simulation, "replicate_estimates", failing_at_3)
+    config = write_config(simulation_payload(tmp_path))
+    errors = []
+    for count in (1, 2):
+        cpus(count)
+        assert main(["simulate", config, "--quiet"]) == code
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors[0] == errors[1] == {
+        "type": error.__name__, "message": "replicate 3 went wrong", "exit_code": code
+    }
+
+
+def test_a_run_that_loses_a_worker_exits_5_naming_it_and_leaves_no_process(
+    tmp_path, write_config, capsys, monkeypatch, cpus
+):
+    estimates = simulation.replicate_estimates
+
+    def killed_at_3(cfg, n, seed, index, plan, **kwargs):
+        if index == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return estimates(cfg, n, seed, index, plan, **kwargs)
+
+    monkeypatch.setattr(simulation, "replicate_estimates", killed_at_3)
+    cpus(2)
+    processes = children()
+    assert main(["simulate", write_config(simulation_payload(tmp_path)), "--quiet"]) == 5
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "WorkerError"
+    assert children() == processes
+
+
+def test_ctrl_c_ends_a_simulate_run_and_its_workers(tmp_path, write_config):
+    # Long enough to be interrupted: 2000 replicates of (2000, 2000) rows.
+    payload = {**simulation_payload(tmp_path), "scenario": FAULTS_LAW, "reps": 2000,
+               "n": [2000, 2000], "truth_draws": 1000}
+    package_root = str(pathlib.Path(trialbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, trialbench.cli; sys.exit(trialbench.cli.main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "simulate", write_config(payload), "--quiet"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        # Signalled as the first worker appears: Ctrl-C while the pool forks
+        # must not leave a worker that the command waits for at exit.
+        deadline = time.monotonic() + 60
+        while not (workers := children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) != 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not [pid for pid in workers if pathlib.Path(f"/proc/{pid}").exists()]

@@ -259,6 +259,17 @@ def test_budget_sums_the_support_and_the_rows_each_of_which_fits_alone():
         with pytest.raises(ConfigError, match=f"^simulate config: {named}"):
             SimulationConfig.from_dict({"scenario": binary_law(21), "reps": 2, "n": n})
 
+def test_workers_are_capped_so_their_replicates_fit_the_budget_together():
+    # k = 21 with both violations: two supports of 9.75 GiB hold one replicate
+    # in 16 GiB; without violations 2.44 GiB, six. Small studies hold any count.
+    law = binary_law(21)
+    without_violations = {key: law[key] for key in law if key not in ("confounding", "transport")}
+    for scenario, workers in ((law, 1), (without_violations, 6), ("D1", 64)):
+        config = SimulationConfig.from_dict({"scenario": scenario, "reps": 2, "n": [50, 50]})
+        assert config.workers_within_budget(64) == workers
+        assert config.workers_within_budget(1) == 1
+
+
 def _inline(**changes) -> dict:
     """A simulate payload change: the FT scenario inline, keys replaced."""
     return {"scenario": truth_table("FT").to_dict() | changes}

@@ -1,3 +1,6 @@
+import os
+import pickle
+import signal
 import tracemalloc
 
 import numpy as np
@@ -16,10 +19,10 @@ from trialbench import (
     sandwich_se,
     wald_test,
 )
-from trialbench import inference
-from trialbench.errors import DegenerateFitError
+from trialbench import errors, inference
+from trialbench.errors import DegenerateFitError, WorkerError
 
-from conftest import estimate_with_if_values
+from conftest import children, estimate_with_if_values
 
 
 def alternating_estimate(n: int = 10_000) -> EstimateWithIF:
@@ -172,7 +175,7 @@ def test_run_replicates_gives_the_kept_values_per_label_in_replicate_order(size)
         seen.append(list(indices))
         return _per_index(task)(indices)
 
-    columns, failures = inference.run_replicates(chunk, 7, size, "test")
+    columns, failures, _ = inference.run_replicates(chunk, 7, size, "test")
     assert failures == 2
     assert list(columns) == ["a", "b"]
     np.testing.assert_array_equal(columns["a"], [0.0, 2.0, 3.0, 5.0, 6.0])
@@ -186,7 +189,7 @@ def test_run_replicates_fails_each_index_of_a_chunk_that_raises_a_fit_error():
             raise DegenerateFitError("forced failure")
         return [{"a": float(i)} for i in indices]
 
-    columns, failures = inference.run_replicates(chunk, 9, 3, "test")
+    columns, failures, _ = inference.run_replicates(chunk, 9, 3, "test")
     assert failures == 3
     np.testing.assert_array_equal(columns["a"], [0.0, 1.0, 2.0, 6.0, 7.0, 8.0])
 
@@ -219,7 +222,7 @@ def test_run_replicates_aborts_when_fewer_than_two_are_left_to_keep(failing):
 
     with pytest.raises(FitError, match=f"test aborted: 1 of {failing + 1} replicates failed"):
         inference.run_replicates(_per_index(task), 2, 2, "test")
-    columns, failures = inference.run_replicates(_per_index(task), 3, 2, "test")
+    columns, failures, _ = inference.run_replicates(_per_index(task), 3, 2, "test")
     assert (columns["a"].size, failures) == (2, 1)
 
 
@@ -228,7 +231,7 @@ def test_run_replicates_holds_one_float_per_value():
     count, labels = 20_000, [f"q{j}" for j in range(24)]
     tracemalloc.start()
     try:
-        columns, _ = inference.run_replicates(
+        columns, _, _ = inference.run_replicates(
             lambda indices: [{label: i + 0.5 for label in labels} for i in indices],
             count,
             1,
@@ -239,6 +242,100 @@ def test_run_replicates_holds_one_float_per_value():
         tracemalloc.stop()
     assert [column.size for column in columns.values()] == [count] * len(labels)
     assert peak < 1.5 * count * len(labels) * 8
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_run_replicates_gives_the_same_values_drops_and_lead_on_two_workers(size):
+    def task(i):
+        if i % 4 == 1:
+            raise DegenerateFitError(f"forced failure {i}")
+        return {"a": float(i) ** 0.5, "b": -float(i)}
+
+    runs = {
+        workers: inference.run_replicates(
+            _per_index(task), 11, size, "test", workers, lead=lambda: ("lead", os.getpid())
+        )
+        for workers in (1, 2)
+    }
+    (columns, failures, lead), (columns2, failures2, lead2) = runs[1], runs[2]
+    assert failures == failures2 == 3
+    assert columns.keys() == columns2.keys()
+    for label in columns:
+        assert columns[label].tobytes() == columns2[label].tobytes()
+    assert lead == ("lead", os.getpid())
+    assert lead2[0] == "lead" and lead2[1] != os.getpid()  # it ran in a worker
+
+
+def test_run_replicates_forks_no_pool_for_one_task():
+    # One chunk, or one worker: no process, and the chunk runs here.
+    pids = set()
+
+    def chunk(indices):
+        pids.add(os.getpid())
+        return [{"a": 1.0} for _ in indices]
+
+    processes = children()
+    inference.run_replicates(chunk, 6, 6, "test", 2)
+    inference.run_replicates(chunk, 6, 1, "test", 1)
+    assert pids == {os.getpid()} and children() == processes
+
+
+@pytest.mark.parametrize("error", [DegenerateTestError, ValueError, MemoryError])
+def test_an_error_raised_in_a_worker_reaches_the_caller_with_its_type_and_message(error):
+    def chunk(indices):
+        if 5 in indices:
+            raise error("raised at replicate 5")
+        return [{"a": float(i)} for i in indices]
+
+    processes = children()
+    for workers in (1, 2):
+        with pytest.raises(error) as raised:
+            inference.run_replicates(chunk, 9, 2, "test", workers)
+        assert (type(raised.value), str(raised.value)) == (error, "raised at replicate 5")
+    assert children() == processes
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_a_worker_that_dies_ends_in_a_worker_error_and_leaves_no_process(death):
+    def chunk(indices):
+        if 4 in indices:
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [{"a": float(i)} for i in indices]
+
+    processes = children()
+    with pytest.raises(WorkerError, match="worker process ended before it returned"):
+        inference.run_replicates(chunk, 8, 1, "test", 2)
+    assert children() == processes
+
+
+def test_an_aborting_bootstrap_names_the_same_replicate_on_two_workers(small_dataset, monkeypatch):
+    chunk = inference.bootstrap_chunk
+
+    def failing_from_5(d, plan, seed, indices):
+        out = chunk(d, plan, seed, indices)
+        return [DegenerateFitError("forced") if i >= 5 else v for i, v in zip(indices, out)]
+
+    monkeypatch.setattr(inference, "bootstrap_chunk", failing_from_5)
+    monkeypatch.setattr(inference, "_CHUNK_FLOATS", 16)  # chunks of one replicate
+    plan = AnalysisPlan(outcome_kind="continuous", estimators=("phi",), arms=(1,))
+    messages = set()
+    for workers in (1, 2):
+        with pytest.raises(FitError) as raised:
+            bootstrap(small_dataset, plan, 12, seed=4, workers=workers)
+        messages.add(str(raised.value))
+    assert messages == {"bootstrap aborted: 7 of 12 replicates failed to fit"}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, Exception)],
+)
+def test_every_error_round_trips_through_pickle(error):
+    # A worker process sends its errors back pickled.
+    back = pickle.loads(pickle.dumps(error("replicate 3: a message")))
+    assert (type(back), str(back)) == (error, "replicate 3: a message")
 
 
 def test_percentile_interval_known_quantiles():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -31,7 +32,7 @@ from trialbench import glm, simulation
 from trialbench.inference import keyed_seed
 from trialbench.simulation import replicate_estimates
 
-from conftest import PEAK_KIB, run_fresh
+from conftest import PEAK_KIB, children, run_fresh
 
 D1_MEAN1 = 3.8026246797750964
 D1_MEAN0 = 1.401312339887548
@@ -718,61 +719,92 @@ def test_importance_truths_draw_the_same_streams_whatever_the_block_size(monkeyp
 MC_LAW = TRUTH_LAWS["both-binary-3"]
 
 
-def test_run_monte_carlo_leaves_no_thread_behind():
-    before = threading.active_count()
-    run_monte_carlo(MC_LAW, reps=2, n=(300, 300), seed=5, truth_draws=3 * CHUNK - 5)
-    assert threading.active_count() == before
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_monte_carlo_leaves_no_thread_or_process_behind(workers):
+    threads, processes = threading.active_count(), children()
+    run_monte_carlo(MC_LAW, reps=2, n=(300, 300), seed=5, truth_draws=3 * CHUNK - 5,
+                    workers=workers)
+    assert (threading.active_count(), children()) == (threads, processes)
 
 
 def _abort_replicates(monkeypatch, wait_for=None):
-    """Make every replicate fail to fit, once ``wait_for`` is set if given."""
+    """Make every replicate fail to fit, once the file ``wait_for`` exists if given."""
 
     def failing(*args, **kwargs):
         if wait_for is not None:
-            assert wait_for.wait(timeout=60)
+            while not wait_for.exists():
+                time.sleep(0.01)
+            time.sleep(0.5)  # for the parent to receive what the file announces
         raise FitError("injected fit failure")
 
     monkeypatch.setattr(simulation, "replicate_estimates", failing)
 
 
-def test_run_monte_carlo_stops_its_truths_when_the_replicates_abort(monkeypatch):
-    calls = []
+def test_run_monte_carlo_stops_its_truths_when_the_replicates_abort(monkeypatch, tmp_path):
+    # Each block of the truths appends a line, and sleeps: all 153 blocks of
+    # the default draws would take over 7 s.
+    blocks = tmp_path / "blocks"
     truth_terms = ScenarioConfig.truth_terms
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        with open(blocks, "a") as fh:
+            fh.write("block\n")
+        time.sleep(0.05)
         return truth_terms(*args, **kwargs)
 
     monkeypatch.setattr(ScenarioConfig, "truth_terms", counted)
     _abort_replicates(monkeypatch)
-    before = threading.active_count()
+    processes = children()
     with pytest.raises(FitError, match="simulation aborted"):
-        run_monte_carlo(MC_LAW, reps=4, n=(300, 300), seed=5)
-    assert threading.active_count() == before
-    # Fewer blocks than the default 10M draws make: the truths stopped early.
-    assert len(calls) < math.ceil(10_000_000 / simulation._TRUTH_CHUNK)
+        run_monte_carlo(MC_LAW, reps=4, n=(300, 300), seed=5, workers=2)
+    assert children() == processes
+    ran = blocks.read_text().count("block") if blocks.exists() else 0
+    time.sleep(0.2)
+    # No block after the return, and fewer than the default 10M draws make.
+    assert (blocks.read_text().count("block") if blocks.exists() else 0) == ran
+    assert ran < math.ceil(10_000_000 / simulation._TRUTH_CHUNK)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("replicates", ["fit", "abort"])
-def test_run_monte_carlo_raises_the_truths_error_first(monkeypatch, replicates):
-    failed = threading.Event()
+def test_run_monte_carlo_raises_the_truths_error_first(monkeypatch, tmp_path, replicates, workers):
+    failed = tmp_path / "failed"
     calls = []
     truth_terms = ScenarioConfig.truth_terms
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
-            failed.set()
+            failed.touch()
             raise RuntimeError("injected failure")
         return truth_terms(*args, **kwargs)
 
     monkeypatch.setattr(ScenarioConfig, "truth_terms", failing)
     if replicates == "abort":
-        _abort_replicates(monkeypatch, wait_for=failed)
-    before = threading.active_count()
+        _abort_replicates(monkeypatch, wait_for=failed if workers > 1 else None)
+    threads, processes = threading.active_count(), children()
     with pytest.raises(RuntimeError, match="injected failure"):
-        run_monte_carlo(MC_LAW, reps=2, n=(300, 300), seed=5, truth_draws=3 * CHUNK - 5)
-    assert threading.active_count() == before
+        run_monte_carlo(MC_LAW, reps=2, n=(300, 300), seed=5, truth_draws=3 * CHUNK - 5,
+                        workers=workers)
+    assert (threading.active_count(), children()) == (threads, processes)
+
+
+def test_an_aborting_monte_carlo_run_names_the_same_replicate_on_two_workers(monkeypatch):
+    estimates = simulation.replicate_estimates
+
+    def failing_after_0(cfg, n, seed, index, plan, **kwargs):
+        if index > 0:
+            raise DegenerateFitError(f"replicate {index} failed")
+        return estimates(cfg, n, seed, index, plan, **kwargs)
+
+    monkeypatch.setattr(simulation, "replicate_estimates", failing_after_0)
+    messages = set()
+    for workers in (1, 2):
+        with pytest.raises(FitError) as raised:
+            run_monte_carlo(MC_LAW, reps=6, n=(300, 300), seed=5, truth_draws=1000,
+                            workers=workers)
+        messages.add(str(raised.value))
+    assert messages == {"simulation aborted: 4 of 5 replicates failed to fit"}
 
 
 def test_run_monte_carlo_matches_its_truths_and_replicates_run_alone():
