@@ -30,7 +30,7 @@ from .errors import (
 from .estimators import ESTIMATOR_NAMES, aipw_weighting, predictions
 from .glm import LogisticModel, coefficient_covariance, only
 from .inference import TestResult, linear_quantiles
-from .nuisance import MODELS, NuisanceSet, fit_cells, stratum_cells
+from .nuisance import NAME_OF, NuisanceSet, fit_cells, model_cells
 
 STATUS_CONSISTENT = "consistent"
 STATUS_INCONSISTENT = "inconsistent"
@@ -92,7 +92,7 @@ def restriction_test(
     require_member(a, "a", (0, 1))
     require_unit(threshold, "threshold")
     t = cell_table(d, outcome_kind)
-    mask = t.a == a
+    mask = model_cells(t, NAME_OF["pooled", "y", a])
     for s in (0, 1):
         if not np.any(mask & (t.s == s)):
             raise DegenerateFitError(
@@ -182,7 +182,7 @@ def overlap_summary(
 ) -> OverlapReport:
     """Distribution of fitted probabilities and of each estimator's weights
     over the dataset's rows, taken per cell of its cell table, with each cell
-    counted by its rows, from the estimators' own predictions and weights.
+    counted by its rows, from the predictions the estimators read (on_cells) and weights.
 
     Weight families are keyed by estimator and arm: "phi(a)" uses
     1 / e_a on emulation arm-a rows, "chi(a)" the participation odds over
@@ -193,13 +193,11 @@ def overlap_summary(
     require_positive(weight_threshold, "weight_threshold")
     t = cell_table(d, nu.outcome_kind)
     count = t.count[0]
-    pred = predictions(t, nu, ESTIMATOR_NAMES, ())  # no outcome model
+    pred = predictions(t, nu, ESTIMATOR_NAMES, ())  # the probability models alone
     probabilities = {}
-    for model, (_, stratum, column, _) in MODELS.items():
-        if column == "y":
-            continue
-        counted = np.where(stratum_cells(t, stratum), count, 0.0)
-        qs = linear_quantiles(pred[model], _QUANTILES, counted)
+    for model, prob in pred.items():
+        counted = np.where(model_cells(t, model), count, 0.0)
+        qs = linear_quantiles(prob, _QUANTILES, counted)
         require_finite(qs, f"overlap: a {model} probability quantile")
         probabilities[model] = QuantileSummary(*qs.tolist())
 

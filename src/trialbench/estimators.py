@@ -43,7 +43,7 @@ from .errors import (
     require_positive,
     require_subset,
 )
-from .nuisance import NAME_OF, NuisanceSet, fit_nuisances, stratum_cells
+from .nuisance import NAME_OF, NuisanceSet, fit_nuisances, model_cells
 
 PROPENSITY_FLOOR = 1e-10
 ESTIMATOR_NAMES = ("phi", "chi", "psi")
@@ -159,7 +159,7 @@ def _positivity_check(
 
 
 # Per estimator: the stratum of its outcome and propensity models (its
-# weighted cells are that stratum's cells at the arm), the propensity's name in
+# weighted cells are its outcome model's), the propensity's name in
 # error messages, and the weight from the propensity e and participation p.
 _AIPW = {
     "phi": ("s0", "emulation propensity", lambda e, p: 1.0 / e),
@@ -169,32 +169,31 @@ _AIPW = {
 
 
 def predictions(t: CellTable, nu: NuisanceSet, names: Sequence[str], arms: Sequence[int]) -> dict:
-    """Each model the estimators ``names`` read, predicted once on the cells of
-    ``t`` and keyed by its name in MODELS: the propensity (of a = 1) and the
-    outcome means at ``arms`` of each one's stratum, and the participation
-    unless phi alone is named."""
+    """Each model the estimators ``names`` read, predicted on the cells of
+    ``t`` by NuisanceSet.on_cells and keyed by its name in MODELS: the
+    participation unless phi alone is named, then the propensities (of a = 1)
+    and then the outcome means at ``arms`` of their strata, in ``names``' order."""
     strata = [_AIPW[name][0] for name in names]
-    pred = {NAME_OF[s, "a", None]: nu.treatment_prob(t.x, 1, s) for s in strata}
-    pred |= {NAME_OF[s, "y", a]: nu.outcome_mean(t.x, a, s) for s in strata for a in arms}
-    if set(names) != {"phi"}:
-        pred["participation"] = nu.participation_prob(t.x)
-    return pred
+    read = [] if set(names) == {"phi"} else ["participation"]
+    read += [NAME_OF[s, "a", None] for s in strata]
+    read += [NAME_OF[s, "y", a] for s in strata for a in arms]
+    return nu.on_cells(t, read)
 
 
 def aipw_weighting(
     t: CellTable, pred: dict, name: str, a: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Estimator ``name`` at arm ``a`` on the cells of ``t``, from their
-    predictions ``pred``: the mask of its weighted cells, the propensity e
-    of arm a and the participation p (None when not predicted), and its
-    weight w(e, p) in every cell; phi's weight does not read p."""
+    predictions ``pred``: the mask of its weighted cells (its outcome model's),
+    the propensity e of arm a and the participation p (None when not
+    predicted), and its weight w(e, p) in every cell; phi's weight does not read p."""
     stratum, _, weight = _AIPW[name]
     e1 = pred[NAME_OF[stratum, "a", None]]
     e = e1 if a == 1 else 1.0 - e1
     p = pred.get("participation")
     # The weight can overflow off the weighted cells, where it is not used.
     with np.errstate(over="ignore"):
-        return stratum_cells(t, stratum) & (t.a == a), e, p, weight(e, p)
+        return model_cells(t, NAME_OF[stratum, "y", a]), e, p, weight(e, p)
 
 
 def _estimate(

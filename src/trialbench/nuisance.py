@@ -31,7 +31,6 @@ from .errors import (
     FitError,
     record,
     require_finite,
-    require_member,
 )
 from .glm import (
     LogisticModel,
@@ -55,12 +54,14 @@ NAME_OF = {spec[1:]: name for name, spec in MODELS.items()}
 MODEL_NAMES = tuple(dict.fromkeys(family for family, *_ in MODELS.values()))
 
 
-def stratum_cells(t: CellTable, stratum: str) -> np.ndarray:
-    """The mask of the cells of ``t`` in ``stratum``: those of the emulation
-    (s = 0), of the trial (s = 1) or, pooled, every cell."""
-    if stratum == "pooled":
-        return np.ones(t.s.size, dtype=bool)
-    return t.s == {"s0": 0, "s1": 1}[stratum]
+def model_cells(t: CellTable, name: str) -> np.ndarray:
+    """The mask of the cells of ``t`` that the model ``name`` of MODELS is
+    fitted on: its stratum's, those of the emulation (s = 0), of the trial
+    (s = 1) or, pooled, every cell; for an outcome model, only its arm's."""
+    _, stratum, _, arm = MODELS[name]
+    study = {"s0": 0, "s1": 1}.get(stratum)
+    cells = np.ones(t.s.size, dtype=bool) if study is None else t.s == study
+    return cells if arm is None else cells & (t.a == arm)
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,16 @@ class NuisanceSet:
             raise self.errors[0]
         return replace(self, models={name: m.row(0) for name, m in self.models.items()})
 
-    def participation_prob(self, x: np.ndarray) -> np.ndarray:
-        return self.models["participation"].predict(x)
-
-    def treatment_prob(self, x: np.ndarray, arm: int, stratum: str) -> np.ndarray:
-        """Pr[a = arm | x] under the stratum's propensity model."""
-        require_member(arm, "arm", (0, 1))
-        require_member(stratum, "stratum", STRATA)
-        p1 = self.models[NAME_OF[stratum, "a", None]].predict(x)
-        return p1 if arm == 1 else 1.0 - p1
-
-    def outcome_mean(self, x: np.ndarray, arm: int, stratum: str) -> np.ndarray:
-        require_member(arm, "arm", (0, 1))
-        require_member(stratum, "stratum", STRATA)
-        return self.models[NAME_OF[stratum, "y", arm]].predict(x)
+    def on_cells(self, t: CellTable, names: Sequence[str]) -> dict[str, np.ndarray]:
+        """The models ``names`` predicted on the cells of ``t``, keyed by name.
+        Each is predicted at most once per table: the set keeps its
+        predictions, as Dataset.cells keeps the table."""
+        cache = self.__dict__.setdefault("_on_cells", {})
+        predicted = cache.setdefault(id(t), (t, {}))[1]  # holds t, so no table reuses its id
+        for name in names:
+            if name not in predicted:
+                predicted[name] = self.models[name].predict(t.x)
+        return {name: predicted[name] for name in names}
 
     def summaries(self) -> dict:
         """JSON-ready per-model summaries for reporting."""
@@ -237,10 +234,10 @@ def fit_nuisances(
     # the fit takes the copy as it is.
     full = add_intercept(t.x)
     models: dict[str, Model] = {}
-    for name, (family, stratum, column, arm) in MODELS.items():
-        mask, tag = stratum_cells(t, stratum), name
+    for name, (family, _, column, arm) in MODELS.items():
+        mask, tag = model_cells(t, name), name
         if arm is not None:
-            mask, tag = mask & (t.a == arm), f"{family} arm {arm}"
+            tag = f"{family} arm {arm}"
             empty = ~np.any(mask & occupied, axis=1)
             record(errors, empty, lambda r: DegenerateFitError(f"{tag}: no rows in this stratum"))
         gone = dropped.get(family, ())

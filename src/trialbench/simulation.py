@@ -570,10 +570,11 @@ def run_monte_carlo(
     are the replicate loop's lead task (``run_replicates``): with one worker
     they run first, in this process; with ``workers`` above 1, in a forked
     worker beside the replicates, so call it with no other thread running.
-    The truths and each replicate keep their own random streams, so the
-    report does not depend on the worker count. An error of the truths wins
-    over the replicates' error; when the replicates abort or raise, truths
-    still running are ended.
+    A task carries reps // (8 * workers) replicates, at least one. The
+    truths and each replicate keep their own random streams, so the report
+    depends neither on the worker count nor on the task size. An error of
+    the truths wins over the replicates' error; when the replicates abort or
+    raise, truths still running are ended.
     """
     require_count(reps, "reps", 2)
     require_sizes(n, "n")
@@ -596,11 +597,18 @@ def run_monte_carlo(
     )
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
 
+    def chunk(indices: range) -> list[dict[str, float] | Exception]:
+        """Replicates ``indices`` in turn: per replicate its values, or the error it raised."""
+        out = []
+        for i in indices:
+            try:
+                out.append(replicate_estimates(cfg, n, seed, i, plan, restriction=restriction))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
     columns, failures, truths = run_replicates(
-        lambda indices: [replicate_estimates(cfg, n, seed, i, plan, restriction=restriction)
-                         for i in indices],
-        reps, 1, "simulation",  # chunks of one replicate
-        workers,
+        chunk, reps, max(1, reps // (8 * workers)), "simulation", workers,
         lead=lambda: true_values(cfg, draws=truth_draws),
     )
     used = reps - failures

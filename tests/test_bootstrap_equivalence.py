@@ -75,9 +75,10 @@ def _oracle_estimate(d: Dataset, nu: NuisanceSet, name: str, a: int, hajek: bool
     stratum = {"phi": "s0", "chi": "s1", "psi": "pooled"}[name]
     s0 = d.s == 0
     n0 = d.n_emulation
-    g = nu.outcome_mean(d.x, a, stratum)
-    e = nu.treatment_prob(d.x, a, stratum)
-    p = nu.participation_prob(d.x)
+    g = nu.models[f"outcome_{stratum}_arm{a}"].predict(d.x)
+    e1 = nu.models[f"propensity_{stratum}"].predict(d.x)
+    e = e1 if a == 1 else 1.0 - e1
+    p = nu.models["participation"].predict(d.x)
     weighted = {"phi": s0, "chi": ~s0, "psi": np.ones(d.n, dtype=bool)}[name] & (d.a == a)
     for prob in [e, p] if name == "chi" else [e]:
         if np.any(weighted & (prob < PROPENSITY_FLOOR)):

@@ -109,8 +109,8 @@ QS = [0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0]
 def row_overlap(d: Dataset, nu, weight_threshold: float) -> diagnostics.OverlapReport:
     """The overlap summary computed row by row: every model is predicted on
     all rows and then masked, each weight recomputed from its formula."""
-    p = nu.participation_prob(d.x)
-    e1 = {stratum: nu.treatment_prob(d.x, 1, stratum) for stratum in ("s0", "s1", "pooled")}
+    p = nu.models["participation"].predict(d.x)
+    e1 = {s: nu.models[f"propensity_{s}"].predict(d.x) for s in ("s0", "s1", "pooled")}
     in_stratum = {"s0": d.s == 0, "s1": d.s == 1, "pooled": np.ones(d.n, dtype=bool)}
 
     def summary(values):

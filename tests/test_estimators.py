@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trialbench import (
     AnalysisPlan,
     Dataset,
     EstimateWithIF,
+    FitError,
     IncompatibleEstimatesError,
     PositivityError,
     contrast,
@@ -18,10 +21,12 @@ from trialbench import (
     run_plan,
     run_plan_with,
     truth_table,
+    validate,
 )
-from trialbench.config import SimulationConfig
+from trialbench.config import AnalysisConfig, SimulationConfig
 from trialbench.glm import LinearModel, LogisticModel
 from trialbench.nuisance import NuisanceSet
+from trialbench.report import build_analysis_report
 
 from conftest import REPO_ROOT, estimate_with_if_values
 
@@ -333,8 +338,8 @@ def test_plan_contrasts_follow_its_arms_and_estimators(estimators, arms, ate, de
     assert contrasts["delta"].get(1) in (None, ("delta(1)", "phi(1)", "chi(1)"))
 
 
-def _predicted_models(monkeypatch, d: Dataset, nu: NuisanceSet, plan: AnalysisPlan) -> list:
-    """The models one run_plan_with call predicts, once per prediction."""
+def _counted_predictions(monkeypatch) -> list:
+    """A list that gets, from here on, each model predicted, once per prediction."""
     predicted = []
     for cls in (LogisticModel, LinearModel):
 
@@ -343,6 +348,12 @@ def _predicted_models(monkeypatch, d: Dataset, nu: NuisanceSet, plan: AnalysisPl
             return predict(model, x)
 
         monkeypatch.setattr(cls, "predict", counting)
+    return predicted
+
+
+def _predicted_models(monkeypatch, d: Dataset, nu: NuisanceSet, plan: AnalysisPlan) -> list:
+    """The models one run_plan_with call predicts, once per prediction."""
+    predicted = _counted_predictions(monkeypatch)
     run_plan_with(d, nu, plan)
     return predicted
 
@@ -353,6 +364,19 @@ def test_run_plan_with_predicts_each_model_it_reads_once(fixture_dataset, monkey
     every = list(nu.models.values())
     assert len(predicted) == 10
     assert sorted(map(id, predicted)) == sorted(map(id, every))
+
+
+def test_the_point_analysis_predicts_each_model_once(fixture_dataset, monkeypatch, tmp_path):
+    # The estimates and the overlap summary read the same predictions.
+    config = json.loads((REPO_ROOT / "configs" / "analyze_d1.json").read_text())
+    config.update(input=str(REPO_ROOT / config["input"]), output=str(tmp_path / "r.json"))
+    config = AnalysisConfig.from_dict({**config, "bootstrap": 0})
+    assert config.overlap and config.restriction
+    predicted = _counted_predictions(monkeypatch)
+    report = build_analysis_report(config, fixture_dataset)
+    assert report["diagnostics"]["overlap"] is not None
+    assert len(predicted) == 10
+    assert len(set(map(id, predicted))) == 10
 
 
 def test_phi_chi_arm_one_plan_predicts_its_five_models(monkeypatch):
@@ -370,3 +394,33 @@ def test_phi_chi_arm_one_plan_predicts_its_five_models(monkeypatch):
         nu.models["outcome_s1_arm1"],
     ]
     assert sorted(map(id, predicted)) == sorted(map(id, read))
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(200, 2000),
+    k=st.integers(1, 4),
+    gaussian=st.booleans(),
+    outcome_kind=st.sampled_from(["continuous", "binary"]),
+    hajek=st.booleans(),
+)
+def test_influence_values_centre_on_random_valid_datasets(seed, n, k, gaussian, outcome_kind, hajek):
+    # Binary covariates group rows into cells; Gaussian ones leave each row a
+    # cell of its own. The mean is taken over the rows, not the cells.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k)) if gaussian else (rng.random((n, k)) < rng.uniform(0.2, 0.8, k))
+    x = x.astype(float)
+    s = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.normal(0.0, 0.5, k)))).astype(int)
+    a = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.normal(0.0, 0.5, k)))).astype(int)
+    y = x @ rng.normal(size=k) + a + rng.normal(size=n) * rng.uniform(0.1, 3.0)
+    if outcome_kind == "binary":
+        y = (y > 0.5).astype(float)
+    d = Dataset(x=x, s=s, a=a, y=y, covariate_names=tuple(f"X{j}" for j in range(k)))
+    assume(validate(d).ok)
+    try:
+        estimates = run_plan(d, AnalysisPlan(outcome_kind, hajek=hajek))
+    except FitError:
+        assume(False)  # a sparse draw that separates or fails positivity
+    for label, est in estimates.items():
+        assert abs(np.mean(est.if_values)) <= est.tolerance, label

@@ -19,11 +19,11 @@ from trialbench import (
     fit_nuisances,
     generate,
 )
-from trialbench import diagnostics, glm, inference, nuisance, simulation
+from trialbench import diagnostics, estimators, glm, inference, nuisance, simulation
 from trialbench.data import cell_table
 from trialbench.errors import record
 from trialbench.glm import add_intercept, fit_linear_stack, fit_logistic_stack
-from trialbench.nuisance import MODEL_NAMES, MODELS, normalize_drop, stratum_cells
+from trialbench.nuisance import MODEL_NAMES, MODELS, model_cells, normalize_drop
 
 
 def test_fits_every_model_with_full_arity(small_dataset):
@@ -50,12 +50,13 @@ def test_pooled_outcome_recovers_generating_mean(fixture_dataset):
     assert abs(coef[1] - 2.0) < 0.05
 
 
-def test_treatment_prob_complements(small_dataset):
+def test_propensity_of_arm_zero_complements_arm_one(small_dataset):
     nu = fit_nuisances(small_dataset, "continuous")
-    x = small_dataset.x[:10]
-    p1 = nu.treatment_prob(x, 1, "s0")
-    p0 = nu.treatment_prob(x, 0, "s0")
-    assert np.allclose(p1 + p0, 1.0)
+    t = cell_table(small_dataset, "continuous")
+    pred = estimators.predictions(t, nu, ["phi"], [0, 1])
+    _, e1, _, _ = estimators.aipw_weighting(t, pred, "phi", 1)
+    _, e0, _, _ = estimators.aipw_weighting(t, pred, "phi", 0)
+    assert np.allclose(e1 + e0, 1.0)
 
 
 def test_drop_produces_zero_slope_but_keeps_arity(small_dataset):
@@ -116,13 +117,38 @@ def test_fits_and_summaries_list_the_models_of_the_table_in_order(small_dataset)
         ("pooled", lambda t: np.ones(t.s.size, dtype=bool)),
     ],
 )
-def test_stratum_cells_are_the_masks_they_replace(small_dataset, resampled, stratum, cells):
+def test_model_cells_are_the_masks_they_replace(small_dataset, resampled, stratum, cells):
     t = cell_table(small_dataset, "continuous")
     if resampled:
         t = t.resample(inference._Draws(small_dataset, 5, range(3)))
-    got = stratum_cells(t, stratum)
-    assert got.dtype == bool
-    assert np.array_equal(got, cells(t))
+    for name, (_, model_stratum, _, arm) in MODELS.items():
+        if model_stratum != stratum:
+            continue
+        got = model_cells(t, name)
+        assert got.dtype == bool
+        want = cells(t) if arm is None else cells(t) & (t.a == arm)
+        assert np.array_equal(got, want), name
+
+
+def test_on_cells_predicts_each_model_once_per_table(small_dataset, monkeypatch):
+    nu = fit_nuisances(small_dataset, "continuous")
+    t = cell_table(small_dataset, "continuous")
+    first = nu.on_cells(t, ["participation", "outcome_s0_arm1"])
+    assert np.array_equal(first["participation"], nu.models["participation"].predict(t.x))
+    predicted = []
+    for cls in (glm.LogisticModel, glm.LinearModel):
+
+        def counting(model, x, predict=cls.predict):
+            predicted.append(model)
+            return predict(model, x)
+
+        monkeypatch.setattr(cls, "predict", counting)
+    again = nu.on_cells(t, ["outcome_s0_arm1", "participation"])
+    assert list(again) == ["outcome_s0_arm1", "participation"]
+    assert all(again[name] is first[name] for name in first)
+    assert predicted == []
+    nu.on_cells(t.resample(inference._Draws(small_dataset, 5, range(2))), ["participation"])
+    assert predicted == [nu.models["participation"]]
 
 
 def test_failure_is_tagged_with_model_name():
@@ -180,7 +206,7 @@ def test_binary_outcome_models_are_logistic(small_dataset):
         covariate_names=small_dataset.covariate_names,
     )
     nu = fit_nuisances(d, "binary")
-    means = nu.outcome_mean(d.x[:5], 1, "pooled")
+    means = nu.models["outcome_pooled_arm1"].predict(d.x[:5])
     assert np.all((means > 0.0) & (means < 1.0))
 
 

@@ -263,6 +263,42 @@ def test_each_argument_rule_is_said_only_by_its_function():
     assert rule_phrases_outside_their_owners(sources) == []
 
 
+# The one module that calls ``.predict(`` on a fitted model (glm.py defines
+# it): NuisanceSet.on_cells predicts each model once per cell table, so the
+# per-table predictions keep one owner.
+PREDICT_OWNER = "nuisance.py"
+
+
+def predict_calls_outside_their_owner(sources: dict[str, str]) -> list[str]:
+    """Each call of a ``.predict`` attribute outside PREDICT_OWNER."""
+    found = []
+    for name, source in sources.items():
+        if name == PREDICT_OWNER:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "predict"
+            ):
+                found.append(f"{name} line {node.lineno}: predict")
+    return found
+
+
+def test_predict_calls_outside_their_owner_are_found():
+    sources = {
+        "glm.py": "class Model:\n    def predict(self, x):\n        return x\n",
+        "nuisance.py": "def on_cells(model, t):\n    return model.predict(t.x)\n",
+        "diagnostics.py": 'def f(nu, t):\n    return nu.models["participation"].predict(t.x)\n',
+    }
+    assert predict_calls_outside_their_owner(sources) == ["diagnostics.py line 2: predict"]
+
+
+def test_only_the_nuisance_set_predicts():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert predict_calls_outside_their_owner(sources) == []
+
+
 def _perfbench_spans():
     """perfbench/spans.py as a module, run from its source (stdlib imports
     only) so that nothing, bytecode included, is written next to it."""
